@@ -14,6 +14,7 @@ witness selection everywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +22,10 @@ from .algebra import Algebra
 from .errors import InfiniteField, TooLarge
 
 DEFAULT_BLOCK = 1 << 16
+
+#: Chunk size for algebras too big to cache: each streamed chunk is dropped
+#: once consumed, so smaller chunks bound the memory held.
+STREAM_BLOCK = 1 << 14
 
 #: Algebras at most this big get their power data cached on the instance.
 POWER_CACHE_LIMIT = 200_000
@@ -54,16 +59,14 @@ def batch_mul(t2: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarra
     return np.matmul(y[:, None, :], partial)[:, 0, :] % p
 
 
-def idempotent_coords(
-    ambient: Algebra,
-    basis_rows,
-    max_scan: int,
-    block: int = DEFAULT_BLOCK,
-) -> list[tuple[int, ...]]:
-    """Coordinates of every idempotent in the span of ``basis_rows``.
+def iter_idempotents(
+    ambient: Algebra, basis_rows, max_scan: int
+) -> Iterator[tuple[int, ...]]:
+    """Coordinates of every idempotent in the span of ``basis_rows``, lazily.
 
-    Scans all q^r coefficient combinations in lexicographic order; the
-    result keeps that order.  Raises ``TooLarge`` if q^r exceeds the budget.
+    Scans all q^r coefficient combinations in lexicographic order, one block
+    at a time, and yields in that order.  Raises ``TooLarge`` before any
+    scanning if q^r exceeds the budget.
     """
     p = ambient.field.order
     r = len(basis_rows)
@@ -71,18 +74,20 @@ def idempotent_coords(
     if total > max_scan:
         raise TooLarge(total, max_scan, what=f"idempotent scan in {ambient.label}")
     t2 = np_table(ambient)
-    d = ambient.dim
-    basis = np.array(basis_rows, dtype=np.int64).reshape(r, d)
-    found: list[tuple[int, ...]] = []
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        coeffs = coeff_block(p, r, start, stop)
-        vecs = (coeffs @ basis) % p
+    basis = np.array(basis_rows, dtype=np.int64).reshape(r, ambient.dim)
+    for start in range(0, total, DEFAULT_BLOCK):
+        vecs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total)) @ basis
+        vecs %= p  # in place, so the block costs no more memory than one array
         squares = batch_mul(t2, vecs, vecs, p)
-        mask = np.all(squares == vecs, axis=1)
-        for row in vecs[mask]:
-            found.append(tuple(int(c) for c in row))
-    return found
+        for row in vecs[np.all(squares == vecs, axis=1)].tolist():
+            yield tuple(row)
+
+
+def idempotent_coords(
+    ambient: Algebra, basis_rows, max_scan: int
+) -> list[tuple[int, ...]]:
+    """Every idempotent in the span of ``basis_rows``, in scan order."""
+    return list(iter_idempotents(ambient, basis_rows, max_scan))
 
 
 @dataclass
@@ -170,16 +175,18 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     base = coeff_block(p, d, start, stop)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
 
-    # power arrays are stored as int8 (p is a small prime); matmul against
-    # the int64 table promotes before multiplying, so nothing can overflow
-    powers = [base.astype(np.int8)]
+    # powers are stored in the smallest unsigned type that holds a residue;
+    # matmul against the int64 table promotes before multiplying, so nothing
+    # can overflow
+    store = np.min_scalar_type(p - 1)
+    powers = [base.astype(store)]
     keys = [base @ radix]
     horizon = 8
     while True:
         while len(powers) < horizon:
             nxt = batch_mul(t2, powers[-1], base, p)
             keys.append(nxt @ radix)
-            powers.append(nxt.astype(np.int8))
+            powers.append(nxt.astype(store))
         key_mat = np.stack(keys, axis=1)
         srt = np.sort(key_mat, axis=1)
         if np.all(np.any(srt[:, 1:] == srt[:, :-1], axis=1)):
@@ -246,11 +253,12 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     return chunk
 
 
-def power_chunks(a: Algebra, max_scan: int, chunk_size: int = DEFAULT_BLOCK):
+def power_chunks(a: Algebra, max_scan: int):
     """Yield PowerChunk records covering the whole algebra.
 
-    Small algebras (at most POWER_CACHE_LIMIT elements) are computed once
-    and cached on the instance.  The budget counts power-vector evaluations
+    Small algebras (at most POWER_CACHE_LIMIT elements) are cached on the
+    instance after their last chunk is built, and later calls replay the
+    cache; larger ones are streamed in smaller chunks.  The budget counts power-vector evaluations
     (elements times the advance horizon), not just elements, so an algebra
     whose power sequences cycle slowly is refused rather than ground
     through; the work done before refusing is itself capped by the budget.
@@ -260,27 +268,22 @@ def power_chunks(a: Algebra, max_scan: int, chunk_size: int = DEFAULT_BLOCK):
     size = a.size
     if size > max_scan:
         raise TooLarge(size, max_scan, what=f"element scan of {a.label}")
-    if size <= POWER_CACHE_LIMIT:
-        if a._power_data is None:
-            spent = 0
-            chunks = []
-            for s in range(0, size, chunk_size):
-                chunk = build_power_chunk(a, s, min(s + chunk_size, size))
-                spent += chunk.count * int(chunk.mu.max() + chunk.lam.max())
-                if spent > max_scan:
-                    raise TooLarge(spent, max_scan, what=f"power table of {a.label}")
-                chunks.append(chunk)
-            a._power_data = chunks
+    if a._power_data is not None:
         yield from a._power_data
         return
+    cache = [] if size <= POWER_CACHE_LIMIT else None
+    step = STREAM_BLOCK if cache is None else DEFAULT_BLOCK
     spent = 0
-    stream_chunk = min(chunk_size, 16384)
-    for s in range(0, size, stream_chunk):
-        chunk = build_power_chunk(a, s, min(s + stream_chunk, size))
+    for s in range(0, size, step):
+        chunk = build_power_chunk(a, s, min(s + step, size))
         spent += chunk.count * int(chunk.mu.max() + chunk.lam.max())
         if spent > max_scan:
             raise TooLarge(spent, max_scan, what=f"power scan of {a.label}")
+        if cache is not None:
+            cache.append(chunk)
         yield chunk
+    if cache is not None:
+        a._power_data = cache
 
 
 def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:

@@ -56,13 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or MATHIEU_KIT_MAX_SCAN)",
     )
     parser.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker hint for scans (kernels are vectorized in-process; "
-        "results do not depend on this value)",
-    )
     groups = parser.add_subparsers(dest="group", required=True)
 
     def with_algebra(p):

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
-from . import _scan
 from .algebra import (
     Algebra,
     AlgebraHom,
@@ -30,13 +27,14 @@ from .algebra import (
     matrix_algebra,
     opposite,
     poly_quotient_algebra,
-    power_cycle,
 )
 from .errors import ConsistencyError, MathieuKitError, OnlyTrivial, TooLarge
 from .fields import GF, Poly
 from .mathieu import (
     MAX_SCAN_DEFAULT,
+    _cycle_radical_member,
     _idempotents_of,
+    _nontrivial_idempotents,
     decide_mathieu,
     find_nontrivial_mathieu,
     is_mathieu_commutative,
@@ -156,31 +154,13 @@ def _entries() -> list[CatalogEntry]:
     return out
 
 
-def _first_nontrivial_idempotent(a: Algebra, max_scan: int) -> Optional[tuple]:
-    p = a.field.order
-    total = a.size
-    if total > max_scan:
-        raise TooLarge(total, max_scan, what=f"idempotent search in {a.label}")
-    zero = tuple(a.field.zero for _ in range(a.dim))
-    for start in range(0, total, _scan.DEFAULT_BLOCK):
-        stop = min(start + _scan.DEFAULT_BLOCK, total)
-        vecs = _scan.coeff_block(p, a.dim, start, stop)  # coords of the full space
-        squares = _scan.batch_mul(_scan.np_table(a), vecs, vecs, p)
-        mask = np.all(squares == vecs, axis=1)
-        for row in vecs[mask]:
-            coords = tuple(int(c) for c in row)
-            if coords != zero and coords != a.unit:
-                return coords
-    return None
-
-
 def _verify_entry(entry: CatalogEntry, max_scan: int) -> None:
     a = entry.algebra
     if ("commutative" in entry.tags) != a.is_commutative:
         raise ConsistencyError(f"{entry.name}: commutativity tag is wrong")
     if "matrix" in entry.tags and a.matrix_size is None:
         raise ConsistencyError(f"{entry.name}: not a matrix algebra")
-    idem = _first_nontrivial_idempotent(a, max_scan)
+    idem = next(_nontrivial_idempotents(a, max_scan), None)
     if ("local" in entry.tags) != (idem is None):
         raise ConsistencyError(f"{entry.name}: locality tag is wrong ({idem})")
     if "field_extension" in entry.tags:
@@ -299,21 +279,9 @@ def _mathieu_subspaces(a: Algebra, variant: Sidedness, max_scan: int) -> list[Su
 
 def _radical_of_set(a: Algebra, members: set) -> set:
     """Radical of an arbitrary subset: tail cycle powers must all lie in it."""
-    out = set()
-    for x in a.elements():
-        info = power_cycle(x)
-        cur = x
-        for _ in range(info.preperiod - 1):
-            cur = cur * x
-        ok = True
-        for _ in range(info.period):
-            if cur.coords not in members:
-                ok = False
-                break
-            cur = cur * x
-        if ok:
-            out.add(x.coords)
-    return out
+    return {
+        x.coords for x in a.elements() if _cycle_radical_member(members.__contains__, x)
+    }
 
 
 # -- individual suites -------------------------------------------------------------------

@@ -29,7 +29,7 @@ replaying a claimed refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -121,12 +121,14 @@ def radical_member(v: Subspace, a: Element) -> bool:
     return True
 
 
-def _cycle_radical_member(v: Subspace, a: Element) -> bool:
-    """Cycle-based reference definition: tail powers a^mu .. a^(mu+lam-1) in v."""
+def _cycle_radical_member(member: Callable[[Coords], bool], a: Element) -> bool:
+    """Cycle-based reference definition: tail powers a^mu .. a^(mu+lam-1) all
+    pass ``member``, a test on coordinate tuples (a subspace's
+    ``member_coords`` or any set's ``__contains__``)."""
     info = power_cycle(a)
     x = elem_power(a, info.preperiod)
     for _ in range(info.period):
-        if not v.member(x):
+        if not member(x.coords):
             return False
         x = x * a
     return True
@@ -420,11 +422,15 @@ def find_nontrivial_mathieu(
 # -- algebra-level classification ----------------------------------------------------------
 
 
-def _nontrivial_idempotents(a: Algebra, max_scan: int) -> list[Coords]:
+def _nontrivial_idempotents(a: Algebra, max_scan: int) -> Iterator[Coords]:
+    """The idempotents of ``a`` other than 0 and 1, lazily in scan order."""
     full_basis = tuple(a._basis_coords(i) for i in range(a.dim))
-    idems = _scan.idempotent_coords(a, full_basis, max_scan)
     zero = tuple(a.field.zero for _ in range(a.dim))
-    return [e for e in idems if e != zero and e != a.unit]
+    return (
+        e
+        for e in _scan.iter_idempotents(a, full_basis, max_scan)
+        if e != zero and e != a.unit
+    )
 
 
 def _is_two_copies_of_base_field(a: Algebra, nontrivial: list[Coords]) -> bool:
@@ -451,7 +457,7 @@ def is_quasi_stable(a: Algebra, max_scan: int = MAX_SCAN_DEFAULT) -> bool:
     """
     if not a.field.is_finite:
         raise InfiniteFieldNoDecision("idempotent scan needs a finite field")
-    nontrivial = _nontrivial_idempotents(a, max_scan)
+    nontrivial = list(_nontrivial_idempotents(a, max_scan))
     if not nontrivial:
         return True
     return _is_two_copies_of_base_field(a, nontrivial)
@@ -468,5 +474,7 @@ def is_stable(a: Algebra, max_scan: int = MAX_SCAN_DEFAULT) -> bool:
     if a.dim == 1:
         return True
     if a.field.characteristic == 2 and a.dim == 2:
-        return _is_two_copies_of_base_field(a, _nontrivial_idempotents(a, max_scan))
+        return _is_two_copies_of_base_field(
+            a, list(_nontrivial_idempotents(a, max_scan))
+        )
     return False

@@ -51,6 +51,10 @@ from .subspace import (
     gaussian_binomial,
 )
 
+#: Witness-mode codim-1 censuses re-decide every (total // (SCAN_SAMPLES + 1))-th
+#: class by full scan, as a cross-check of the refuting idempotents.
+SCAN_SAMPLES = 2
+
 
 def _require_matrix(a: Algebra) -> int:
     n = a.matrix_size
@@ -319,7 +323,6 @@ def classify_codim1(
     q: int,
     max_scan: int = MAX_SCAN_DEFAULT,
     decision: str = "auto",
-    scan_samples: int = 2,
 ) -> Codim1Report:
     """Decide the Mathieu property of every codimension-one class of M_n(F_q).
 
@@ -365,7 +368,7 @@ def classify_codim1(
                 scan_checked += 1
     else:
         ident_row = np.array(identity.coords, dtype=np.int64)
-        sample_stride = max(total // (scan_samples + 1), 1) if scan_samples else 0
+        sample_stride = max(total // (SCAN_SAMPLES + 1), 1)
         seen = 0
         refuted = 0
         for lead in range(d):
@@ -382,18 +385,15 @@ def classify_codim1(
                 _batch_left_refute(xs, q, n)
                 _batch_left_refute(np.ascontiguousarray(xs.transpose(0, 2, 1)), q, n)
                 refuted += len(xs)
-                if sample_stride:
-                    for row_idx in range(len(block)):
-                        if (seen + row_idx) % sample_stride == 0:
-                            x = alg.element(tuple(int(c) for c in block[row_idx]))
-                            verdicts = decide_all_variants(
-                                trace_orthogonal(x), max_scan
+                for row_idx in range(len(block)):
+                    if (seen + row_idx) % sample_stride == 0:
+                        x = alg.element(tuple(int(c) for c in block[row_idx]))
+                        verdicts = decide_all_variants(trace_orthogonal(x), max_scan)
+                        if any(v.is_mathieu for v in verdicts.values()):
+                            raise ConsistencyError(
+                                f"scan and witness disagree on {x.coords}"
                             )
-                            if any(v.is_mathieu for v in verdicts.values()):
-                                raise ConsistencyError(
-                                    f"scan and witness disagree on {x.coords}"
-                                )
-                            scan_checked += 1
+                        scan_checked += 1
                 seen += stop - start
         if refuted != total - 1:
             raise ConsistencyError(

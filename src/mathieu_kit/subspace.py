@@ -194,20 +194,8 @@ def span(ambient: Algebra, vectors: Iterable) -> Subspace:
     return Subspace.span(ambient, vectors)
 
 
-def member(v: Subspace, a) -> bool:
-    return v.member(a)
-
-
-def subspace_sum(v: Subspace, w: Subspace) -> Subspace:
-    return v + w
-
-
 def intersect(v: Subspace, w: Subspace) -> Subspace:
     return v.intersect(w)
-
-
-def codim(v: Subspace) -> int:
-    return v.codim
 
 
 # -- sided ideals ------------------------------------------------------------------

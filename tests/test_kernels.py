@@ -18,7 +18,8 @@ from mathieu_kit.algebra import (
     power_cycle,
 )
 from mathieu_kit.fields import GF, Poly
-from mathieu_kit.subspace import span
+from mathieu_kit.mathieu import radical_enumerate
+from mathieu_kit.subspace import Subspace, span
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -91,6 +92,32 @@ def test_power_chunks_match_elem_power_and_cycles():
         for m in range(1, 9):
             row = chunk.rows[chunk.power_index(b, m)]
             assert tuple(int(c) for c in row) == elem_power(x, m).coords
+
+
+@pytest.mark.parametrize("p", [127, 131, 257])
+def test_power_chunks_hold_residues_of_large_primes(p):
+    alg = field_algebra(GF(p))
+    chunks = list(_scan.power_chunks(alg, max_scan=10**7))
+    for chunk in chunks:
+        for b in range(chunk.count):
+            x = alg.element(tuple(int(c) for c in chunk.rows[chunk.offset[b]]))
+            info = power_cycle(x)
+            assert (info.preperiod, info.period) == (int(chunk.mu[b]), int(chunk.lam[b]))
+    zero = Subspace.zero(alg)
+    assert [x.coords for x in radical_enumerate(zero)] == [(0,)]
+
+
+def test_streamed_power_chunks_match_cached(monkeypatch):
+    cached = list(_scan.power_chunks(matrix_algebra(2, F5), max_scan=10**7))
+    monkeypatch.setattr(_scan, "POWER_CACHE_LIMIT", 0)
+    alg = matrix_algebra(2, F5)
+    streamed = list(_scan.power_chunks(alg, max_scan=10**7))
+    assert alg._power_data is None
+    for name in ("mu", "lam", "k", "hdeg", "rows"):
+        assert np.array_equal(
+            np.concatenate([getattr(c, name) for c in cached]),
+            np.concatenate([getattr(c, name) for c in streamed]),
+        )
 
 
 def test_slice_all_true_handles_empty_slices():

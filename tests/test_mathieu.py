@@ -99,7 +99,7 @@ def test_radical_window_equals_cycle_definition_randomized():
             ]
             v = span(alg, rows)
             x = alg.element([rng.randrange(alg.field.order) for _ in range(alg.dim)])
-            assert radical_member(v, x) == _cycle_radical_member(v, x)
+            assert radical_member(v, x) == _cycle_radical_member(v.member_coords, x)
 
 
 def test_radical_enumerate_h_is_the_nilpotent_cone():
