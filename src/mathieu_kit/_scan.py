@@ -4,7 +4,8 @@ Everything here is exact integer arithmetic: coordinates are residues in
 int64 arrays and every product is reduced mod p immediately, so no value
 ever approaches overflow (sums are bounded by dim * p^2).  The kernels are
 plumbing for the decision procedures; the pure-Python element arithmetic in
-:mod:`mathieu_kit.algebra` is the reference they are tested against.
+:mod:`mathieu_kit.algebra` is the reference they are tested against, and
+every power chunk is spot-checked against it when it is built.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
@@ -18,8 +19,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import Algebra
-from .errors import InfiniteField, TooLarge
+from .algebra import Algebra, minimal_polynomial, power_cycle
+from .errors import ConsistencyError, InfiniteField, TooLarge
 
 DEFAULT_BLOCK = 1 << 16
 
@@ -97,13 +98,18 @@ class PowerChunk:
     For element b (0-based within the chunk) the stored rows
     ``rows[offset[b] : offset[b+1]]`` are the coordinates of a^1 .. a^(mu+lam-1),
     all distinct; the sequence repeats with a^(m+lam) = a^m for m >= mu.
-    ``k`` / ``hdeg`` come from the minimal polynomial split t^k * h and are
-    computed by Krylov elimination, independently of the hash-detected cycle.
+
+    ``k`` / ``hdeg`` split the minimal polynomial as t^k * h with h(0) != 0.
+    They are read from Krylov ranks, independently of the hash-detected
+    cycle: dim a^j F[a] = deg - min(j, k) and k <= d, so with
+    R(j) = rank(a^j .. a^(j+d-1)) mod p, ``hdeg`` = R(d) and
+    ``k`` = R(0) - R(d).
 
     ``cyc_idx[cyc_off[b]:cyc_off[b+1]]`` indexes the rows of one full tail
     cycle a^mu .. a^(mu+lam-1); ``win_idx`` does the same for the
-    minimal-polynomial window a^s .. a^(s+hdeg-1), s = max(k, 1), and is
-    empty for nilpotent elements (hdeg = 0).
+    minimal-polynomial window a^s .. a^(s+hdeg-1), s = max(k, 1), reducing
+    powers past the stored rows into the cycle.  It is empty for nilpotent
+    elements (hdeg = 0).
     """
 
     start: int  # global index of the first element of the chunk
@@ -119,55 +125,49 @@ class PowerChunk:
     win_idx: np.ndarray
     win_off: np.ndarray
 
-    def power_index(self, b: int, m: int) -> int:
-        """Row index of a^m (m >= 1) for chunk element b, via cycle reduction."""
-        mu = int(self.mu[b])
-        lam = int(self.lam[b])
-        if m < mu + lam:
-            return int(self.offset[b]) + m - 1
-        return int(self.offset[b]) + mu - 1 + ((m - mu) % lam)
 
+def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank mod p of every (r, c) block of a (B, r, c) stack.
 
-def _minpoly_split_mod_p(powers, unit, d: int, p: int) -> tuple[int, int]:
-    """(k, deg h) of the minimal polynomial, by Krylov elimination mod p.
-
-    ``powers(m)`` must return the coordinate tuple of a^m for m >= 1.
+    Fraction-free elimination, one column at a time across the whole stack:
+    each block takes its first unused row with a nonzero entry in the column
+    as pivot and clears that column from its other unused rows.  Rows are
+    only ever scaled by nonzero residues, so no inverse is needed, and a
+    cleared column is dropped from the working array.
     """
-    rows: list[tuple[list[int], int]] = []
-    combos: list[list[int]] = []
-    cur = list(unit)
-    m = 0
-    while True:
-        vec = list(cur)
-        combo = [0] * m + [1]
-        for (rvec, rpiv), rcombo in zip(rows, combos):
-            c = vec[rpiv]
-            if c:
-                vec = [(x - c * y) % p for x, y in zip(vec, rvec)]
-                for idx in range(len(rcombo)):
-                    combo[idx] = (combo[idx] - c * rcombo[idx]) % p
-        piv = -1
-        for idx, x in enumerate(vec):
-            if x:
-                piv = idx
-                break
-        if piv < 0:
-            k = 0
-            while combo[k] == 0:
-                k += 1
-            return k, m - k
-        inv = pow(vec[piv], p - 2, p)
-        if inv != 1:
-            vec = [(inv * x) % p for x in vec]
-            combo = [(inv * x) % p for x in combo]
-        rows.append((vec, piv))
-        combos.append(combo)
-        m += 1
-        cur = powers(m)
+    m = np.asarray(stack, dtype=np.int64) % p
+    used = np.zeros(m.shape[:2], dtype=bool)
+    blocks = np.arange(len(m))
+    for _ in range(m.shape[2]):
+        column = m[:, :, 0]
+        candidates = (column != 0) & ~used
+        found = candidates.any(axis=1)
+        pivot = candidates.argmax(axis=1)
+        used[blocks[found], pivot[found]] = True
+        factor = np.where(used, 0, column)  # all zero where nothing was found
+        pivot_row = m[blocks, pivot, 1:]
+        m = m[:, :, 1:] * np.where(found, column[blocks, pivot], 1)[:, None, None]
+        m -= factor[:, :, None] * pivot_row[:, None, :]
+        m %= p
+    return used.sum(axis=1)
 
 
-def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
-    """Power data for elements start..stop (global lexicographic indices)."""
+def _segments(lengths: np.ndarray):
+    """Offsets of back-to-back segments, and each slot's segment and position."""
+    off = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=off[1:])
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    return off, seg, np.arange(off[-1]) - off[seg]
+
+
+def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerChunk:
+    """Power data for elements start..stop (global lexicographic indices).
+
+    ``budget`` is the number of power evaluations still allowed.  Every
+    element is advanced to a common horizon, doubled until each power
+    sequence has repeated; a horizon whose count * horizon exceeds the
+    budget raises ``TooLarge`` before anything is computed for it.
+    """
     p = a.field.order
     d = a.dim
     t2 = np_table(a)
@@ -182,75 +182,81 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     powers = [base.astype(store)]
     keys = [base @ radix]
     horizon = 8
+    while horizon < 2 * d - 1:  # the Krylov split reads a^1 .. a^(2d-1)
+        horizon *= 2
     while True:
+        if count * horizon > budget:
+            raise TooLarge(count * horizon, budget, what=f"power scan of {a.label}")
         while len(powers) < horizon:
             nxt = batch_mul(t2, powers[-1], base, p)
             keys.append(nxt @ radix)
             powers.append(nxt.astype(store))
         key_mat = np.stack(keys, axis=1)
-        srt = np.sort(key_mat, axis=1)
-        if np.all(np.any(srt[:, 1:] == srt[:, :-1], axis=1)):
+        # a sequence has cycled within the horizon exactly when its last
+        # power repeats an earlier one; the nearest copy is then lam back
+        back = key_mat[:, -2::-1] == key_mat[:, -1:]
+        if back.any(axis=1).all():
             break
         horizon *= 2
 
-    mu = np.zeros(count, dtype=np.int64)
-    lam = np.zeros(count, dtype=np.int64)
-    key_lists = key_mat.tolist()
-    for b in range(count):
-        seen: dict[int, int] = {}
-        for m1, key in enumerate(key_lists[b], start=1):
-            if key in seen:
-                mu[b] = seen[key]
-                lam[b] = m1 - seen[key]
-                break
-            seen[key] = m1
+    lam = back.argmax(axis=1) + 1
+    # mu is the first power equal to the one lam further on
+    ahead = np.arange(horizon) + lam[:, None]
+    same = np.take_along_axis(key_mat, np.minimum(ahead, horizon - 1), axis=1) == key_mat
+    mu = (same & (ahead < horizon)).argmax(axis=1) + 1
 
     lengths = mu + lam - 1
     offset = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offset[1:])
-    rows = np.empty((int(offset[-1]), d), dtype=np.int64)
-    stack = np.stack(powers, axis=1)  # (count, horizon, d)
-    for b in range(count):
-        rows[offset[b] : offset[b + 1]] = stack[b, : lengths[b]]
+    stack = np.stack(powers, axis=1)  # (count, horizon, d): a^1 .. a^horizon
+    rows = stack[np.arange(horizon) < lengths[:, None]].astype(np.int64)
 
-    unit = tuple(int(c) for c in a.unit)
-    k_arr = np.zeros(count, dtype=np.int64)
-    h_arr = np.zeros(count, dtype=np.int64)
+    unit = np.broadcast_to(np.array(a.unit, dtype=np.int64), (count, 1, d))
+    rank_low = batch_rank(np.concatenate([unit, stack[:, : d - 1]], axis=1), p)
+    hdeg = batch_rank(stack[:, d - 1 : 2 * d - 1], p)
+    k = rank_low - hdeg
 
-    # one full tail cycle per element: rows offset[b]+mu[b]-1 .. offset[b]+mu[b]+lam[b]-2
-    cyc_off = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lam, out=cyc_off[1:])
-    total_cyc = int(cyc_off[-1])
-    cyc_idx = (
-        np.repeat(offset[:-1] + mu - 1, lam)
-        + np.arange(total_cyc, dtype=np.int64)
-        - np.repeat(cyc_off[:-1], lam)
-    )
+    cyc_off, seg, pos = _segments(lam)
+    cyc_idx = offset[seg] + mu[seg] - 1 + pos
+
+    win_off, seg, pos = _segments(hdeg)
+    m = np.maximum(k[seg], 1) + pos
+    m_mu, m_lam = mu[seg], lam[seg]
+    m = np.where(m < m_mu + m_lam, m, m_mu + (m - m_mu) % m_lam)
+    win_idx = offset[seg] + m - 1
 
     chunk = PowerChunk(
-        start, count, rows, offset, mu, lam, k_arr, h_arr,
-        cyc_idx, cyc_off,
-        np.zeros(0, dtype=np.int64), np.zeros(count + 1, dtype=np.int64),
+        start, count, rows, offset, mu, lam, k, hdeg, cyc_idx, cyc_off, win_idx, win_off
     )
-    row_list = rows.tolist()
-    for b in range(count):
-
-        def powers_of(m: int, _b=b) -> list[int]:
-            return row_list[chunk.power_index(_b, m)]
-
-        k_arr[b], h_arr[b] = _minpoly_split_mod_p(powers_of, unit, d, p)
-
-    win_indices: list[int] = []
-    win_off = np.zeros(count + 1, dtype=np.int64)
-    for b in range(count):
-        e = int(h_arr[b])
-        if e:
-            s = max(int(k_arr[b]), 1)
-            win_indices.extend(chunk.power_index(b, s + j) for j in range(e))
-        win_off[b + 1] = len(win_indices)
-    chunk.win_idx = np.array(win_indices, dtype=np.int64)
-    chunk.win_off = win_off
+    _replay_sample(a, chunk)
     return chunk
+
+
+def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
+    """Recompute three elements of a new chunk with the reference arithmetic.
+
+    The chunk's first and last elements and the one with the longest mu+lam
+    go through ``power_cycle``, ``minimal_polynomial`` and repeated
+    ``Element`` products, which share no code with the array kernels.  Any
+    difference in (mu, lam), (k, deg h) or the stored rows raises
+    ``ConsistencyError``.
+    """
+    p, d = a.field.order, a.dim
+    for b in sorted({0, chunk.count - 1, int(np.argmax(chunk.mu + chunk.lam))}):
+        x = a.element([(chunk.start + b) // p ** (d - 1 - i) % p for i in range(d)])
+        cycle, minpoly = power_cycle(x), minimal_polynomial(x)
+        powers = [x]
+        while len(powers) < cycle.preperiod + cycle.period - 1:
+            powers.append(powers[-1] * x)
+        want = (cycle.preperiod, cycle.period, minpoly.k, minpoly.h.degree)
+        want += ([list(y.coords) for y in powers],)
+        got = tuple(int(v[b]) for v in (chunk.mu, chunk.lam, chunk.k, chunk.hdeg))
+        got += (chunk.rows[chunk.offset[b] : chunk.offset[b + 1]].tolist(),)
+        if got != want:
+            raise ConsistencyError(
+                f"power kernel and reference arithmetic disagree on {x.coords} "
+                f"in {a.label}"
+            )
 
 
 def power_chunks(a: Algebra, max_scan: int):
@@ -258,10 +264,14 @@ def power_chunks(a: Algebra, max_scan: int):
 
     Small algebras (at most POWER_CACHE_LIMIT elements) are cached on the
     instance after their last chunk is built, and later calls replay the
-    cache; larger ones are streamed in smaller chunks.  The budget counts power-vector evaluations
-    (elements times the advance horizon), not just elements, so an algebra
-    whose power sequences cycle slowly is refused rather than ground
-    through; the work done before refusing is itself capped by the budget.
+    cache; larger ones are streamed in smaller chunks.
+
+    The budget counts elements first, then power-vector evaluations: each
+    chunk is charged count * its longest mu+lam (the horizon the chunk
+    needed), and each build is handed what is left, so it refuses before
+    allocating a horizon that would overspend it; the limit a refusal
+    reports is that remainder.  An algebra whose power sequences cycle
+    slowly is refused rather than ground through.
     """
     if not a.field.is_finite:
         raise InfiniteField("power scans need a finite field")
@@ -275,10 +285,8 @@ def power_chunks(a: Algebra, max_scan: int):
     step = STREAM_BLOCK if cache is None else DEFAULT_BLOCK
     spent = 0
     for s in range(0, size, step):
-        chunk = build_power_chunk(a, s, min(s + step, size))
-        spent += chunk.count * int(chunk.mu.max() + chunk.lam.max())
-        if spent > max_scan:
-            raise TooLarge(spent, max_scan, what=f"power scan of {a.label}")
+        chunk = build_power_chunk(a, s, min(s + step, size), max_scan - spent)
+        spent += chunk.count * int((chunk.mu + chunk.lam).max())
         if cache is not None:
             cache.append(chunk)
         yield chunk

@@ -253,9 +253,9 @@ class Algebra:
         )
 
 
-def make_algebra(field: Field, table, unit, check: bool = True, label: str = "") -> Algebra:
-    """Build and (by default) validate an algebra from raw structure constants."""
-    return Algebra(field, table, unit, label=label, check=check)
+def make_algebra(field: Field, table, unit, label: str = "") -> Algebra:
+    """Build and validate an algebra from raw structure constants."""
+    return Algebra(field, table, unit, label=label)
 
 
 class Element:
@@ -508,7 +508,7 @@ class AlgebraHom:
 
     __slots__ = ("domain", "codomain", "matrix")
 
-    def __init__(self, domain: Algebra, codomain: Algebra, matrix, check: bool = True):
+    def __init__(self, domain: Algebra, codomain: Algebra, matrix):
         if domain.field != codomain.field:
             raise FieldMismatch("homomorphism between algebras over different fields")
         F = domain.field
@@ -518,8 +518,7 @@ class AlgebraHom:
         self.domain = domain
         self.codomain = codomain
         self.matrix = rows
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self) -> None:
         F = self.domain.field

@@ -135,7 +135,7 @@ def _run(args) -> int:
     if args.group == "algebra":
         if args.verb == "validate":
             try:
-                a = serialize.parse_algebra_spec(args.algebra, check=True)
+                a = serialize.parse_algebra_spec(args.algebra)
             except MathieuKitError as exc:
                 _emit(args, {"valid": False, "reason": str(exc)}, f"invalid: {exc}")
                 return CHECK_FALSE

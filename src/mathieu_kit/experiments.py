@@ -154,13 +154,13 @@ def _entries() -> list[CatalogEntry]:
     return out
 
 
-def _verify_entry(entry: CatalogEntry, max_scan: int) -> None:
+def _verify_entry(entry: CatalogEntry) -> None:
     a = entry.algebra
     if ("commutative" in entry.tags) != a.is_commutative:
         raise ConsistencyError(f"{entry.name}: commutativity tag is wrong")
     if "matrix" in entry.tags and a.matrix_size is None:
         raise ConsistencyError(f"{entry.name}: not a matrix algebra")
-    idem = next(_nontrivial_idempotents(a, max_scan), None)
+    idem = next(_nontrivial_idempotents(a, MAX_SCAN_DEFAULT), None)
     if ("local" in entry.tags) != (idem is None):
         raise ConsistencyError(f"{entry.name}: locality tag is wrong ({idem})")
     if "field_extension" in entry.tags:
@@ -184,11 +184,11 @@ def _verify_entry(entry: CatalogEntry, max_scan: int) -> None:
 
 
 @lru_cache(maxsize=1)
-def catalog(max_scan: int = MAX_SCAN_DEFAULT) -> dict[str, CatalogEntry]:
+def catalog() -> dict[str, CatalogEntry]:
     """The named algebra catalog, with tags verified at load."""
     entries = {e.name: e for e in _entries()}
     for entry in entries.values():
-        _verify_entry(entry, max_scan)
+        _verify_entry(entry)
     return entries
 
 

@@ -150,7 +150,7 @@ class Field:
                 raise FieldMismatch(f"fraction {text!r} is not an F_p residue")
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
-        return self.coerce(self.from_int(int(text))) if self.is_finite else Fraction(int(text))
+        return self.coerce(int(text))
 
 
 #: The rationals, shared instance.
@@ -358,13 +358,6 @@ class Poly:
 
     def to_strings(self) -> list[str]:
         return [self.field.format(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, field: Field, items: Sequence) -> "Poly":
-        return cls(
-            field,
-            [field.parse(s) if isinstance(s, str) else field.coerce(field.from_int(s) if isinstance(s, int) else s) for s in items],
-        )
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -322,13 +322,12 @@ def classify_codim1(
     n: int,
     q: int,
     max_scan: int = MAX_SCAN_DEFAULT,
-    decision: str = "auto",
 ) -> Codim1Report:
     """Decide the Mathieu property of every codimension-one class of M_n(F_q).
 
     Every projective class of dual vectors is decided: either by the full
     idempotent-scan decision of its hyperplane ("scan" mode), or, when the
-    total scan cost would blow the budget, by constructing and verifying a
+    total scan cost would exceed ``max_scan``, by constructing and verifying a
     refuting idempotent for every class other than the trace form itself
     ("witness" mode; the trace hyperplane is still decided by scan, and a
     deterministic sample of refuted classes is re-decided by scan for
@@ -338,10 +337,7 @@ def classify_codim1(
     alg = matrix_algebra(n, field)
     d = alg.dim
     total = (q**d - 1) // (q - 1)
-    if decision == "auto":
-        decision = "scan" if total * q ** (d - 1) <= max_scan else "witness"
-    if decision not in ("scan", "witness"):
-        raise ValueError("decision must be 'auto', 'scan' or 'witness'")
+    decision = "scan" if total * q ** (d - 1) <= max_scan else "witness"
 
     counts = {v.value: 0 for v in ALL_VARIANTS}
     reps: dict[str, list[list[str]]] = {v.value: [] for v in ALL_VARIANTS}

@@ -2,7 +2,8 @@
 
 Scalars serialize as strings: decimal residues for F_p, ``"num/den"`` in
 lowest terms with positive denominator for the rationals.  Integers are
-accepted anywhere a scalar string is, for hand-written inputs.
+accepted anywhere a scalar string is, for hand-written inputs.  Either way an
+F_p residue must lie in 0..p-1; nothing is reduced mod p.
 
 Algebra documents are either the full structure-constant form::
 
@@ -51,15 +52,11 @@ def field_from_dict(doc) -> Field:
     return QQ if p == 0 else GF(p)
 
 
-def scalar_to_str(f: Field, value) -> str:
-    return f.format(value)
-
-
 def scalar_from(f: Field, item):
     if isinstance(item, str):
         return f.parse(item)
     if isinstance(item, int):
-        return f.from_int(item)
+        return f.coerce(item)
     raise ValueError(f"cannot read scalar from {item!r}")
 
 
@@ -87,7 +84,7 @@ def algebra_to_dict(a: Algebra) -> dict:
     }
 
 
-def algebra_from_dict(doc: dict, check: bool = True) -> Algebra:
+def algebra_from_dict(doc: dict) -> Algebra:
     if "matrix" in doc:
         f = field_from_dict(doc.get("field", {"p": 0}))
         return matrix_algebra(int(doc["matrix"]["n"]), f)
@@ -97,23 +94,23 @@ def algebra_from_dict(doc: dict, check: bool = True) -> Algebra:
         return poly_quotient_algebra(modulus)
     if "direct_sum" in doc:
         left, right = doc["direct_sum"]
-        return direct_sum(algebra_from_dict(left, check), algebra_from_dict(right, check))
+        return direct_sum(algebra_from_dict(left), algebra_from_dict(right))
     if "opposite" in doc:
-        return opposite(algebra_from_dict(doc["opposite"], check))
+        return opposite(algebra_from_dict(doc["opposite"]))
     f = field_from_dict(doc["field"])
     table = [
         [vector_from(f, vec) for vec in row] for row in doc["table"]
     ]
     unit = vector_from(f, doc["unit"])
-    return make_algebra(f, table, unit, check=check, label=doc.get("label", ""))
+    return make_algebra(f, table, unit, label=doc.get("label", ""))
 
 
-def parse_algebra_spec(text: str, check: bool = True) -> Algebra:
+def parse_algebra_spec(text: str) -> Algebra:
     """Parse a shorthand spec or ``@file`` JSON document."""
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as handle:
-            return algebra_from_dict(json.load(handle), check)
+            return algebra_from_dict(json.load(handle))
     if text.startswith("mat:"):
         _, n, p = text.split(":")
         f = QQ if int(p) == 0 else GF(int(p))
@@ -123,12 +120,12 @@ def parse_algebra_spec(text: str, check: bool = True) -> Algebra:
         f = QQ if int(p) == 0 else GF(int(p))
         modulus = Poly(f, vector_from(f, coeffs.split(",")))
         return poly_quotient_algebra(modulus)
-    if text.startswith("dsum:"):
-        body = text[len("dsum:") :]
-        left, right = body.split("+", 1)
-        return direct_sum(parse_algebra_spec(left, check), parse_algebra_spec(right, check))
+    if text.startswith("dsum:") and "+" in text:
+        # split at the first "+", so nested sums go on the right
+        left, right = text[len("dsum:") :].split("+", 1)
+        return direct_sum(parse_algebra_spec(left), parse_algebra_spec(right))
     if text.startswith("opp:"):
-        return opposite(parse_algebra_spec(text[len("opp:") :], check))
+        return opposite(parse_algebra_spec(text[len("opp:") :]))
     raise ValueError(
         f"unrecognized algebra spec {text!r}; use mat:n:p, polyq:p:c0,...,1, "
         f"dsum:spec+spec, opp:spec or @file"

@@ -346,7 +346,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, AlgebraHom]:
     matrix = tuple(
         tuple(project(a._basis_coords(j))[k] for j in range(a.dim)) for k in range(m)
     )
-    return quotient, AlgebraHom(a, quotient, matrix, check=True)
+    return quotient, AlgebraHom(a, quotient, matrix)
 
 
 # -- exhaustive enumeration -----------------------------------------------------------------

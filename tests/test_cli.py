@@ -184,6 +184,16 @@ def test_usage_errors_exit_2(capsys):
     )
     assert code == 2
     assert "error" in err
+    code, _, err = run_cli(
+        capsys, "elem", "classify", "--algebra", "mat:2:5", "--elem", "7,-1,0,12"
+    )
+    assert code == 2
+    assert "out of range" in err
+    code, _, err = run_cli(
+        capsys, "algebra", "info", "--algebra", "dsum:dsum:mat:1:2+mat:1:2+mat:1:2"
+    )
+    assert code == 2
+    assert "unrecognized algebra spec" in err
 
 
 def test_env_var_mirrors_max_scan(capsys, monkeypatch):

@@ -56,6 +56,12 @@ def test_scalar_serialization_round_trip():
     assert QQ.parse("4") == Fraction(4)
 
 
+def test_parse_rejects_residues_out_of_range():
+    for text in ("7", "5", "-1"):
+        with pytest.raises(FieldMismatch):
+            F5.parse(text)
+
+
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 def test_field_axioms_f5(a, b, c):
     assert F5.add(F5.add(a, b), c) == F5.add(a, F5.add(b, c))

@@ -1,7 +1,11 @@
 """The vectorized kernels against the pure-Python reference arithmetic."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +21,14 @@ from mathieu_kit.algebra import (
     poly_quotient_algebra,
     power_cycle,
 )
+from mathieu_kit.errors import ConsistencyError
 from mathieu_kit.fields import GF, Poly
 from mathieu_kit.mathieu import radical_enumerate
 from mathieu_kit.subspace import Subspace, span
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 ALGEBRAS = [
     matrix_algebra(2, F3),
@@ -75,23 +82,122 @@ def test_idempotent_scan_matches_bruteforce(alg):
         assert sorted(fast) == sorted(slow)
 
 
-def test_power_chunks_match_elem_power_and_cycles():
-    alg = matrix_algebra(2, F5)
+def _check_power_data(alg, indices):
+    """Chunk data of the given elements against the pure-Python reference."""
+    p, d = alg.field.order, alg.dim
     chunks = list(_scan.power_chunks(alg, max_scan=10**7))
-    rng = random.Random(3)
-    for _ in range(60):
-        index = rng.randrange(alg.size)
+    for index in indices:
         chunk = next(c for c in chunks if c.start <= index < c.start + c.count)
         b = index - chunk.start
-        coords = tuple(int(c) for c in chunk.rows[chunk.offset[b]])
-        x = alg.element(coords)
+        x = alg.element([(index // p ** (d - 1 - i)) % p for i in range(d)])
         info = power_cycle(x)
-        assert (info.preperiod, info.period) == (int(chunk.mu[b]), int(chunk.lam[b]))
+        mu, lam = info.preperiod, info.period
+        assert (mu, lam) == (int(chunk.mu[b]), int(chunk.lam[b]))
         data = minimal_polynomial(x)
-        assert (data.k, data.h.degree) == (int(chunk.k[b]), int(chunk.hdeg[b]))
-        for m in range(1, 9):
-            row = chunk.rows[chunk.power_index(b, m)]
-            assert tuple(int(c) for c in row) == elem_power(x, m).coords
+        k, hdeg = data.k, data.h.degree
+        assert (k, hdeg) == (int(chunk.k[b]), int(chunk.hdeg[b]))
+        s = max(k, 1)
+        powers = [x]  # powers[m - 1] = x^m
+        while len(powers) < max(mu + lam - 1, s + hdeg - 1):
+            powers.append(powers[-1] * x)
+        assert powers[-1] == elem_power(x, len(powers))
+
+        def stored(idx):
+            return [tuple(int(c) for c in chunk.rows[i]) for i in idx]
+
+        def coords(exponents):
+            return [powers[m - 1].coords for m in exponents]
+
+        lo, hi = chunk.offset[b], chunk.offset[b + 1]
+        assert stored(range(lo, hi)) == coords(range(1, mu + lam))
+        cyc = chunk.cyc_idx[chunk.cyc_off[b] : chunk.cyc_off[b + 1]]
+        assert stored(cyc) == coords(range(mu, mu + lam))
+        win = chunk.win_idx[chunk.win_off[b] : chunk.win_off[b + 1]]
+        assert stored(win) == coords(range(s, s + hdeg))
+
+
+def test_power_chunks_match_elem_power_and_cycles():
+    # exhaustive where the algebra is small, F_3[t]/(t^3) for k >= 2
+    for alg in ALGEBRAS[:5] + [poly_quotient_algebra(Poly.from_ints(F3, [0, 0, 0, 1]))]:
+        _check_power_data(alg, range(alg.size))
+    # seeded samples of the larger ones, including dimension 2 with p >= 128
+    rng = random.Random(3)
+    for alg in (ALGEBRAS[5], direct_sum(field_algebra(GF(131)), field_algebra(GF(131)))):
+        _check_power_data(alg, sorted(rng.sample(range(alg.size), 200)))
+
+
+@pytest.mark.parametrize("p", [2, 5, 131, 65537])
+def test_batch_rank_matches_sympy(p):
+    from sympy import GF as SymGF
+    from sympy.polys.matrices import DomainMatrix
+
+    domain = SymGF(p)
+    rng = np.random.default_rng(p)
+    for shape in [(30, 4, 4), (30, 3, 5), (30, 5, 3), (10, 1, 1)]:
+        stack = rng.integers(0, p, size=shape)
+        stack[0] = 0  # zero block
+        stack[1] = np.outer(stack[1, :, 0], stack[1, 0]) % p  # rank <= 1
+        stack[2, -1] = (stack[2, 0] + 2 * stack[2, 1 % shape[1]]) % p  # dependent row
+        got = _scan.batch_rank(stack, p)
+        want = [
+            DomainMatrix(
+                [[domain(int(v)) for v in row] for row in block], block.shape, domain
+            ).rank()
+            for block in stack
+        ]
+        assert got.tolist() == want
+
+
+KERNEL_FAULTS = {
+    "batch_mul": lambda f: lambda t2, x, y, p: (f(t2, x, y, p) + 1) % p,
+    "batch_rank": lambda f: lambda stack, p: f(stack, p) + 1,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_FAULTS))
+def test_build_replay_catches_a_faulty_kernel(monkeypatch, kernel):
+    monkeypatch.setattr(_scan, kernel, KERNEL_FAULTS[kernel](getattr(_scan, kernel)))
+    alg = matrix_algebra(2, F3)
+    with pytest.raises(ConsistencyError):
+        list(_scan.power_chunks(alg, max_scan=10**7))
+    assert alg._power_data is None
+
+
+REFUSAL_CHILD = """
+import resource, sys
+cap = 1536 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from mathieu_kit.algebra import field_algebra, poly_quotient_algebra
+from mathieu_kit.errors import TooLarge
+from mathieu_kit.fields import GF, Poly
+from mathieu_kit.mathieu import radical_enumerate
+from mathieu_kit.subspace import Subspace
+try:
+    radical_enumerate(Subspace.zero({algebra}))
+except TooLarge as exc:
+    print("TooLarge", exc)
+print("peak_rss_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    ["poly_quotient_algebra(Poly.from_ints(GF(131), [0, 0, 1]))", "field_algebra(GF(65537))"],
+)
+def test_slow_power_cycles_are_refused_before_allocating(algebra):
+    # periods up to 17,030 and 65,536: without the up-front check the
+    # horizon doubling allocates GBs first, so the call runs in a child
+    # whose address space is capped
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", REFUSAL_CHILD.format(algebra=algebra)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("TooLarge power scan of"), done.stdout
+    assert int(lines[1].split()[1]) < 1 << 20  # KiB: under 1 GiB
 
 
 @pytest.mark.parametrize("p", [127, 131, 257])

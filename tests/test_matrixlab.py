@@ -201,8 +201,10 @@ def test_classify_codim1_small_cases():
 
 
 def test_classify_codim1_witness_mode_matches_scan():
-    by_scan = classify_codim1(2, 3, decision="scan")
-    by_witness = classify_codim1(2, 3, decision="witness")
+    by_scan = classify_codim1(2, 3)
+    # 40 classes x 27 vectors per hyperplane exceeds 1000; one hyperplane does not
+    by_witness = classify_codim1(2, 3, max_scan=1000)
+    assert (by_scan.decision, by_witness.decision) == ("scan", "witness")
     assert by_scan.per_theta == by_witness.per_theta
     assert by_scan.representatives == by_witness.representatives
     assert by_witness.scan_checked >= 1

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mathieu_kit.algebra import matrix_algebra, opposite, poly_quotient_algebra
+from mathieu_kit.errors import FieldMismatch
 from mathieu_kit.fields import GF, QQ, Poly
 from mathieu_kit.mathieu import decide_mathieu, verify_witness
 from mathieu_kit.serialize import (
@@ -58,9 +59,20 @@ def test_shorthand_specs():
     assert parse_algebra_spec("mat:2:0") == matrix_algebra(2, QQ)
     assert parse_algebra_spec("polyq:2:1,1,1").dim == 2
     assert parse_algebra_spec("dsum:mat:1:2+mat:1:2").dim == 2
+    assert parse_algebra_spec("dsum:mat:1:2+dsum:mat:1:2+mat:1:2").dim == 3
     assert parse_algebra_spec("opp:mat:2:2") == opposite(matrix_algebra(2, F2))
     with pytest.raises(ValueError):
         parse_algebra_spec("wat:1:2")
+    # sums nest to the right; a left-nested inner sum has no top-level "+"
+    with pytest.raises(ValueError, match="unrecognized algebra spec"):
+        parse_algebra_spec("dsum:dsum:mat:1:2+mat:1:2+mat:1:2")
+
+
+def test_integer_residues_are_not_reduced():
+    a = matrix_algebra(2, GF(5))
+    for data in (["7", "0", "0", "0"], [0, -1, 0, 0], [0, 0, 0, 12]):
+        with pytest.raises(FieldMismatch):
+            element_from(a, data)
 
 
 def test_element_and_subspace_round_trip():
