@@ -1,8 +1,8 @@
 """Vectorized exhaustive-scan kernels for algebras over prime fields.
 
 Everything here is exact integer arithmetic: coordinates are residues in
-int64 arrays and every product is reduced mod p immediately, so no value
-ever approaches overflow (sums are bounded by dim * p^2).  The kernels are
+int64 arrays, and every sum is reduced mod p before it could overflow (see
+:func:`batch_mul` for the product's bound).  The kernels are
 plumbing for the decision procedures; the pure-Python element arithmetic in
 :mod:`mathieu_kit.algebra` is the reference they are tested against, and
 every power chunk is spot-checked against it when it is built.
@@ -33,13 +33,18 @@ POWER_CACHE_LIMIT = 200_000
 
 
 def np_table(a: Algebra):
-    """(dim, dim*dim) int64 view of the structure constants, cached."""
+    """The nonzero structure constants of ``a``, cached on the instance.
+
+    Four parallel lists ``(i, j, k, c)`` of Python ints, one entry per
+    nonzero constant ``c = table[i][j][k]`` (e_i * e_j has coefficient c on
+    e_k), in (i, j, k) order.
+    """
     if not a.field.is_finite:
         raise InfiniteField("numpy kernels need a finite prime field")
     if a._np_table is None:
-        d = a.dim
-        t = np.array(a.table, dtype=np.int64).reshape(d, d * d)
-        a._np_table = t
+        t = np.array(a.table, dtype=np.int64)
+        nonzero = np.nonzero(t)
+        a._np_table = tuple(v.tolist() for v in (*nonzero, t[nonzero]))
     return a._np_table
 
 
@@ -52,12 +57,33 @@ def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def batch_mul(t2: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise algebra product of two (B, d) coordinate blocks, mod p."""
-    d = x.shape[1]
-    partial = (x @ t2) % p  # partial[b, j*d+k] = sum_i x[b,i] c_ijk
-    partial = partial.reshape(-1, d, d)
-    return np.matmul(y[:, None, :], partial)[:, 0, :] % p
+def batch_mul(table, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise algebra product of two (B, d) coordinate blocks, mod p.
+
+    ``table`` is :func:`np_table`'s nonzero constants.  Each constant
+    (i, j, k, c) adds x_i * y_j * c to output column k, so the work is one
+    (B,)-row pass per nonzero constant, however sparse the table.
+
+    Exactness: inputs are residues below p, and each term is kept below p^2
+    (x_i * y_j, reduced mod p and then multiplied by c only when c != 1).
+    Column k's sum is therefore below n_k * p^2, n_k the number of nonzero
+    constants with that k, and is reduced mod p once at the end.  int64
+    holds it while n_k * p^2 < 2^63; a scan only has nonzero inputs when
+    p <= max_scan, so at the default budget of 10^7 any n_k below 92,000
+    is exact (n_k <= d^2 for every table).
+    """
+    xt = np.ascontiguousarray(x.T, dtype=np.int64)
+    yt = np.ascontiguousarray(y.T, dtype=np.int64)
+    out = np.zeros_like(xt)
+    term = np.empty(len(x), dtype=np.int64)
+    for i, j, k, c in zip(*table):
+        np.multiply(xt[i], yt[j], out=term)
+        if c != 1:
+            term %= p
+            term *= c
+        out[k] += term
+    del xt, yt  # freed before the result is allocated, to bound peak memory
+    return np.remainder(out.T, p, order="C")
 
 
 def iter_idempotents(
@@ -74,12 +100,12 @@ def iter_idempotents(
     total = p**r
     if total > max_scan:
         raise TooLarge(total, max_scan, what=f"idempotent scan in {ambient.label}")
-    t2 = np_table(ambient)
+    table = np_table(ambient)
     basis = np.array(basis_rows, dtype=np.int64).reshape(r, ambient.dim)
     for start in range(0, total, DEFAULT_BLOCK):
         vecs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total)) @ basis
         vecs %= p  # in place, so the block costs no more memory than one array
-        squares = batch_mul(t2, vecs, vecs, p)
+        squares = batch_mul(table, vecs, vecs, p)
         for row in vecs[np.all(squares == vecs, axis=1)].tolist():
             yield tuple(row)
 
@@ -170,13 +196,13 @@ def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerCh
     """
     p = a.field.order
     d = a.dim
-    t2 = np_table(a)
+    table = np_table(a)
     count = stop - start
     base = coeff_block(p, d, start, stop)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
 
     # powers are stored in the smallest unsigned type that holds a residue;
-    # matmul against the int64 table promotes before multiplying, so nothing
+    # batch_mul widens its operands to int64 before multiplying, so nothing
     # can overflow
     store = np.min_scalar_type(p - 1)
     powers = [base.astype(store)]
@@ -188,7 +214,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerCh
         if count * horizon > budget:
             raise TooLarge(count * horizon, budget, what=f"power scan of {a.label}")
         while len(powers) < horizon:
-            nxt = batch_mul(t2, powers[-1], base, p)
+            nxt = batch_mul(table, powers[-1], base, p)
             keys.append(nxt @ radix)
             powers.append(nxt.astype(store))
         key_mat = np.stack(keys, axis=1)

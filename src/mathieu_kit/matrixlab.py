@@ -381,15 +381,13 @@ def classify_codim1(
                 _batch_left_refute(xs, q, n)
                 _batch_left_refute(np.ascontiguousarray(xs.transpose(0, 2, 1)), q, n)
                 refuted += len(xs)
-                for row_idx in range(len(block)):
-                    if (seen + row_idx) % sample_stride == 0:
-                        x = alg.element(tuple(int(c) for c in block[row_idx]))
-                        verdicts = decide_all_variants(trace_orthogonal(x), max_scan)
-                        if any(v.is_mathieu for v in verdicts.values()):
-                            raise ConsistencyError(
-                                f"scan and witness disagree on {x.coords}"
-                            )
-                        scan_checked += 1
+                # the rows whose index seen + row_idx is a multiple of the stride
+                for row_idx in range(-seen % sample_stride, len(block), sample_stride):
+                    x = alg.element(tuple(int(c) for c in block[row_idx]))
+                    verdicts = decide_all_variants(trace_orthogonal(x), max_scan)
+                    if any(v.is_mathieu for v in verdicts.values()):
+                        raise ConsistencyError(f"scan and witness disagree on {x.coords}")
+                    scan_checked += 1
                 seen += stop - start
         if refuted != total - 1:
             raise ConsistencyError(

@@ -25,6 +25,7 @@ and ``@file`` for a JSON document.
 from __future__ import annotations
 
 import json
+import re
 from typing import Sequence
 
 from .algebra import (
@@ -111,14 +112,15 @@ def parse_algebra_spec(text: str) -> Algebra:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as handle:
             return algebra_from_dict(json.load(handle))
-    if text.startswith("mat:"):
-        _, n, p = text.split(":")
-        f = QQ if int(p) == 0 else GF(int(p))
-        return matrix_algebra(int(n), f)
-    if text.startswith("polyq:"):
-        _, p, coeffs = text.split(":", 2)
-        f = QQ if int(p) == 0 else GF(int(p))
-        modulus = Poly(f, vector_from(f, coeffs.split(",")))
+    mat = re.fullmatch(r"mat:(\d+):(\d+)", text)
+    if mat:
+        n, p = int(mat[1]), int(mat[2])
+        return matrix_algebra(n, QQ if p == 0 else GF(p))
+    polyq = re.fullmatch(r"polyq:(\d+):(.+)", text)
+    if polyq:
+        p = int(polyq[1])
+        f = QQ if p == 0 else GF(p)
+        modulus = Poly(f, vector_from(f, polyq[2].split(",")))
         return poly_quotient_algebra(modulus)
     if text.startswith("dsum:") and "+" in text:
         # split at the first "+", so nested sums go on the right

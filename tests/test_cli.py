@@ -189,11 +189,12 @@ def test_usage_errors_exit_2(capsys):
     )
     assert code == 2
     assert "out of range" in err
-    code, _, err = run_cli(
-        capsys, "algebra", "info", "--algebra", "dsum:dsum:mat:1:2+mat:1:2+mat:1:2"
-    )
-    assert code == 2
-    assert "unrecognized algebra spec" in err
+    for spec in (
+        "dsum:dsum:mat:1:2+mat:1:2+mat:1:2", "mat:1:2+mat:1:2", "mat:2", "polyq:5", "mat:2:x"
+    ):
+        code, _, err = run_cli(capsys, "algebra", "info", "--algebra", spec)
+        assert code == 2
+        assert "unrecognized algebra spec" in err
 
 
 def test_env_var_mirrors_max_scan(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,18 +53,43 @@ def test_coeff_block_matches_itertools_product():
     assert rows.tolist() == _scan.coeff_block(3, 3, 0, 27).tolist()
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.label)
+MUL_ALGEBRAS = ALGEBRAS + [
+    # constants other than 1, at the largest prime the tests use
+    poly_quotient_algebra(Poly.from_ints(GF(65537), [65537 - 3, 0, 1])),
+    # 235 of 729 constants nonzero, several per output column
+    poly_quotient_algebra(Poly.from_ints(F2, [1, 1, 0, 1, 1, 0, 0, 1, 0, 1])),
+]
+
+
+@pytest.mark.parametrize("alg", MUL_ALGEBRAS, ids=lambda a: a.label)
 def test_batch_mul_matches_reference_products(alg):
-    rng = random.Random(hash(alg.label) & 0xFFFF)
+    rng = random.Random(MUL_ALGEBRAS.index(alg))
     p = alg.field.order
-    t2 = _scan.np_table(alg)
+    table = _scan.np_table(alg)
     xs, ys = [], []
     for _ in range(50):
         xs.append([rng.randrange(p) for _ in range(alg.dim)])
         ys.append([rng.randrange(p) for _ in range(alg.dim)])
-    got = _scan.batch_mul(t2, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), p)
+    got = _scan.batch_mul(table, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), p)
     for x, y, z in zip(xs, ys, got.tolist()):
         assert tuple(z) == alg._mul_coords(tuple(x), tuple(y))
+
+
+def test_batch_mul_peak_memory_stays_within_a_few_blocks():
+    # numpy reports its buffers to tracemalloc; a (B, d*d) intermediate
+    # alone would be 42 MB here
+    alg = matrix_algebra(3, F5)
+    table = _scan.np_table(alg)
+    rows, d = 1 << 16, alg.dim
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, 5, size=(2, rows, d))
+    tracemalloc.start()
+    try:
+        _scan.batch_mul(table, x, y, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows * d * 8
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS[:3], ids=lambda a: a.label)

@@ -66,6 +66,10 @@ def test_shorthand_specs():
     # sums nest to the right; a left-nested inner sum has no top-level "+"
     with pytest.raises(ValueError, match="unrecognized algebra spec"):
         parse_algebra_spec("dsum:dsum:mat:1:2+mat:1:2+mat:1:2")
+    # mat:/polyq: specs with the wrong number or kind of parts
+    for bad in ("mat:1:2+mat:1:2", "mat:2", "polyq:5", "mat:2:x"):
+        with pytest.raises(ValueError, match="unrecognized algebra spec"):
+            parse_algebra_spec(bad)
 
 
 def test_integer_residues_are_not_reduced():
