@@ -1,0 +1,89 @@
+"""Print the CLI output that a behaviour-preserving change must leave unchanged.
+
+Runs ``mathieu_kit.cli.main`` in process on a fixed list of commands and
+prints, for each one, the argv, the exit code and stdout.  Timings are the
+only part of the output allowed to differ between runs, so every
+``"millis":N`` and every text-mode ``(N ms)`` is replaced by 0.
+
+Usage, from the root of a checkout::
+
+    python scripts/gate_outputs.py > outputs.txt
+
+Run it on two checkouts and ``diff`` the files: any difference is a change
+of verdicts, witnesses or output format.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from mathieu_kit import cli, experiments  # noqa: E402
+
+MILLIS_JSON = re.compile(r'"millis":\d+')
+MILLIS_TEXT = re.compile(r"\(\d+ ms\)")
+
+WITNESS_ELEMENTS = (
+    ("mat:2:5", "2,3,1,4"),  # top-right entry nonzero
+    ("mat:2:5", "2,0,3,4"),  # only the bottom-left entry nonzero
+    ("mat:2:5", "2,0,0,4"),  # diagonal with distinct entries
+    ("mat:2:5", "3,0,0,3"),  # scalar: refused
+    ("mat:3:5", "1,2,0,0,3,4,0,0,1"),
+    ("mat:3:5", "1,0,0,0,1,0,0,0,2"),  # first non-scalar pair is (0, 2)
+    ("mat:3:5", "0,0,0,0,0,0,0,1,0"),  # first non-scalar pair is (1, 2)
+    ("mat:3:5", "4,0,0,0,4,3,0,0,4"),
+    ("mat:2:0", "1,2,3,4"),
+    ("mat:2:0", "1/2,0,0,-3"),
+    ("mat:3:0", "1,0,0,0,1,0,0,0,2"),
+    ("mat:3:0", "0,0,5/3,0,2,0,-1,0,0"),
+)
+
+RADICAL_ALGEBRAS = ("mat:3:3", "mat:2:11", "polyq:31:0,0,1")
+
+README_COMMANDS = (
+    ["space", "check", "--algebra", "mat:2:3", "--basis", "1,0,0,2;0,1,0,0;0,0,1,0",
+     "--theta", "two_sided"],
+    ["mat", "codim1", "--n", "2", "--q", "2"],
+    ["--json", "mat", "codim1", "--n", "2", "--q", "3"],
+    ["--json", "elem", "pofa", "--algebra", "mat:2:0", "--elem", "1,0,0,0"],
+    ["alg", "quasi-stable", "--algebra", "polyq:2:1,1,1"],
+    ["alg", "find-ms", "--algebra", "mat:2:2"],
+    ["suite", "run", "codim1"],
+)
+
+
+def commands() -> list[list[str]]:
+    out = [["--json", "suite", "run", name, "--seed", "1234"] for name in experiments.SUITE_NAMES]
+    out.append(["--json", "mat", "codim1", "--n", "3", "--q", "5"])
+    out += [["--json", "mat", "witness", "--algebra", spec, "--elem", elem]
+            for spec, elem in WITNESS_ELEMENTS]
+    out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", ""]
+            for spec in RADICAL_ALGEBRAS]
+    out += [list(argv) for argv in README_COMMANDS]
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    text = MILLIS_JSON.sub('"millis":0', buf.getvalue())
+    return code, MILLIS_TEXT.sub("(0 ms)", text)
+
+
+def main() -> int:
+    for argv in commands():
+        code, text = run(argv)
+        print("$ " + " ".join(repr(a) if not a or " " in a else a for a in argv))
+        print(f"exit {code}")
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -86,42 +86,17 @@ class Algebra:
 
     def _verify(self) -> None:
         d = self.dim
-        for i in range(d):
-            if self._mul_coords(self.unit, self._basis_coords(i)) != self._basis_coords(i):
-                raise BadUnit(i)
-            if self._mul_coords(self._basis_coords(i), self.unit) != self._basis_coords(i):
+        basis = [self._basis_coords(i) for i in range(d)]
+        for i, e in enumerate(basis):
+            if self._mul_coords(self.unit, e) != e or self._mul_coords(e, self.unit) != e:
                 raise BadUnit(i)
         for i in range(d):
             for j in range(d):
-                ij = self.table[i][j]
                 for k in range(d):
-                    left = self._combo_mul_basis(ij, k)
-                    right = self._basis_mul_combo(i, self.table[j][k])
+                    left = self._mul_coords(self.table[i][j], basis[k])
+                    right = self._mul_coords(basis[i], self.table[j][k])
                     if left != right:
                         raise NotAssociative((i, j, k))
-
-    def _combo_mul_basis(self, combo: Coords, k: int) -> Coords:
-        # (sum_l combo[l] e_l) * e_k
-        F = self.field
-        out = [F.zero] * self.dim
-        for l, c in enumerate(combo):
-            if c == 0:
-                continue
-            for m, t in enumerate(self.table[l][k]):
-                if t != 0:
-                    out[m] = F.add(out[m], F.mul(c, t))
-        return tuple(out)
-
-    def _basis_mul_combo(self, i: int, combo: Coords) -> Coords:
-        F = self.field
-        out = [F.zero] * self.dim
-        for l, c in enumerate(combo):
-            if c == 0:
-                continue
-            for m, t in enumerate(self.table[i][l]):
-                if t != 0:
-                    out[m] = F.add(out[m], F.mul(c, t))
-        return tuple(out)
 
     # -- identity -------------------------------------------------------------------
 

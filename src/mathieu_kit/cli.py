@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget for exhaustive element scans (default 10^7, "
         "or MATHIEU_KIT_MAX_SCAN)",
     )
-    parser.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
     groups = parser.add_subparsers(dest="group", required=True)
 
     def with_algebra(p):
@@ -112,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite = groups.add_parser("suite").add_subparsers(dest="verb", required=True)
     p = suite.add_parser("run")
     p.add_argument("name", choices=list(experiments.SUITE_NAMES))
-    p.add_argument("--seed", type=int, dest="suite_seed", default=None)
+    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
 
     return parser
 
@@ -289,8 +288,7 @@ def _run(args) -> int:
         return CHECK_TRUE
 
     # suite run
-    seed = args.suite_seed if args.suite_seed is not None else args.seed
-    report = experiments.run_suite(args.name, seed=seed, max_scan=args.max_scan)
+    report = experiments.run_suite(args.name, seed=args.seed, max_scan=args.max_scan)
     if args.json:
         for check in report.checks:
             doc = check.to_dict()

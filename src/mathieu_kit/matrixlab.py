@@ -63,14 +63,6 @@ def _require_matrix(a: Algebra) -> int:
     return n
 
 
-def _as_matrix(a: Algebra, coords, n: int):
-    return [list(coords[i * n : (i + 1) * n]) for i in range(n)]
-
-
-def _flatten(mat) -> tuple:
-    return tuple(c for row in mat for c in row)
-
-
 # -- the trace pairing ---------------------------------------------------------
 
 
@@ -155,40 +147,22 @@ def _witness_2x2(f: Field, a, b, c, d):
 
 
 def _left_witness_matrix(f: Field, n: int, x):
-    """Nontrivial idempotent A (as a nested matrix) with AX != 0, Tr(AX) = 0."""
-    pair = None
-    for m in range(n):
-        for k in range(m + 1, n):
-            if x[m][k] != 0 or x[k][m] != 0 or x[m][m] != x[k][k]:
-                pair = (m, k)
-                break
-        if pair:
+    """Nontrivial idempotent A (as a nested matrix) with AX != 0, Tr(AX) = 0.
+
+    Takes the first index pair m < k (in ``itertools.combinations`` order)
+    on which X is not scalar and places the 2x2 construction for the
+    submatrix X[{m,k},{m,k}] at rows and columns m, k of a zero matrix.
+    """
+    for m, k in itertools.combinations(range(n), 2):
+        if x[m][k] != 0 or x[k][m] != 0 or x[m][m] != x[k][k]:
             break
-    if pair is None:
+    else:
         raise ScalarDual("dual vector is a scalar matrix")
-    m, k = pair
-    # conjugate by the permutation sending (m, k) to (0, 1); idempotency and
-    # traces are preserved, so the 2x2 construction transports back
-    sigma = [0] * n
-    sigma[m], sigma[k] = 0, 1
-    nxt = 2
-    for i in range(n):
-        if i != m and i != k:
-            sigma[i] = nxt
-            nxt += 1
-    y = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            y[sigma[i]][sigma[j]] = x[i][j]
-    a2 = _witness_2x2(f, y[0][0], y[0][1], y[1][0], y[1][1])
-    a_tilde = [[f.zero] * n for _ in range(n)]
-    a_tilde[0][0], a_tilde[0][1] = a2[0][0], a2[0][1]
-    a_tilde[1][0], a_tilde[1][1] = a2[1][0], a2[1][1]
-    return [[a_tilde[sigma[i]][sigma[j]] for j in range(n)] for i in range(n)]
-
-
-def _transpose(mat):
-    return [list(row) for row in zip(*mat)]
+    a2 = _witness_2x2(f, x[m][m], x[m][k], x[k][m], x[k][k])
+    a = [[f.zero] * n for _ in range(n)]
+    a[m][m], a[m][k] = a2[0]
+    a[k][m], a[k][k] = a2[1]
+    return a
 
 
 def witness_idempotents(x: Element) -> tuple[Element, Element]:
@@ -196,6 +170,7 @@ def witness_idempotents(x: Element) -> tuple[Element, Element]:
 
     B is the transpose of the construction applied to the transpose of x.
     Defined for nonzero x not proportional to the identity, n >= 2.
+    :func:`_batch_witnesses` builds the same matrices for a block of duals.
     """
     alg = x.algebra
     n = _require_matrix(alg)
@@ -204,30 +179,35 @@ def witness_idempotents(x: Element) -> tuple[Element, Element]:
     if x.is_zero:
         raise ZeroDual("zero dual vector")
     f = alg.field
-    xm = _as_matrix(alg, x.coords, n)
-    a = Element(alg, _flatten(_left_witness_matrix(f, n, xm)))
-    bt = _left_witness_matrix(f, n, _transpose(xm))
-    b = Element(alg, _flatten(_transpose(bt)))
-    return a, b
+    rows = [x.coords[i * n : (i + 1) * n] for i in range(n)]
+    a = _left_witness_matrix(f, n, rows)
+    bt = _left_witness_matrix(f, n, list(zip(*rows)))
+    return (
+        Element(alg, tuple(c for row in a for c in row)),
+        Element(alg, tuple(c for col in zip(*bt) for c in col)),
+    )
 
 
 # -- batched refutation kernel --------------------------------------------------------
 
 
-def _batch_left_refute(xs: np.ndarray, p: int, n: int) -> None:
-    """Verify a refuting left idempotent for every matrix in the block.
+def _batch_witnesses(xs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The refuting idempotents (A, B) of every dual in a block, verified.
 
-    ``xs`` is (B, n, n) with no scalar matrices.  Builds the case-analysis
-    idempotent per row, then checks A@A == A, A@X != 0 and trace(A@X) == 0;
-    any failure raises ConsistencyError.  This is the vectorized twin of
-    :func:`_left_witness_matrix` (direct placement at the chosen index pair,
-    which is what the permutation conjugation amounts to).
+    ``xs`` is (count, n, n) over F_p with no scalar matrices.  Returns the
+    matrices :func:`witness_idempotents` builds, as two (count, n, n)
+    arrays: A by the 2x2 case analysis at each row's first non-scalar index
+    pair, and B as the transpose of that construction on the transpose of
+    X.  Checks A@A == A, A nonzero and not the identity, A@X != 0 and
+    trace(A@X) == 0, and the same for B against X^T; any failure raises
+    ConsistencyError.
     """
-    count = len(xs)
+    count, n, _ = xs.shape
     inv = np.zeros(p, dtype=np.int64)
     for v in range(1, p):
         inv[v] = pow(v, p - 2, p)
 
+    # the non-scalar test on a pair is symmetric, so X and X^T share it
     pairs = list(itertools.combinations(range(n), 2))
     valid = np.stack(
         [
@@ -238,47 +218,51 @@ def _batch_left_refute(xs: np.ndarray, p: int, n: int) -> None:
     if not np.all(np.any(valid, axis=0)):
         raise ConsistencyError("scalar matrix slipped into the refutation batch")
     first = np.argmax(valid, axis=0)
+    ident = np.eye(n, dtype=np.int64)
 
-    amat = np.zeros_like(xs)
-    for g, (m, k) in enumerate(pairs):
-        rows = np.nonzero(first == g)[0]
-        if len(rows) == 0:
-            continue
-        a = xs[rows, m, m]
-        b = xs[rows, m, k]
-        c = xs[rows, k, m]
-        d = xs[rows, k, k]
-        case1 = b != 0
-        case2 = ~case1 & (c != 0)
-        case3 = ~case1 & ~case2
-        r1 = rows[case1]
-        amat[r1, m, m] = 1
-        amat[r1, k, m] = (-a[case1] * inv[b[case1]]) % p
-        r2 = rows[case2]
-        amat[r2, m, k] = (-inv[c[case2]] * d[case2]) % p
-        amat[r2, k, k] = 1
-        r3 = rows[case3]
-        s = inv[(d[case3] - a[case3]) % p]
-        sd = (s * d[case3]) % p
-        nsa = (-s * a[case3]) % p
-        amat[r3, m, m] = sd
-        amat[r3, m, k] = sd
-        amat[r3, k, m] = nsa
-        amat[r3, k, k] = nsa
+    built = []
+    for ys in (xs, xs.transpose(0, 2, 1)):
+        amat = np.zeros_like(xs)
+        for g, (m, k) in enumerate(pairs):
+            rows = np.nonzero(first == g)[0]
+            if len(rows) == 0:
+                continue
+            a = ys[rows, m, m]
+            b = ys[rows, m, k]
+            c = ys[rows, k, m]
+            d = ys[rows, k, k]
+            case1 = b != 0
+            case2 = ~case1 & (c != 0)
+            case3 = ~case1 & ~case2
+            r1 = rows[case1]
+            amat[r1, m, m] = 1
+            amat[r1, k, m] = (-a[case1] * inv[b[case1]]) % p
+            r2 = rows[case2]
+            amat[r2, m, k] = (-inv[c[case2]] * d[case2]) % p
+            amat[r2, k, k] = 1
+            r3 = rows[case3]
+            s = inv[(d[case3] - a[case3]) % p]
+            sd = (s * d[case3]) % p
+            nsa = (-s * a[case3]) % p
+            amat[r3, m, m] = sd
+            amat[r3, m, k] = sd
+            amat[r3, k, m] = nsa
+            amat[r3, k, k] = nsa
 
-    if not np.all(np.matmul(amat, amat) % p == amat):
-        raise ConsistencyError("constructed matrix is not idempotent")
-    zero = np.all(amat.reshape(count, -1) == 0, axis=1)
-    ident = np.all(
-        amat == np.eye(n, dtype=np.int64)[None, :, :], axis=(1, 2)
-    )
-    if np.any(zero) or np.any(ident):
-        raise ConsistencyError("constructed idempotent is trivial")
-    prod = np.matmul(amat, xs) % p
-    if not np.all(np.any(prod.reshape(count, -1) != 0, axis=1)):
-        raise ConsistencyError("idempotent annihilates the dual vector")
-    if not np.all(np.trace(prod, axis1=1, axis2=2) % p == 0):
-        raise ConsistencyError("refuting idempotent left the hyperplane")
+        if not np.all(np.matmul(amat, amat) % p == amat):
+            raise ConsistencyError("constructed matrix is not idempotent")
+        zero = np.all(amat.reshape(count, -1) == 0, axis=1)
+        if np.any(zero) or np.any(np.all(amat == ident, axis=(1, 2))):
+            raise ConsistencyError("constructed idempotent is trivial")
+        prod = np.matmul(amat, ys) % p
+        if not np.all(np.any(prod.reshape(count, -1) != 0, axis=1)):
+            raise ConsistencyError("idempotent annihilates the dual vector")
+        if not np.all(np.trace(prod, axis1=1, axis2=2) % p == 0):
+            raise ConsistencyError("refuting idempotent left the hyperplane")
+        built.append(amat)
+
+    a_left, b_t = built
+    return a_left, b_t.transpose(0, 2, 1)
 
 
 # -- classification reports --------------------------------------------------------------
@@ -325,19 +309,19 @@ def classify_codim1(
 ) -> Codim1Report:
     """Decide the Mathieu property of every codimension-one class of M_n(F_q).
 
-    Every projective class of dual vectors is decided: either by the full
-    idempotent-scan decision of its hyperplane ("scan" mode), or, when the
-    total scan cost would exceed ``max_scan``, by constructing and verifying a
-    refuting idempotent for every class other than the trace form itself
-    ("witness" mode; the trace hyperplane is still decided by scan, and a
-    deterministic sample of refuted classes is re-decided by scan for
-    agreement).
+    The trace hyperplane (X the identity) is decided by a full idempotent
+    scan.  The other classes are walked in canonical blocks.  When the scan
+    of every class fits in ``max_scan`` ("scan" mode) each one is decided by
+    a full scan; otherwise ("witness" mode) each block is refuted by its
+    verified refuting idempotents, and every ``total // (SCAN_SAMPLES + 1)``-th
+    class is re-decided by a full scan for agreement.
     """
     field = GF(q)
     alg = matrix_algebra(n, field)
     d = alg.dim
     total = (q**d - 1) // (q - 1)
     decision = "scan" if total * q ** (d - 1) <= max_scan else "witness"
+    stride = 1 if decision == "scan" else max(total // (SCAN_SAMPLES + 1), 1)
 
     counts = {v.value: 0 for v in ALL_VARIANTS}
     reps: dict[str, list[list[str]]] = {v.value: [] for v in ALL_VARIANTS}
@@ -349,50 +333,33 @@ def classify_codim1(
                 reps[variant.value].append([field.format(c) for c in x_coords])
 
     identity = alg.one()
-    h = trace_orthogonal(identity)
-    record(identity.coords, decide_all_variants(h, max_scan))
+    record(identity.coords, decide_all_variants(trace_orthogonal(identity), max_scan))
     scan_checked = 1
 
-    if decision == "scan":
-        for lead in range(d):
-            for tail in itertools.product(range(q), repeat=d - 1 - lead):
-                coords = (0,) * lead + (1,) + tail
-                if coords == identity.coords:
-                    continue
-                x = alg.element(coords)
-                record(coords, decide_all_variants(trace_orthogonal(x), max_scan))
+    ident_row = np.array(identity.coords, dtype=np.int64)
+    seen = 0
+    refuted = 0
+    for lead in range(d):
+        tail_total = q ** (d - 1 - lead)
+        for start in range(0, tail_total, _scan.DEFAULT_BLOCK):
+            stop = min(start + _scan.DEFAULT_BLOCK, tail_total)
+            block = _canonical_class_block(q, d, lead, start, stop)
+            block = block[~np.all(block == ident_row, axis=1)]
+            if decision == "witness" and len(block):
+                _batch_witnesses(block.reshape(-1, n, n), q)
+                refuted += len(block)
+            # the rows whose index seen + row_idx is a multiple of the stride
+            for row_idx in range(-seen % stride, len(block), stride):
+                coords = tuple(int(c) for c in block[row_idx])
+                verdicts = decide_all_variants(trace_orthogonal(alg.element(coords)), max_scan)
+                if decision == "scan":
+                    record(coords, verdicts)
+                elif any(v.is_mathieu for v in verdicts.values()):
+                    raise ConsistencyError(f"scan and witness disagree on {coords}")
                 scan_checked += 1
-    else:
-        ident_row = np.array(identity.coords, dtype=np.int64)
-        sample_stride = max(total // (SCAN_SAMPLES + 1), 1)
-        seen = 0
-        refuted = 0
-        for lead in range(d):
-            tail_total = q ** (d - 1 - lead)
-            for start in range(0, tail_total, _scan.DEFAULT_BLOCK):
-                stop = min(start + _scan.DEFAULT_BLOCK, tail_total)
-                block = _canonical_class_block(q, d, lead, start, stop)
-                keep = ~np.all(block == ident_row[None, :], axis=1)
-                block = block[keep]
-                if len(block) == 0:
-                    seen += stop - start
-                    continue
-                xs = block.reshape(-1, n, n)
-                _batch_left_refute(xs, q, n)
-                _batch_left_refute(np.ascontiguousarray(xs.transpose(0, 2, 1)), q, n)
-                refuted += len(xs)
-                # the rows whose index seen + row_idx is a multiple of the stride
-                for row_idx in range(-seen % sample_stride, len(block), sample_stride):
-                    x = alg.element(tuple(int(c) for c in block[row_idx]))
-                    verdicts = decide_all_variants(trace_orthogonal(x), max_scan)
-                    if any(v.is_mathieu for v in verdicts.values()):
-                        raise ConsistencyError(f"scan and witness disagree on {x.coords}")
-                    scan_checked += 1
-                seen += stop - start
-        if refuted != total - 1:
-            raise ConsistencyError(
-                f"refuted {refuted} classes, expected {total - 1}"
-            )
+            seen += stop - start
+    if decision == "witness" and refuted != total - 1:
+        raise ConsistencyError(f"refuted {refuted} classes, expected {total - 1}")
 
     return Codim1Report(n, q, total, counts, reps, decision, scan_checked)
 

@@ -179,6 +179,7 @@ def test_validate_reports_bad_algebra(capsys, tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert main(["space", "check", "--algebra", "nonsense:spec"]) == 2
     assert main(["--jobs", "2", "algebra", "info", "--algebra", "mat:2:2"]) == 2
+    assert main(["--seed", "5", "suite", "run", "stable"]) == 2
     code, _, err = run_cli(
         capsys, "space", "check", "--algebra", "bogus", "--basis", "1", "--theta", "left"
     )

@@ -304,6 +304,8 @@ def test_commutative_criterion_matches_decision():
         truncated(2, 2),
         f4(),
         direct_sum(field_algebra(F3), field_algebra(F3)),
+        poly_quotient_algebra(Poly.from_ints(F2, [0, 1, 0, 1])),  # t^3 + t = t(t + 1)^2
+        poly_quotient_algebra(Poly.from_ints(F3, [0, 2, 0, 1])),  # t^3 + 2t = t(t - 1)(t + 1)
     ]
     for alg in algebras:
         for v in all_subspaces(alg):
@@ -320,6 +322,10 @@ def test_commutative_criterion_spec_points():
     b = truncated(2, 2)
     v = span(b, [[1, 1]])
     assert is_mathieu_commutative(v) == decide_mathieu(v, Sidedness.TWO_SIDED).is_mathieu
+    # the radical of zero in F_2[t]/(t^7) has 64 elements, and 64^2 > 4000
+    z = Subspace.zero(truncated(2, 7))
+    assert is_mathieu_commutative(z, max_scan=4000)
+    assert decide_mathieu(z, Sidedness.TWO_SIDED, 4000).is_mathieu
     with pytest.raises(NotCommutative):
         is_mathieu_commutative(Subspace.zero(matrix_algebra(2, F2)))
 

@@ -16,7 +16,8 @@ from mathieu_kit.errors import (
 )
 from mathieu_kit.fields import GF, QQ, Poly
 from mathieu_kit.matrixlab import (
-    _batch_left_refute,
+    _batch_witnesses,
+    _canonical_class_block,
     canonical_rep,
     classify_codim1,
     classify_lines,
@@ -168,21 +169,24 @@ def test_witness_works_over_rationals():
 
 
 def test_batch_refute_agrees_with_scalar_construction():
-    # every canonical non-identity class of M_2(F_3), in one batch
-    blocks = []
-    for coords in itertools.product(range(3), repeat=4):
-        x = np.array(coords).reshape(2, 2)
-        nz = [c for c in coords if c != 0]
-        if not nz or nz[0] != 1:
-            continue  # not canonical
-        if coords == (1, 0, 0, 1):
-            continue  # identity class
-        blocks.append(x)
-    xs = np.array(blocks, dtype=np.int64)
-    _batch_left_refute(xs, 3, 2)  # must not raise
-    _batch_left_refute(np.ascontiguousarray(xs.transpose(0, 2, 1)), 3, 2)
+    # every canonical non-identity class, one batch per leading coordinate
+    for n, q in ((2, 3), (2, 5), (3, 2)):
+        alg = matrix_algebra(n, GF(q))
+        d = n * n
+        ident = np.array(alg.one().coords)
+        classes = 0
+        for lead in range(d):
+            block = _canonical_class_block(q, d, lead, 0, q ** (d - 1 - lead))
+            block = block[~np.all(block == ident, axis=1)]
+            a, b = _batch_witnesses(block.reshape(-1, n, n), q)
+            for row, am, bm in zip(block, a, b):
+                wa, wb = witness_idempotents(alg.element(tuple(int(c) for c in row)))
+                assert tuple(am.reshape(-1)) == wa.coords
+                assert tuple(bm.reshape(-1)) == wb.coords
+            classes += len(block)
+        assert classes == (q**d - 1) // (q - 1) - 1
     with pytest.raises(ConsistencyError):
-        _batch_left_refute(np.array([np.eye(2, dtype=np.int64)]), 3, 2)
+        _batch_witnesses(np.array([np.eye(2, dtype=np.int64)]), 3)
 
 
 # -- classification --------------------------------------------------------------------------
@@ -201,13 +205,15 @@ def test_classify_codim1_small_cases():
 
 
 def test_classify_codim1_witness_mode_matches_scan():
-    by_scan = classify_codim1(2, 3)
-    # 40 classes x 27 vectors per hyperplane exceeds 1000; one hyperplane does not
-    by_witness = classify_codim1(2, 3, max_scan=1000)
-    assert (by_scan.decision, by_witness.decision) == ("scan", "witness")
-    assert by_scan.per_theta == by_witness.per_theta
-    assert by_scan.representatives == by_witness.representatives
-    assert by_witness.scan_checked >= 1
+    # 40 classes x 27 vectors per hyperplane exceeds 1000, and 511 x 256
+    # exceeds 20000; a single hyperplane scan fits either budget
+    for n, q, max_scan in ((2, 3, 1000), (3, 2, 20000)):
+        by_scan = classify_codim1(n, q)
+        by_witness = classify_codim1(n, q, max_scan=max_scan)
+        assert (by_scan.decision, by_witness.decision) == ("scan", "witness")
+        assert by_scan.per_theta == by_witness.per_theta
+        assert by_scan.representatives == by_witness.representatives
+        assert by_witness.scan_checked >= 1
 
 
 def test_classify_codim1_n1():
