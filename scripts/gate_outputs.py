@@ -60,6 +60,9 @@ README_COMMANDS = (
 def commands() -> list[list[str]]:
     out = [["--json", "suite", "run", name, "--seed", "1234"] for name in experiments.SUITE_NAMES]
     out.append(["--json", "mat", "codim1", "--n", "3", "--q", "5"])
+    # scan-mode censuses: every class's verdict comes from the idempotent search
+    out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("2", "7"), ("3", "2"))]
+    out.append(["--json", "alg", "quasi-stable", "--algebra", "mat:3:3"])
     out += [["--json", "mat", "witness", "--algebra", spec, "--elem", elem]
             for spec, elem in WITNESS_ELEMENTS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", ""]

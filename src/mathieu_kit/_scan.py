@@ -9,11 +9,14 @@ every power chunk is spot-checked against it when it is built.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
-witness selection everywhere in the package.
+witness selection everywhere in the package.  The idempotents of a matrix
+algebra are built by construction instead (:func:`matrix_idempotents`) and
+sorted into that same order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -21,6 +24,7 @@ import numpy as np
 
 from .algebra import Algebra, minimal_polynomial, power_cycle
 from .errors import ConsistencyError, InfiniteField, TooLarge
+from .subspace import gaussian_binomial
 
 DEFAULT_BLOCK = 1 << 16
 
@@ -86,6 +90,18 @@ def batch_mul(table, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(out.T, p, order="C")
 
 
+def idempotent_scan_size(ambient: Algebra, r: int, max_scan: int) -> int:
+    """q^r, the vectors of an r-dimensional subspace; ``TooLarge`` past the budget.
+
+    The one budget check of the idempotent search, whichever route then
+    finds the idempotents (this scan or the matrix-algebra filter).
+    """
+    total = ambient.field.order**r
+    if total > max_scan:
+        raise TooLarge(total, max_scan, what=f"idempotent scan in {ambient.label}")
+    return total
+
+
 def iter_idempotents(
     ambient: Algebra, basis_rows, max_scan: int
 ) -> Iterator[tuple[int, ...]]:
@@ -97,9 +113,7 @@ def iter_idempotents(
     """
     p = ambient.field.order
     r = len(basis_rows)
-    total = p**r
-    if total > max_scan:
-        raise TooLarge(total, max_scan, what=f"idempotent scan in {ambient.label}")
+    total = idempotent_scan_size(ambient, r, max_scan)
     table = np_table(ambient)
     basis = np.array(basis_rows, dtype=np.int64).reshape(r, ambient.dim)
     for start in range(0, total, DEFAULT_BLOCK):
@@ -115,6 +129,92 @@ def idempotent_coords(
 ) -> list[tuple[int, ...]]:
     """Every idempotent in the span of ``basis_rows``, in scan order."""
     return list(iter_idempotents(ambient, basis_rows, max_scan))
+
+
+def matrix_idempotent_count(n: int, p: int) -> int:
+    """Number of idempotents of M_n(F_p): sum over k of [n k]_p * p^(k(n-k)).
+
+    An idempotent is fixed by its image (k-dimensional) and its kernel, a
+    complement of the image; a k-dimensional subspace has p^(k(n-k)).
+    """
+    return sum(gaussian_binomial(n, k, p) * p ** (k * (n - k)) for k in range(n + 1))
+
+
+def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
+    """Every idempotent of M_n(F_p) as a (count, n*n) int64 array, unordered.
+
+    For each rank k and each k x n reduced row-echelon basis U of the image
+    (pivot columns ``piv``, the others ``free``), the idempotents with that
+    image are P = U^T Y for the left inverses Y of U^T: Y[:, free] = Z for
+    every Z in F_p^(k x (n-k)), and Y[:, piv] = I - Z U[:, free]^T, since
+    U^T[piv] = I.  Each idempotent is built exactly once and none is
+    rejected.
+    """
+    out = []
+    for k in range(n + 1):
+        m = p ** (k * (n - k))
+        zs = coeff_block(p, k * (n - k), 0, m).reshape(m, k, n - k)
+        for piv in itertools.combinations(range(n), k):
+            piv = list(piv)
+            free = [j for j in range(n) if j not in piv]
+            # the RREF bases with these pivots: ones at the pivots, every
+            # value right of a row's pivot outside the pivot columns
+            slots = [(i, j) for i in range(k) for j in free if j > piv[i]]
+            us = np.zeros((p ** len(slots), k, n), dtype=np.int64)
+            us[:, range(k), piv] = 1
+            us[:, [i for i, _ in slots], [j for _, j in slots]] = coeff_block(
+                p, len(slots), 0, len(us)
+            )
+            for u in us:
+                y = np.empty((m, k, n), dtype=np.int64)
+                y[:, :, free] = zs
+                y[:, :, piv] = (np.eye(k, dtype=np.int64) - zs @ u[:, free].T) % p
+                out.append(((u.T @ y) % p).reshape(m, n * n))
+    return np.concatenate(out)
+
+
+def matrix_idempotents(a: Algebra) -> np.ndarray:
+    """Every idempotent of the matrix algebra ``a``, cached on the instance.
+
+    Rows are coordinates (the matrices read row by row) in the smallest
+    unsigned type that holds a residue, sorted lexicographically, which is
+    the order a scan of the whole algebra yields them in.  Each build is
+    checked by :func:`_check_idempotents` before it is cached.
+    """
+    if a._idempotents is None:
+        p = a.field.order
+        built = construct_matrix_idempotents(a.matrix_size, p)
+        rows = built[np.lexsort(built.T[::-1])].astype(np.min_scalar_type(p - 1))
+        _check_idempotents(a, rows)
+        a._idempotents = rows
+    return a._idempotents
+
+
+def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless ``rows`` are exactly a's idempotents.
+
+    Every row squares to itself (batched matmul, one block at a time), the
+    sorted rows are distinct, and there are :func:`matrix_idempotent_count`
+    of them.  An algebra of at most POWER_CACHE_LIMIT elements is also
+    scanned in full, a route that shares nothing with the construction, and
+    must give the same rows.
+    """
+    n, p = a.matrix_size, a.field.order
+    for s in range(0, len(rows), DEFAULT_BLOCK):
+        mats = rows[s : s + DEFAULT_BLOCK].reshape(-1, n, n).astype(np.int64)
+        if not np.array_equal(np.matmul(mats, mats) % p, mats):
+            raise ConsistencyError(f"a constructed matrix of {a.label} is not idempotent")
+    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+        raise ConsistencyError(f"a constructed idempotent of {a.label} appears twice")
+    want = matrix_idempotent_count(n, p)
+    if len(rows) != want:
+        raise ConsistencyError(
+            f"constructed {len(rows)} idempotents of {a.label}, expected {want}"
+        )
+    if a.size <= POWER_CACHE_LIMIT:
+        scanned = idempotent_coords(a, a._basis, POWER_CACHE_LIMIT)
+        if rows.tolist() != [list(e) for e in scanned]:
+            raise ConsistencyError(f"constructed and scanned idempotents of {a.label} differ")
 
 
 @dataclass

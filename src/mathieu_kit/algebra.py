@@ -46,11 +46,13 @@ class Algebra:
         "table",
         "unit",
         "label",
+        "_basis",
         "_sparse",
         "_commutative",
         "_matrix_size",
         "_np_table",
         "_power_data",
+        "_idempotents",
     )
 
     def __init__(self, field: Field, table, unit, label: str = "", check: bool = True):
@@ -74,11 +76,16 @@ class Algebra:
         self.table = tuple(tab)
         self.unit = tuple(field.coerce(c) for c in unit)
         self.label = label or f"algebra(dim={dim}, {field!r})"
+        self._basis = tuple(
+            tuple(field.one if j == i else field.zero for j in range(dim))
+            for i in range(dim)
+        )
         self._sparse = None
         self._commutative: Optional[bool] = None
         self._matrix_size: Optional[int] = -1  # -1 = not yet detected
         self._np_table = None
         self._power_data = None
+        self._idempotents = None
         if check:
             self._verify()
 
@@ -155,8 +162,7 @@ class Algebra:
     # -- element helpers -----------------------------------------------------------------
 
     def _basis_coords(self, i: int) -> Coords:
-        F = self.field
-        return tuple(F.one if j == i else F.zero for j in range(self.dim))
+        return self._basis[i]
 
     def basis_element(self, i: int) -> "Element":
         return Element(self, self._basis_coords(i))

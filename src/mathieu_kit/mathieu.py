@@ -5,10 +5,17 @@ when for every element a all of whose powers lie in M, the one- or two-sided
 translates of large powers of a eventually stay in M.  Over a finite field
 everything here is decided exactly:
 
-* ``decide_mathieu`` scans the idempotents of M and checks that each one's
-  sided ideal stays inside M.  For finite-dimensional algebras this
+* ``decide_mathieu`` collects the idempotents of M and checks that each
+  one's sided ideal stays inside M.  For finite-dimensional algebras this
   criterion is equivalent to the definition, and a failing idempotent is a
-  replayable refutation since its powers are constant.
+  replayable refutation since its powers are constant.  The idempotents of
+  M are found by one of two routes, after one budget check on the q^dim M
+  vectors of M.  A matrix algebra M_n(F_q) builds all of its idempotents
+  once, by construction (one per image and complementary kernel, checked
+  when built), and keeps those that satisfy M's constraint rows N x = 0;
+  it does so when there are no more of them than M has vectors, and once
+  they are built, always.  Otherwise the q^dim M vectors of M are scanned.
+  Both routes give the same sorted list.
 * ``oracle_mathieu`` is the deliberately naive definition-level check, kept
   free of the theory above so the two can be compared on everything small.
 * ``radical_member`` decides membership in the radical through a finite
@@ -199,11 +206,37 @@ def certify_radical_membership(
 # -- idempotent-criterion decision ------------------------------------------------
 
 
+def _ambient_idempotents(a: Algebra, r: int, max_scan: int) -> Optional[np.ndarray]:
+    """a's constructed idempotents, or None where an r-dimensional scan is cheaper.
+
+    Refuses (``TooLarge``) when the q^r vectors of an r-dimensional subspace
+    exceed ``max_scan``, whichever route would run.  Matrix algebras build
+    their idempotents (:func:`_scan.matrix_idempotents`) when there are no
+    more of them than that scan would visit; once built they are always
+    used.  Other algebras, and matrix algebras below that size, return None.
+    """
+    scan_size = _scan.idempotent_scan_size(a, r, max_scan)
+    if a._idempotents is None:
+        n = a.matrix_size
+        if n is None or _scan.matrix_idempotent_count(n, a.field.order) > scan_size:
+            return None
+    return _scan.matrix_idempotents(a)
+
+
 def _idempotents_of(v: Subspace, max_scan: int) -> list[Coords]:
-    """All idempotent vectors of v, sorted by coordinates (cached)."""
+    """All idempotent vectors of v, sorted by coordinates (cached).
+
+    Either the ambient idempotents that satisfy v's constraints, or a scan
+    of v's q^dim(v) vectors (see :func:`_ambient_idempotents`).
+    """
     if v._idempotents is None:
-        found = _scan.idempotent_coords(v.ambient, v.basis, max_scan)
-        v._idempotents = sorted(found)
+        a = v.ambient
+        ambient = _ambient_idempotents(a, v.dim, max_scan)
+        if ambient is None:
+            v._idempotents = sorted(_scan.idempotent_coords(a, v.basis, max_scan))
+        else:
+            in_v = _scan.membership_bitmap(ambient, v.constraints(), a.field.order)
+            v._idempotents = [tuple(e) for e in ambient[in_v].tolist()]
     return v._idempotents
 
 
@@ -239,10 +272,12 @@ def decide_mathieu(
 ) -> MathieuVerdict:
     """Exact decision by the idempotent criterion (finite fields).
 
-    Enumerates the q^dim(v) vectors of v, collects the idempotents, and
-    requires each one's sided ideal to stay inside v.  On failure the
-    witness is the first violation in lexicographic order of
-    (idempotent coordinates, left basis index, right basis index).
+    Collects the idempotents of v, by filtering the constructed idempotents
+    of a matrix algebra or by scanning the q^dim(v) vectors of v (see the
+    module docstring for the rule), and requires each one's sided ideal to
+    stay inside v.  On failure the witness is the first violation in
+    lexicographic order of (idempotent coordinates, left basis index, right
+    basis index).
     """
     variant = Sidedness.parse(variant)
     if not v.ambient.field.is_finite:
@@ -260,7 +295,7 @@ def decide_mathieu(
 def decide_all_variants(
     v: Subspace, max_scan: int = MAX_SCAN_DEFAULT
 ) -> dict[Sidedness, MathieuVerdict]:
-    """One idempotent scan, all four verdicts."""
+    """One idempotent search, all four verdicts."""
     return {variant: decide_mathieu(v, variant, max_scan) for variant in ALL_VARIANTS}
 
 
@@ -413,14 +448,17 @@ def find_nontrivial_mathieu(
 
 
 def _nontrivial_idempotents(a: Algebra, max_scan: int) -> Iterator[Coords]:
-    """The idempotents of ``a`` other than 0 and 1, lazily in scan order."""
-    full_basis = tuple(a._basis_coords(i) for i in range(a.dim))
+    """The idempotents of ``a`` other than 0 and 1, lazily in scan order.
+
+    Matrix algebras read their constructed idempotents; the others scan.
+    """
+    ambient = _ambient_idempotents(a, a.dim, max_scan)
+    if ambient is None:
+        found = _scan.iter_idempotents(a, a._basis, max_scan)
+    else:
+        found = map(tuple, ambient.tolist())
     zero = tuple(a.field.zero for _ in range(a.dim))
-    return (
-        e
-        for e in _scan.iter_idempotents(a, full_basis, max_scan)
-        if e != zero and e != a.unit
-    )
+    return (e for e in found if e != zero and e != a.unit)
 
 
 def _is_two_copies_of_base_field(a: Algebra, nontrivial: list[Coords]) -> bool:
@@ -443,7 +481,7 @@ def is_quasi_stable(a: Algebra, max_scan: int = MAX_SCAN_DEFAULT) -> bool:
 
     Holds exactly when the algebra has no nontrivial idempotent at all
     (finite-dimensional local case) or is two copies of the base field.
-    Decided by a full idempotent scan.
+    Decided from all idempotents of the algebra.
     """
     if not a.field.is_finite:
         raise InfiniteFieldNoDecision("idempotent scan needs a finite field")

@@ -7,7 +7,7 @@ are explicit nontrivial idempotents A, B with Tr(AX) = Tr(XB) = 0, AX != 0
 and XB != 0; such an idempotent refutes the Mathieu property of the
 hyperplane, because some basis translate of it escapes the hyperplane by
 nonsingularity of the pairing.  The classification experiments decide every
-projective class either by a full idempotent scan of the hyperplane or by
+projective class either by the idempotent criterion on the hyperplane or by
 constructing and verifying that refuting idempotent per class; they never
 just cite the expected answer.
 
@@ -52,7 +52,8 @@ from .subspace import (
 )
 
 #: Witness-mode codim-1 censuses re-decide every (total // (SCAN_SAMPLES + 1))-th
-#: class by full scan, as a cross-check of the refuting idempotents.
+#: class by the idempotent criterion, as a cross-check of the refuting
+#: idempotents.
 SCAN_SAMPLES = 2
 
 
@@ -278,7 +279,7 @@ class Codim1Report:
     per_theta: dict[str, int]
     representatives: dict[str, list[list[str]]]
     decision: str  # "scan" or "witness"
-    scan_checked: int  # classes decided by a full idempotent scan
+    scan_checked: int  # classes decided by the idempotent criterion
 
     def to_dict(self) -> dict:
         return {
@@ -309,12 +310,13 @@ def classify_codim1(
 ) -> Codim1Report:
     """Decide the Mathieu property of every codimension-one class of M_n(F_q).
 
-    The trace hyperplane (X the identity) is decided by a full idempotent
-    scan.  The other classes are walked in canonical blocks.  When the scan
-    of every class fits in ``max_scan`` ("scan" mode) each one is decided by
-    a full scan; otherwise ("witness" mode) each block is refuted by its
-    verified refuting idempotents, and every ``total // (SCAN_SAMPLES + 1)``-th
-    class is re-decided by a full scan for agreement.
+    The trace hyperplane (X the identity) is decided by the idempotent
+    criterion.  The other classes are walked in canonical blocks.  When a
+    scan of every class fits in ``max_scan`` ("scan" mode) each one is
+    decided by the idempotent criterion; otherwise ("witness" mode) each
+    block is refuted by its verified refuting idempotents, and every
+    ``total // (SCAN_SAMPLES + 1)``-th class is re-decided by the idempotent
+    criterion for agreement.
     """
     field = GF(q)
     alg = matrix_algebra(n, field)

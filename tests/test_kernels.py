@@ -13,6 +13,7 @@ import pytest
 
 from mathieu_kit import _scan
 from mathieu_kit.algebra import (
+    Algebra,
     direct_sum,
     elem_power,
     field_algebra,
@@ -22,10 +23,16 @@ from mathieu_kit.algebra import (
     poly_quotient_algebra,
     power_cycle,
 )
-from mathieu_kit.errors import ConsistencyError
+from mathieu_kit.errors import ConsistencyError, TooLarge
 from mathieu_kit.fields import GF, Poly
-from mathieu_kit.mathieu import radical_enumerate
-from mathieu_kit.subspace import Subspace, span
+from mathieu_kit.mathieu import (
+    _idempotents_of,
+    decide_all_variants,
+    decide_mathieu,
+    radical_enumerate,
+)
+from mathieu_kit.matrixlab import trace_orthogonal
+from mathieu_kit.subspace import Sidedness, Subspace, span
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -92,20 +99,117 @@ def test_batch_mul_peak_memory_stays_within_a_few_blocks():
     assert peak < 4 * rows * d * 8
 
 
-@pytest.mark.parametrize("alg", ALGEBRAS[:3], ids=lambda a: a.label)
+#: (n, q) of the matrix algebras whose constructed idempotents are compared
+#: with a scan of every element
+SCANNED_MATRIX_ALGEBRAS = [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (4, 2)]
+
+
+def _fresh(alg):
+    """A copy of ``alg`` with nothing cached on it."""
+    return Algebra(alg.field, alg.table, alg.unit, label=alg.label, check=False)
+
+
+@pytest.mark.parametrize("n,q", SCANNED_MATRIX_ALGEBRAS)
+def test_constructed_idempotents_match_full_scan(n, q):
+    alg = matrix_algebra(n, GF(q))
+    full_basis = [alg._basis_coords(i) for i in range(alg.dim)]
+    scanned = _scan.idempotent_coords(alg, full_basis, max_scan=10**7)
+    built = _scan.matrix_idempotents(alg)
+    assert built.dtype == np.uint8
+    assert [tuple(e) for e in built.tolist()] == sorted(scanned)
+    assert len(built) == _scan.matrix_idempotent_count(n, q)
+
+
+def test_constructed_idempotents_have_the_formula_count():
+    # M_4(F_3) is too big to scan (3^16 elements); the build's own checks
+    # (squares, distinct rows, count) still run
+    alg = matrix_algebra(4, F3)
+    built = _scan.matrix_idempotents(alg)
+    assert len(built) == _scan.matrix_idempotent_count(4, 3) == 1 + 40 * 27 * 2 + 130 * 81 + 1
+    assert alg._idempotents is built
+
+
+IDEMPOTENT_ALGEBRAS = ALGEBRAS[:4] + [
+    matrix_algebra(n, GF(q))
+    for n, q in SCANNED_MATRIX_ALGEBRAS
+    if (n, q) not in {(2, 3), (2, 5), (3, 2)}  # already in ALGEBRAS
+]
+
+
+@pytest.mark.parametrize("alg", IDEMPOTENT_ALGEBRAS, ids=lambda a: a.label)
 def test_idempotent_scan_matches_bruteforce(alg):
+    # one seeded subspace of every dimension, smallest first, so matrix
+    # algebras take the scan below the build rule and the filter above it;
+    # opp(M_2(F_2)) is no matrix algebra on matrix units and always scans
+    alg = _fresh(alg)
     rng = random.Random(29)
-    p = alg.field.order
-    for _ in range(6):
-        v = span(
-            alg,
-            [[rng.randrange(p) for _ in range(alg.dim)] for _ in range(rng.randrange(3))],
-        )
-        fast = _scan.idempotent_coords(alg, v.basis, max_scan=10**7)
-        slow = [
-            x.coords for x in v.elements() if (x * x).coords == x.coords
-        ]
-        assert sorted(fast) == sorted(slow)
+    p, d, n = alg.field.order, alg.dim, alg.matrix_size
+    count = _scan.matrix_idempotent_count(n, p) if n is not None else None
+    for r in range(d + 1):
+        v = span(alg, [])
+        while v.dim < r:
+            v = v + span(alg, [[rng.randrange(p) for _ in range(d)]])
+        scanned = sorted(_scan.idempotent_coords(alg, v.basis, max_scan=10**7))
+        if p**r <= 256:
+            slow = [x.coords for x in v.elements() if (x * x).coords == x.coords]
+            assert scanned == sorted(slow)
+        built = count is not None and (alg._idempotents is not None or count <= p**r)
+        assert _idempotents_of(v, max_scan=10**7) == scanned
+        assert (alg._idempotents is not None) == built
+
+
+def _wrong_entry(rows):
+    rows = rows.copy()
+    rows[len(rows) // 2, 0] += 1
+    return rows
+
+
+IDEMPOTENT_FAULTS = {"wrong_entry": _wrong_entry, "dropped_row": lambda rows: rows[1:]}
+
+
+@pytest.mark.parametrize("fault", sorted(IDEMPOTENT_FAULTS))
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 5)])
+def test_idempotent_build_catches_a_faulty_construction(monkeypatch, fault, n, q):
+    # M_3(F_5) is above POWER_CACHE_LIMIT, so only the build's structural
+    # checks stand between the fault and the verdicts
+    construct = _scan.construct_matrix_idempotents
+    monkeypatch.setattr(
+        _scan,
+        "construct_matrix_idempotents",
+        lambda n, p: IDEMPOTENT_FAULTS[fault](construct(n, p)),
+    )
+    alg = matrix_algebra(n, GF(q))
+    with pytest.raises(ConsistencyError):
+        decide_mathieu(trace_orthogonal(alg.one()), Sidedness.TWO_SIDED)
+    assert alg._idempotents is None
+
+
+def test_census_hyperplane_is_decided_without_a_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("idempotent scan on the filter route")
+
+    monkeypatch.setattr(_scan, "iter_idempotents", no_scan)
+    alg = matrix_algebra(3, F5)
+    v = trace_orthogonal(alg.one())
+    # the trace of an idempotent is its rank mod 5, so only 0 has trace 0
+    verdicts = decide_all_variants(v)
+    assert all(verdict.is_mathieu for verdict in verdicts.values())
+    assert _idempotents_of(v, max_scan=10**7) == [(0,) * 9]
+    assert len(alg._idempotents) == 1552
+
+
+def test_refusals_and_small_subspaces_build_nothing():
+    alg = matrix_algebra(3, F5)
+    v = trace_orthogonal(alg.one())
+    with pytest.raises(TooLarge):
+        decide_mathieu(v, Sidedness.LEFT, max_scan=5**8 - 1)
+    assert alg._idempotents is None
+    # a line of M_4(F_7) has 7 vectors; the algebra has 7,117,252 idempotents
+    alg = matrix_algebra(4, GF(7))
+    assert _scan.matrix_idempotent_count(4, 7) == 7_117_252
+    line = span(alg, [[1, 2] + [0] * 13 + [3]])
+    assert decide_mathieu(line, Sidedness.TWO_SIDED).is_mathieu
+    assert alg._idempotents is None
 
 
 def _check_power_data(alg, indices):
