@@ -45,6 +45,34 @@ WITNESS_ELEMENTS = (
 
 RADICAL_ALGEBRAS = ("mat:3:3", "mat:2:11", "polyq:31:0,0,1")
 
+VARIANTS = ("left", "right", "pre_two_sided", "two_sided")
+
+# each is refuted by an idempotent in at least three of the four variants
+REFUTED_SUBSPACES = (
+    ("mat:2:3", "1,0,0,0;0,1,0,0"),
+    ("opp:mat:2:3", "0,1,0,0;1,0,0,0"),
+    ("dsum:mat:2:2+mat:1:2", "1,0,0,0,0;0,1,0,0,0"),
+    ("polyq:2:0,0,0,1", "1,0,0;0,1,0"),
+)
+
+IDEAL_SUBSPACES = REFUTED_SUBSPACES + (
+    ("mat:2:3", "1,0,0,0;0,1,0,0;0,0,1,0"),  # holds the first column, a left ideal
+    ("mat:3:2", "1,0,0,0,0,0,0,0,0;0,0,0,1,0,0,0,0,0;0,0,0,0,0,0,1,0,0;"
+                "0,1,0,0,0,0,0,0,0;0,0,0,0,1,0,0,0,0"),
+    ("mat:2:0", "1,0,0,0;0,1,0,0"),
+    ("mat:2:0", "1,2,0,0;0,0,1,2"),
+    ("mat:2:0", "1,0,0,0;0,0,1,0;0,1,0,-1/2"),
+)
+
+THETA_ELEMENTS = (
+    ("mat:2:3", "1,2,0,0"),
+    ("opp:mat:2:3", "0,1,0,0"),
+    ("dsum:mat:2:2+mat:1:2", "1,0,0,0,1"),
+    ("polyq:2:0,0,0,1", "0,1,0"),
+    ("mat:3:2", "1,0,0,0,0,0,0,0,0"),
+    ("mat:2:0", "1/2,0,3,0"),
+)
+
 README_COMMANDS = (
     ["space", "check", "--algebra", "mat:2:3", "--basis", "1,0,0,2;0,1,0,0;0,0,1,0",
      "--theta", "two_sided"],
@@ -67,6 +95,16 @@ def commands() -> list[list[str]]:
             for spec, elem in WITNESS_ELEMENTS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", ""]
             for spec in RADICAL_ALGEBRAS]
+    out += [["--json", "space", "check", "--algebra", spec, "--basis", basis, "--theta", theta]
+            for spec, basis in REFUTED_SUBSPACES for theta in VARIANTS]
+    out += [["--json", "space", "max-ideal", "--algebra", spec, "--basis", basis,
+             "--theta", theta]
+            for spec, basis in IDEAL_SUBSPACES for theta in VARIANTS]
+    out += [["--json", "space", "theta-ideal", "--algebra", spec, "--elem", elem,
+             "--theta", theta]
+            for spec, elem in THETA_ELEMENTS for theta in VARIANTS]
+    out.append(["--json", "space", "certify", "--algebra", "polyq:3:0,0,0,1",
+                "--basis", "0,1,0;0,0,1", "--theta", "left", "--elem", "0,2,1"])
     out += [list(argv) for argv in README_COMMANDS]
     return out
 

@@ -4,10 +4,16 @@ Matrices are sequences of row tuples.  Everything here is O(rows * cols^2)
 Gauss-Jordan; the dimensions in this package never exceed a few dozen, so
 clarity wins over cleverness.  The reduced row-echelon form computed here is
 the canonical representative used for subspace identity throughout.
+
+Membership is tested one way only: a subspace is the solution set of its
+constraint rows N (:func:`nullspace` of its basis), and ``x`` lies in it
+exactly when N x = 0 (:func:`in_span`).  :func:`reduce_vector` is the
+elimination residual that quotient maps project with.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .fields import Field, Scalar
@@ -64,8 +70,17 @@ def reduce_vector(
     return tuple(v)
 
 
-def in_span(field, basis, pivots, vec) -> bool:
-    return all(x == 0 for x in reduce_vector(field, basis, pivots, vec))
+def in_span(field: Field, constraints: Sequence[Row], vec: Sequence[Scalar]) -> bool:
+    """Whether N vec = 0 for the constraint rows N of a subspace.
+
+    ``constraints`` spans the annihilator of the subspace (its
+    :func:`nullspace`), so this is membership in the subspace.  Dot products
+    are reduced mod p over F_p and exact over the rationals.
+    """
+    p = field.characteristic
+    if p:
+        return all(sum(map(mul, row, vec)) % p == 0 for row in constraints)
+    return all(sum(map(mul, row, vec)) == 0 for row in constraints)
 
 
 def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Row, ...]:

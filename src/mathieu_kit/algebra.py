@@ -219,20 +219,6 @@ class Algebra:
                     out[k] = F.add(out[k], F.mul(xy, c))
         return tuple(out)
 
-    def left_mult_matrix(self, i: int) -> tuple[Coords, ...]:
-        """Matrix of x -> e_i * x acting on coordinates (rows index output)."""
-        d = self.dim
-        return tuple(
-            tuple(self.table[i][j][k] for j in range(d)) for k in range(d)
-        )
-
-    def right_mult_matrix(self, j: int) -> tuple[Coords, ...]:
-        """Matrix of x -> x * e_j."""
-        d = self.dim
-        return tuple(
-            tuple(self.table[i][j][k] for i in range(d)) for k in range(d)
-        )
-
 
 def make_algebra(field: Field, table, unit, label: str = "") -> Algebra:
     """Build and validate an algebra from raw structure constants."""

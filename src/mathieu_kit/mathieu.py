@@ -69,6 +69,7 @@ from .subspace import (
     enumerate_subspaces,
     is_theta_ideal,
     theta_ideal,
+    translates,
 )
 
 MAX_SCAN_DEFAULT = 10**7
@@ -243,27 +244,9 @@ def _idempotents_of(v: Subspace, max_scan: int) -> list[Coords]:
 def _first_violation(
     v: Subspace, e_coords: Coords, variant: Sidedness
 ) -> Optional[Witness]:
-    a = v.ambient
-    d = a.dim
-    if variant in (Sidedness.LEFT, Sidedness.PRE_TWO_SIDED):
-        for i in range(d):
-            prod = a._mul_coords(a._basis_coords(i), e_coords)
-            if not v.member_coords(prod):
-                return Witness(e_coords, a._basis_coords(i), None, prod)
-    if variant in (Sidedness.RIGHT, Sidedness.PRE_TWO_SIDED):
-        for i in range(d):
-            prod = a._mul_coords(e_coords, a._basis_coords(i))
-            if not v.member_coords(prod):
-                return Witness(e_coords, None, a._basis_coords(i), prod)
-    if variant is Sidedness.TWO_SIDED:
-        for i in range(d):
-            left = a._mul_coords(a._basis_coords(i), e_coords)
-            for j in range(d):
-                prod = a._mul_coords(left, a._basis_coords(j))
-                if not v.member_coords(prod):
-                    return Witness(
-                        e_coords, a._basis_coords(i), a._basis_coords(j), prod
-                    )
+    for b, c, prod in translates(v.ambient, e_coords, variant):
+        if not v.member_coords(prod):
+            return Witness(e_coords, b, c, prod)
     return None
 
 

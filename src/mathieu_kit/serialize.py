@@ -144,7 +144,7 @@ def element_to_list(x: Element) -> list[str]:
 def element_from(a: Algebra, data) -> Element:
     if isinstance(data, dict) and "coords" in data:
         data = data["coords"]
-    return Element(a, vector_from(a.field, data))
+    return a.element(vector_from(a.field, data))
 
 
 def parse_element_spec(a: Algebra, text: str) -> Element:

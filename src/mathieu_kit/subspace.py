@@ -3,19 +3,24 @@
 A :class:`Subspace` stores its basis in reduced row-echelon form, which is a
 unique representative: two subspaces are equal exactly when their RREF
 matrices coincide.  All counting, witness selection and set-like reporting in
-the package relies on that canonical form.
+the package relies on that canonical form.  Membership is tested through the
+cached constraint rows N of a subspace: x lies in V exactly when N x = 0.
 
 The four sidedness variants (left, right, pre-two-sided, two-sided) are the
 index set for both ideals and Mathieu subspaces; ``pre_two_sided`` of an
 element means the sum of the left and the right ideal it generates, which for
-a noncommutative algebra need not be an ideal of any kind.
+a noncommutative algebra need not be an ideal of any kind.  Which basis
+translates of x a variant asks about is decided in one place,
+:func:`translates`; the generated ideal, the ideal check, the maximum ideal
+inside a subspace and the refuting idempotents of :mod:`mathieu_kit.mathieu`
+all read that list.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from . import _linalg
 from .algebra import Algebra, AlgebraHom, Coords, Element
@@ -126,13 +131,17 @@ class Subspace:
     # -- membership --------------------------------------------------------------------
 
     def member(self, x) -> bool:
-        coords = x.coords if isinstance(x, Element) else tuple(x)
-        if isinstance(x, Element) and x.algebra != self.ambient:
-            raise AlgebraMismatch("membership test across algebras")
-        return _linalg.in_span(self.ambient.field, self.basis, self.pivots, coords)
+        if isinstance(x, Element):
+            if x.algebra != self.ambient:
+                raise AlgebraMismatch("membership test across algebras")
+            x = x.coords
+        elif len(x) != self.ambient.dim:
+            raise ValueError(f"expected {self.ambient.dim} coordinates, got {len(x)}")
+        return self.member_coords(tuple(x))
 
     def member_coords(self, coords: Coords) -> bool:
-        return _linalg.in_span(self.ambient.field, self.basis, self.pivots, coords)
+        """Whether N x = 0 for the constraint rows N of this subspace."""
+        return _linalg.in_span(self.ambient.field, self.constraints(), coords)
 
     def constraints(self) -> tuple:
         """Rows N with ``x in V  iff  N x = 0`` (the annihilator of the row space)."""
@@ -161,10 +170,7 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        stacked = self.constraints() + other.constraints()
-        rows = _linalg.nullspace(self.ambient.field, stacked, self.ambient.dim)
-        basis, pivots = _linalg.rref(self.ambient.field, rows)
-        return Subspace(self.ambient, basis, pivots)
+        return _solution_space(self.ambient, self.constraints() + other.constraints())
 
     # -- element enumeration -------------------------------------------------------------------
 
@@ -201,6 +207,30 @@ def intersect(v: Subspace, w: Subspace) -> Subspace:
 # -- sided ideals ------------------------------------------------------------------
 
 
+def translates(
+    a: Algebra, x: Coords, variant: Sidedness
+) -> Iterator[tuple[Optional[Coords], Optional[Coords], Coords]]:
+    """The basis translates ``(b, c, product)`` of x that a variant asks about.
+
+    Left and pre-two-sided: b*x for b over the basis (c is None); right and
+    pre-two-sided: x*c for c over the basis (b is None), after the left ones;
+    two-sided: b*x*c with b the outer loop.  This order is the witness order
+    of :func:`mathieu_kit.mathieu.decide_mathieu`.
+    """
+    basis = a._basis
+    if variant in (Sidedness.LEFT, Sidedness.PRE_TWO_SIDED):
+        for b in basis:
+            yield b, None, a._mul_coords(b, x)
+    if variant in (Sidedness.RIGHT, Sidedness.PRE_TWO_SIDED):
+        for c in basis:
+            yield None, c, a._mul_coords(x, c)
+    if variant is Sidedness.TWO_SIDED:
+        for b in basis:
+            bx = a._mul_coords(b, x)
+            for c in basis:
+                yield b, c, a._mul_coords(bx, c)
+
+
 def theta_ideal(a: Element, variant: Sidedness) -> Subspace:
     """The sided ideal generated by ``a`` (for ``pre_two_sided``: aA + Aa).
 
@@ -208,82 +238,64 @@ def theta_ideal(a: Element, variant: Sidedness) -> Subspace:
     """
     variant = Sidedness.parse(variant)
     A = a.algebra
-    basis = [A._basis_coords(i) for i in range(A.dim)]
-    gens: list[Coords] = [a.coords]
-    if variant in (Sidedness.LEFT, Sidedness.PRE_TWO_SIDED):
-        gens.extend(A._mul_coords(b, a.coords) for b in basis)
-    if variant in (Sidedness.RIGHT, Sidedness.PRE_TWO_SIDED):
-        gens.extend(A._mul_coords(a.coords, b) for b in basis)
-    if variant is Sidedness.TWO_SIDED:
-        for b in basis:
-            ba = A._mul_coords(b, a.coords)
-            gens.extend(A._mul_coords(ba, c) for c in basis)
+    gens = [a.coords] + [prod for _, _, prod in translates(A, a.coords, variant)]
     return Subspace.span(A, gens)
 
 
-def _mat_mul(field: Field, left, right):
-    out = []
-    for row in left:
-        out_row = []
-        for j in range(len(right[0])):
-            acc = field.zero
-            for k, x in enumerate(row):
-                if x != 0 and right[k][j] != 0:
-                    acc = field.add(acc, field.mul(x, right[k][j]))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+def _pull_back(field: Field, constraints, images) -> list[Coords]:
+    """Rows N M for the linear map M whose columns are ``images``.
+
+    x satisfies them exactly when M x satisfies the constraint rows N.
+    """
+    return [_linalg.matvec(field, images, row) for row in constraints]
+
+
+def _solution_space(a: Algebra, rows) -> Subspace:
+    basis, pivots = _linalg.rref(a.field, _linalg.nullspace(a.field, rows, a.dim))
+    return Subspace(a, basis, pivots)
 
 
 def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
     """The maximum sided ideal contained in ``v``.
 
     Solved as one linear system per variant: x qualifies when every required
-    basis translate of x stays inside ``v``.  The unit is in the basis span,
-    so the solution set automatically sits inside ``v`` itself.  For
-    ``pre_two_sided`` the answer is the sum of the left and right maxima,
-    which need not be an ideal.
+    basis translate of x stays inside ``v``.  The t-th translate is linear in
+    x, with the t-th translates of the basis vectors as its columns, so the
+    system is v's constraint rows pulled back along each translate map.  The
+    unit is in the basis span, so the solution set automatically sits inside
+    ``v`` itself.  For ``pre_two_sided`` the answer is the sum of the left
+    and right maxima, which need not be an ideal.
     """
     variant = Sidedness.parse(variant)
     A = v.ambient
-    F = A.field
     if variant is Sidedness.PRE_TWO_SIDED:
         return max_theta_ideal(v, Sidedness.LEFT) + max_theta_ideal(v, Sidedness.RIGHT)
     constraints = v.constraints()
     if not constraints:
         return Subspace.full(A)
-    stacked: list = []
-    if variant is Sidedness.LEFT:
-        for i in range(A.dim):
-            stacked.extend(_mat_mul(F, constraints, A.left_mult_matrix(i)))
-    elif variant is Sidedness.RIGHT:
-        for i in range(A.dim):
-            stacked.extend(_mat_mul(F, constraints, A.right_mult_matrix(i)))
-    else:
-        for i in range(A.dim):
-            li = A.left_mult_matrix(i)
-            for j in range(A.dim):
-                lr = _mat_mul(F, li, A.right_mult_matrix(j))
-                stacked.extend(_mat_mul(F, constraints, lr))
-    rows = _linalg.nullspace(F, stacked, A.dim)
-    basis, pivots = _linalg.rref(F, rows)
-    return Subspace(A, basis, pivots)
+    per_basis = ([prod for _, _, prod in translates(A, e, variant)] for e in A._basis)
+    stacked = [
+        row
+        for images in zip(*per_basis)
+        for row in _pull_back(A.field, constraints, images)
+    ]
+    return _solution_space(A, stacked)
 
 
 def is_theta_ideal(v: Subspace, variant: Sidedness) -> bool:
-    """Absorption check on basis translates (pre_two_sided means two-sided here)."""
+    """Absorption check on the one-sided translates of the basis rows.
+
+    For ``two_sided`` (and ``pre_two_sided``) both sides are checked; b*x*c
+    then follows from the two one-sided steps.
+    """
     variant = Sidedness.parse(variant)
-    A = v.ambient
-    for row in v.basis:
-        for i in range(A.dim):
-            b = A._basis_coords(i)
-            if variant in (Sidedness.LEFT, Sidedness.TWO_SIDED, Sidedness.PRE_TWO_SIDED):
-                if not v.member_coords(A._mul_coords(b, row)):
-                    return False
-            if variant in (Sidedness.RIGHT, Sidedness.TWO_SIDED, Sidedness.PRE_TWO_SIDED):
-                if not v.member_coords(A._mul_coords(row, b)):
-                    return False
-    return True
+    if variant is Sidedness.TWO_SIDED:
+        variant = Sidedness.PRE_TWO_SIDED
+    return all(
+        v.member_coords(prod)
+        for row in v.basis
+        for _, _, prod in translates(v.ambient, row, variant)
+    )
 
 
 # -- maps ------------------------------------------------------------------------------
@@ -293,11 +305,8 @@ def preimage(hom: AlgebraHom, v: Subspace) -> Subspace:
     """Exact preimage of ``v`` under a verified algebra homomorphism."""
     if v.ambient != hom.codomain:
         raise AlgebraMismatch("subspace does not live in the codomain")
-    F = hom.domain.field
-    stacked = _mat_mul(F, v.constraints(), hom.matrix)
-    rows = _linalg.nullspace(F, stacked, hom.domain.dim)
-    basis, pivots = _linalg.rref(F, rows)
-    return Subspace(hom.domain, basis, pivots)
+    images = [hom.apply_coords(e) for e in hom.domain._basis]
+    return _solution_space(hom.domain, _pull_back(hom.domain.field, v.constraints(), images))
 
 
 def image(hom: AlgebraHom, v: Subspace) -> Subspace:
@@ -317,13 +326,10 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, AlgebraHom]:
     if ideal.ambient != a:
         raise AlgebraMismatch("ideal does not live in the algebra")
     F = a.field
-    for i in range(a.dim):
-        b = a._basis_coords(i)
-        for row in ideal.basis:
-            if not ideal.member_coords(a._mul_coords(b, row)):
-                raise NotAnIdeal((i, row))
-            if not ideal.member_coords(a._mul_coords(row, b)):
-                raise NotAnIdeal((i, row))
+    for row in ideal.basis:
+        for b, c, prod in translates(a, row, Sidedness.PRE_TWO_SIDED):
+            if not ideal.member_coords(prod):
+                raise NotAnIdeal((b if c is None else c, row))
     complement = [j for j in range(a.dim) if j not in set(ideal.pivots)]
     if not complement:
         raise ValueError("quotient by the whole algebra is the excluded one-element ring")

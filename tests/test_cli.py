@@ -196,6 +196,18 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = run_cli(capsys, "algebra", "info", "--algebra", spec)
         assert code == 2
         assert "unrecognized algebra spec" in err
+    # coordinate counts that do not match the dimension (4) of mat:2:5
+    for argv in (
+        ["--json", "elem", "classify", "--algebra", "mat:2:5", "--elem", "1,2"],
+        ["space", "radical-member", "--algebra", "mat:2:5", "--basis", "1,0,0,0",
+         "--elem", "0,1"],
+        ["elem", "minpoly", "--algebra", "mat:2:5", "--elem", "1,2,3,4,0"],
+        ["mat", "witness", "--algebra", "mat:2:5", "--elem", "1,2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "expected 4 coordinates" in err
 
 
 def test_env_var_mirrors_max_scan(capsys, monkeypatch):

@@ -67,14 +67,25 @@ def test_nullspace_is_exact_kernel():
 
 
 def test_reduce_vector_detects_membership():
+    # in_span tests N v = 0 against the annihilator rows; reduce_vector's
+    # residual is zero on the same vectors
     rng = random.Random(2)
+    outside_seen = 0
     for _ in range(30):
         mat = random_matrix(rng, 2, 4, lambda r: r.randrange(5))
         basis, pivots = rref(F5, mat)
+        constraints = nullspace(F5, basis, 4)
         inside = [0, 0, 0, 0]
         for row in basis:
             s = rng.randrange(5)
             inside = [(a + s * b) % 5 for a, b in zip(inside, row)]
-        assert in_span(F5, basis, pivots, inside)
+        assert in_span(F5, constraints, inside)
         residual = reduce_vector(F5, basis, pivots, inside)
         assert all(c == 0 for c in residual)
+        for _ in range(5):
+            vec = [rng.randrange(5) for _ in range(4)]
+            residual = reduce_vector(F5, basis, pivots, vec)
+            expected = all(c == 0 for c in residual)
+            assert in_span(F5, constraints, vec) == expected
+            outside_seen += not expected
+    assert outside_seen > 0

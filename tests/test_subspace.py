@@ -1,9 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from mathieu_kit.algebra import AlgebraHom, matrix_algebra, poly_quotient_algebra
+from mathieu_kit._linalg import reduce_vector
+from mathieu_kit.algebra import AlgebraHom, matrix_algebra, opposite, poly_quotient_algebra
 from mathieu_kit.errors import AlgebraMismatch, InfiniteField, NotAnIdeal, TooLarge
 from mathieu_kit.fields import GF, QQ, Poly
 from mathieu_kit.subspace import (
@@ -71,6 +73,12 @@ def test_membership_and_zero_subspace():
     assert z.member(a.zero())
     assert not z.member(a.one())
     assert z.dim == 0 and z.codim == 4
+    # a vector of the wrong length is refused, not truncated or padded
+    line = span(a, [[1, 0, 0, 0]])
+    assert line.member([1, 0, 0, 0])
+    for short_or_long in ([1, 0], [1, 0, 0, 0, 3]):
+        with pytest.raises(ValueError, match="expected 4 coordinates"):
+            line.member(short_or_long)
 
 
 def test_intersection_of_trace_plane_and_diagonal():
@@ -94,14 +102,37 @@ def test_sum_and_intersect_dimension_formula():
 
 
 def test_constraints_characterize_membership():
+    # member_coords is the constraint test N x = 0; compare it with the
+    # enumerated vectors of V over F_3 and with the elimination residual
+    # over the rationals
     a = matrix_algebra(2, F3)
     v = span(a, [[1, 1, 0, 0], [0, 0, 1, 2]])
-    f = a.field
+    inside = set(v.coord_vectors())
+    assert len(inside) == 9
     for coords in itertools.product(range(3), repeat=4):
-        by_constraints = all(
-            sum(n * c for n, c in zip(row, coords)) % 3 == 0 for row in v.constraints()
-        )
-        assert by_constraints == v.member_coords(tuple(coords))
+        assert v.member_coords(coords) == (coords in inside)
+
+    rng = random.Random(17)
+    q = matrix_algebra(2, QQ)
+
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    outside_seen = 0
+    for _ in range(20):
+        w = span(q, [[rational() for _ in range(4)] for _ in range(rng.randrange(4))])
+        combo = [Fraction(0)] * 4
+        for row in w.basis:
+            s = rational()
+            combo = [x + s * y for x, y in zip(combo, row)]
+        assert w.member_coords(tuple(combo))
+        for _ in range(5):
+            vec = tuple(rational() for _ in range(4))
+            residual = reduce_vector(QQ, w.basis, w.pivots, vec)
+            expected = all(c == 0 for c in residual)
+            assert w.member_coords(vec) == expected
+            outside_seen += not expected
+    assert outside_seen > 0
 
 
 # -- sided ideals -----------------------------------------------------------------
@@ -153,7 +184,12 @@ def test_max_theta_ideal_spec_points():
 def test_max_theta_ideal_is_maximal_ideal_inside():
     # exhaustive over small F_2 algebras: contained in V, absorbing, and
     # contains every sided ideal of an element that fits inside V
-    algebras = [matrix_algebra(2, F2), poly_quotient_algebra(Poly.from_ints(F2, [0, 0, 0, 1]))]
+    # (the opposite algebra swaps left and right, so a swap in translates shows)
+    algebras = [
+        matrix_algebra(2, F2),
+        opposite(matrix_algebra(2, F2)),
+        poly_quotient_algebra(Poly.from_ints(F2, [0, 0, 0, 1])),
+    ]
     for a in algebras:
         for v in all_subspaces(a):
             for variant in ALL_VARIANTS:
@@ -161,6 +197,8 @@ def test_max_theta_ideal_is_maximal_ideal_inside():
                 assert v.contains(ideal)
                 if variant is not Sidedness.PRE_TWO_SIDED:
                     assert is_theta_ideal(ideal, variant)
+                    # absorption by member_coords against the pulled-back system
+                    assert is_theta_ideal(v, variant) == (ideal == v)
                 for x in a.elements():
                     gen = theta_ideal(x, variant)
                     if v.contains(gen):
