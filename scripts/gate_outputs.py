@@ -91,6 +91,12 @@ def commands() -> list[list[str]]:
     # scan-mode censuses: every class's verdict comes from the idempotent search
     out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("2", "7"), ("3", "2"))]
     out.append(["--json", "alg", "quasi-stable", "--algebra", "mat:3:3"])
+    # algebras off matrix units list their idempotents by one scan of every
+    # element; the last is past the budget and refused
+    out += [["--json", "alg", "quasi-stable", "--algebra", spec]
+            for spec in ("dsum:mat:2:3+mat:1:3", "polyq:3:0,0,0,1", "polyq:65537:0,0,1")]
+    out.append(["--json", "alg", "stable", "--algebra", "opp:mat:2:2"])
+    out.append(["--json", "alg", "find-ms", "--algebra", "dsum:mat:1:3+mat:1:3"])
     out += [["--json", "mat", "witness", "--algebra", spec, "--elem", elem]
             for spec, elem in WITNESS_ELEMENTS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", ""]

@@ -9,16 +9,21 @@ every power chunk is spot-checked against it when it is built.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
-witness selection everywhere in the package.  The idempotents of a matrix
-algebra are built by construction instead (:func:`matrix_idempotents`) and
-sorted into that same order.
+witness selection everywhere in the package.
+
+:func:`idempotents` is the one source of the idempotents of a subspace V,
+with one rule for every algebra: check V's q^dim V vectors against the
+budget, then filter the algebra's own idempotents by V's constraint rows
+N x = 0 if they are listed, or if listing them costs no more than scanning
+V; otherwise scan V.  M_n(F_q) on matrix units lists them by construction
+(:func:`construct_matrix_idempotents`), every other algebra by one scan of
+all its elements.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -90,45 +95,62 @@ def batch_mul(table, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(out.T, p, order="C")
 
 
-def idempotent_scan_size(ambient: Algebra, r: int, max_scan: int) -> int:
-    """q^r, the vectors of an r-dimensional subspace; ``TooLarge`` past the budget.
-
-    The one budget check of the idempotent search, whichever route then
-    finds the idempotents (this scan or the matrix-algebra filter).
-    """
-    total = ambient.field.order**r
-    if total > max_scan:
-        raise TooLarge(total, max_scan, what=f"idempotent scan in {ambient.label}")
-    return total
-
-
-def iter_idempotents(
+def idempotent_coords(
     ambient: Algebra, basis_rows, max_scan: int
-) -> Iterator[tuple[int, ...]]:
-    """Coordinates of every idempotent in the span of ``basis_rows``, lazily.
+) -> list[tuple[int, ...]]:
+    """Every idempotent in the span of ``basis_rows``, in scan order.
 
     Scans all q^r coefficient combinations in lexicographic order, one block
-    at a time, and yields in that order.  Raises ``TooLarge`` before any
-    scanning if q^r exceeds the budget.
+    at a time.  ``max_scan`` is the budget q^r was checked against by the
+    caller (:func:`idempotents` holds the one check), so this scan does not
+    check it again.
     """
     p = ambient.field.order
     r = len(basis_rows)
-    total = idempotent_scan_size(ambient, r, max_scan)
+    total = p**r
     table = np_table(ambient)
     basis = np.array(basis_rows, dtype=np.int64).reshape(r, ambient.dim)
+    out = []
     for start in range(0, total, DEFAULT_BLOCK):
         vecs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total)) @ basis
         vecs %= p  # in place, so the block costs no more memory than one array
         squares = batch_mul(table, vecs, vecs, p)
-        for row in vecs[np.all(squares == vecs, axis=1)].tolist():
-            yield tuple(row)
+        out += map(tuple, vecs[np.all(squares == vecs, axis=1)].tolist())
+    return out
 
 
-def idempotent_coords(
-    ambient: Algebra, basis_rows, max_scan: int
+def idempotents(
+    a: Algebra, basis_rows, constraints, max_scan: int
 ) -> list[tuple[int, ...]]:
-    """Every idempotent in the span of ``basis_rows``, in scan order."""
-    return list(iter_idempotents(ambient, basis_rows, max_scan))
+    """Every idempotent of the subspace V = span(``basis_rows``), sorted.
+
+    ``constraints`` are V's rows N with x in V iff N x = 0.  The one budget
+    check comes first: V's q^r vectors past ``max_scan`` raise ``TooLarge``,
+    whichever route then runs.  The algebra's own idempotents are listed
+    and cached on it when that costs no more than scanning V (the
+    :func:`matrix_idempotent_count` rows of the construction, checked by
+    :func:`_check_idempotents`, or a scan of all q^dim elements), and a
+    listed algebra is filtered by N x = 0.  Otherwise V is scanned.
+    """
+    p = a.field.order
+    total = p ** len(basis_rows)
+    if total > max_scan:
+        raise TooLarge(total, max_scan, what=f"idempotent scan in {a.label}")
+    if a._idempotents is None:
+        n = a.matrix_size
+        if (a.size if n is None else matrix_idempotent_count(n, p)) > total:
+            return sorted(idempotent_coords(a, basis_rows, max_scan))
+        store = np.min_scalar_type(p - 1)
+        if n is None:
+            # on the standard basis, scan order is coordinate order
+            rows = np.array(idempotent_coords(a, a._basis, max_scan), dtype=store)
+        else:
+            built = construct_matrix_idempotents(n, p)
+            rows = built[np.lexsort(built.T[::-1])].astype(store)
+            _check_idempotents(a, rows)
+        a._idempotents = rows
+    rows = a._idempotents
+    return [tuple(e) for e in rows[membership_bitmap(rows, constraints, p)].tolist()]
 
 
 def matrix_idempotent_count(n: int, p: int) -> int:
@@ -171,23 +193,6 @@ def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
                 y[:, :, piv] = (np.eye(k, dtype=np.int64) - zs @ u[:, free].T) % p
                 out.append(((u.T @ y) % p).reshape(m, n * n))
     return np.concatenate(out)
-
-
-def matrix_idempotents(a: Algebra) -> np.ndarray:
-    """Every idempotent of the matrix algebra ``a``, cached on the instance.
-
-    Rows are coordinates (the matrices read row by row) in the smallest
-    unsigned type that holds a residue, sorted lexicographically, which is
-    the order a scan of the whole algebra yields them in.  Each build is
-    checked by :func:`_check_idempotents` before it is cached.
-    """
-    if a._idempotents is None:
-        p = a.field.order
-        built = construct_matrix_idempotents(a.matrix_size, p)
-        rows = built[np.lexsort(built.T[::-1])].astype(np.min_scalar_type(p - 1))
-        _check_idempotents(a, rows)
-        a._idempotents = rows
-    return a._idempotents
 
 
 def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:

@@ -160,8 +160,8 @@ def _verify_entry(entry: CatalogEntry) -> None:
         raise ConsistencyError(f"{entry.name}: commutativity tag is wrong")
     if "matrix" in entry.tags and a.matrix_size is None:
         raise ConsistencyError(f"{entry.name}: not a matrix algebra")
-    idem = next(_nontrivial_idempotents(a, MAX_SCAN_DEFAULT), None)
-    if ("local" in entry.tags) != (idem is None):
+    idem = _nontrivial_idempotents(a, MAX_SCAN_DEFAULT)[:1]
+    if ("local" in entry.tags) != (not idem):
         raise ConsistencyError(f"{entry.name}: locality tag is wrong ({idem})")
     if "field_extension" in entry.tags:
         for x in a.elements():

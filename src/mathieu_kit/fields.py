@@ -148,8 +148,10 @@ class Field:
         if "/" in text:
             if self.is_finite:
                 raise FieldMismatch(f"fraction {text!r} is not an F_p residue")
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise DivisionByZero(f"zero denominator in {text!r}")
+            return Fraction(num, den)
         return self.coerce(int(text))
 
 

@@ -9,13 +9,14 @@ everything here is decided exactly:
   one's sided ideal stays inside M.  For finite-dimensional algebras this
   criterion is equivalent to the definition, and a failing idempotent is a
   replayable refutation since its powers are constant.  The idempotents of
-  M are found by one of two routes, after one budget check on the q^dim M
-  vectors of M.  A matrix algebra M_n(F_q) builds all of its idempotents
-  once, by construction (one per image and complementary kernel, checked
-  when built), and keeps those that satisfy M's constraint rows N x = 0;
-  it does so when there are no more of them than M has vectors, and once
-  they are built, always.  Otherwise the q^dim M vectors of M are scanned.
-  Both routes give the same sorted list.
+  M come from one function, ``_scan.idempotents``, with one rule for every
+  algebra, after one budget check on the q^dim M vectors of M.  Each
+  algebra lists its own idempotents once, when that costs no more than
+  scanning M: by construction for M_n(F_q) (one per image and
+  complementary kernel, checked when built), by one scan of every element
+  otherwise.  Once listed, they are filtered by M's constraint rows
+  N x = 0; until then M's q^dim M vectors are scanned.  Both routes give
+  the same sorted list.
 * ``oracle_mathieu`` is the deliberately naive definition-level check, kept
   free of the theory above so the two can be compared on everything small.
 * ``radical_member`` decides membership in the radical through a finite
@@ -36,7 +37,7 @@ replaying a claimed refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -207,37 +208,13 @@ def certify_radical_membership(
 # -- idempotent-criterion decision ------------------------------------------------
 
 
-def _ambient_idempotents(a: Algebra, r: int, max_scan: int) -> Optional[np.ndarray]:
-    """a's constructed idempotents, or None where an r-dimensional scan is cheaper.
-
-    Refuses (``TooLarge``) when the q^r vectors of an r-dimensional subspace
-    exceed ``max_scan``, whichever route would run.  Matrix algebras build
-    their idempotents (:func:`_scan.matrix_idempotents`) when there are no
-    more of them than that scan would visit; once built they are always
-    used.  Other algebras, and matrix algebras below that size, return None.
-    """
-    scan_size = _scan.idempotent_scan_size(a, r, max_scan)
-    if a._idempotents is None:
-        n = a.matrix_size
-        if n is None or _scan.matrix_idempotent_count(n, a.field.order) > scan_size:
-            return None
-    return _scan.matrix_idempotents(a)
-
-
 def _idempotents_of(v: Subspace, max_scan: int) -> list[Coords]:
-    """All idempotent vectors of v, sorted by coordinates (cached).
+    """All idempotent vectors of v, sorted by coordinates (cached on v).
 
-    Either the ambient idempotents that satisfy v's constraints, or a scan
-    of v's q^dim(v) vectors (see :func:`_ambient_idempotents`).
+    See :func:`_scan.idempotents` for the budget check and the route.
     """
     if v._idempotents is None:
-        a = v.ambient
-        ambient = _ambient_idempotents(a, v.dim, max_scan)
-        if ambient is None:
-            v._idempotents = sorted(_scan.idempotent_coords(a, v.basis, max_scan))
-        else:
-            in_v = _scan.membership_bitmap(ambient, v.constraints(), a.field.order)
-            v._idempotents = [tuple(e) for e in ambient[in_v].tolist()]
+        v._idempotents = _scan.idempotents(v.ambient, v.basis, v.constraints(), max_scan)
     return v._idempotents
 
 
@@ -255,12 +232,12 @@ def decide_mathieu(
 ) -> MathieuVerdict:
     """Exact decision by the idempotent criterion (finite fields).
 
-    Collects the idempotents of v, by filtering the constructed idempotents
-    of a matrix algebra or by scanning the q^dim(v) vectors of v (see the
-    module docstring for the rule), and requires each one's sided ideal to
-    stay inside v.  On failure the witness is the first violation in
-    lexicographic order of (idempotent coordinates, left basis index, right
-    basis index).
+    Collects the idempotents of v, by filtering the algebra's own list of
+    idempotents by v's constraint rows once that list is built, or by
+    scanning the q^dim(v) vectors of v (see the module docstring for the
+    rule), and requires each one's sided ideal to stay inside v.  On failure
+    the witness is the first violation in lexicographic order of
+    (idempotent coordinates, left basis index, right basis index).
     """
     variant = Sidedness.parse(variant)
     if not v.ambient.field.is_finite:
@@ -286,35 +263,34 @@ def verify_witness(v: Subspace, variant: Sidedness, witness: Witness) -> bool:
     """Replay a refutation: e in v, e idempotent, recorded product outside v.
 
     Works over every supported field; this is the decision path available
-    over the rationals when a refuting idempotent is claimed.
+    over the rationals when a refuting idempotent is claimed.  Each vector
+    is read through ``Algebra.element``, so a wrong coordinate count raises
+    ``ValueError`` and an out-of-range residue ``FieldMismatch``.
     """
     variant = Sidedness.parse(variant)
     a = v.ambient
-    e = tuple(a.field.coerce(c) for c in witness.e)
-    if not v.member_coords(e):
-        return False
-    if a._mul_coords(e, e) != e:
+    e, product = a.element(witness.e), a.element(witness.product)
+    b = None if witness.b is None else a.element(witness.b)
+    c = None if witness.c is None else a.element(witness.c)
+    if not v.member(e) or e * e != e:
         return False
     if variant is Sidedness.LEFT:
-        if witness.b is None or witness.c is not None:
+        if b is None or c is not None:
             return False
-        prod = a._mul_coords(tuple(witness.b), e)
+        prod = b * e
     elif variant is Sidedness.RIGHT:
-        if witness.c is None or witness.b is not None:
+        if c is None or b is not None:
             return False
-        prod = a._mul_coords(e, tuple(witness.c))
+        prod = e * c
     elif variant is Sidedness.PRE_TWO_SIDED:
-        if (witness.b is None) == (witness.c is None):
+        if (b is None) == (c is None):
             return False
-        if witness.b is not None:
-            prod = a._mul_coords(tuple(witness.b), e)
-        else:
-            prod = a._mul_coords(e, tuple(witness.c))
+        prod = b * e if b is not None else e * c
     else:
-        if witness.b is None or witness.c is None:
+        if b is None or c is None:
             return False
-        prod = a._mul_coords(a._mul_coords(tuple(witness.b), e), tuple(witness.c))
-    return prod == tuple(witness.product) and not v.member_coords(prod)
+        prod = b * e * c
+    return prod == product and not v.member(prod)
 
 
 # -- definition-level oracle ---------------------------------------------------------
@@ -430,18 +406,12 @@ def find_nontrivial_mathieu(
 # -- algebra-level classification ----------------------------------------------------------
 
 
-def _nontrivial_idempotents(a: Algebra, max_scan: int) -> Iterator[Coords]:
-    """The idempotents of ``a`` other than 0 and 1, lazily in scan order.
-
-    Matrix algebras read their constructed idempotents; the others scan.
-    """
-    ambient = _ambient_idempotents(a, a.dim, max_scan)
-    if ambient is None:
-        found = _scan.iter_idempotents(a, a._basis, max_scan)
-    else:
-        found = map(tuple, ambient.tolist())
+def _nontrivial_idempotents(a: Algebra, max_scan: int) -> list[Coords]:
+    """The idempotents of ``a`` other than 0 and 1, sorted by coordinates."""
     zero = tuple(a.field.zero for _ in range(a.dim))
-    return (e for e in found if e != zero and e != a.unit)
+    return [
+        e for e in _idempotents_of(Subspace.full(a), max_scan) if e != zero and e != a.unit
+    ]
 
 
 def _is_two_copies_of_base_field(a: Algebra, nontrivial: list[Coords]) -> bool:
@@ -468,7 +438,7 @@ def is_quasi_stable(a: Algebra, max_scan: int = MAX_SCAN_DEFAULT) -> bool:
     """
     if not a.field.is_finite:
         raise InfiniteFieldNoDecision("idempotent scan needs a finite field")
-    nontrivial = list(_nontrivial_idempotents(a, max_scan))
+    nontrivial = _nontrivial_idempotents(a, max_scan)
     if not nontrivial:
         return True
     return _is_two_copies_of_base_field(a, nontrivial)
@@ -485,7 +455,5 @@ def is_stable(a: Algebra, max_scan: int = MAX_SCAN_DEFAULT) -> bool:
     if a.dim == 1:
         return True
     if a.field.characteristic == 2 and a.dim == 2:
-        return _is_two_copies_of_base_field(
-            a, list(_nontrivial_idempotents(a, max_scan))
-        )
+        return _is_two_copies_of_base_field(a, _nontrivial_idempotents(a, max_scan))
     return False

@@ -208,6 +208,15 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert "expected 4 coordinates" in err
+    # a zero denominator over the rationals, in an element and in a modulus
+    for argv in (
+        ["elem", "minpoly", "--algebra", "mat:2:0", "--elem", "1/0,0,0,0"],
+        ["algebra", "info", "--algebra", "polyq:0:1/0,1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "zero denominator" in err
 
 
 def test_env_var_mirrors_max_scan(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from mathieu_kit.mathieu import (
     _idempotents_of,
     decide_all_variants,
     decide_mathieu,
+    is_quasi_stable,
     radical_enumerate,
 )
 from mathieu_kit.matrixlab import trace_orthogonal
@@ -109,24 +110,30 @@ def _fresh(alg):
     return Algebra(alg.field, alg.table, alg.unit, label=alg.label, check=False)
 
 
+def _all_idempotents(alg, max_scan=10**7):
+    """The idempotents of the whole of ``alg``, through the one idempotent source."""
+    return _scan.idempotents(alg, alg._basis, [], max_scan)
+
+
 @pytest.mark.parametrize("n,q", SCANNED_MATRIX_ALGEBRAS)
 def test_constructed_idempotents_match_full_scan(n, q):
     alg = matrix_algebra(n, GF(q))
     full_basis = [alg._basis_coords(i) for i in range(alg.dim)]
     scanned = _scan.idempotent_coords(alg, full_basis, max_scan=10**7)
-    built = _scan.matrix_idempotents(alg)
-    assert built.dtype == np.uint8
-    assert [tuple(e) for e in built.tolist()] == sorted(scanned)
+    built = _all_idempotents(alg)
+    assert alg._idempotents.dtype == np.uint8
+    assert built == sorted(scanned)
     assert len(built) == _scan.matrix_idempotent_count(n, q)
 
 
 def test_constructed_idempotents_have_the_formula_count():
     # M_4(F_3) is too big to scan (3^16 elements); the build's own checks
-    # (squares, distinct rows, count) still run
+    # (squares, distinct rows, count) still run.  The budget counts the
+    # 3^16 vectors of the whole algebra although none is scanned
     alg = matrix_algebra(4, F3)
-    built = _scan.matrix_idempotents(alg)
+    built = _all_idempotents(alg, max_scan=3**16)
     assert len(built) == _scan.matrix_idempotent_count(4, 3) == 1 + 40 * 27 * 2 + 130 * 81 + 1
-    assert alg._idempotents is built
+    assert alg._idempotents.tolist() == [list(e) for e in built]
 
 
 IDEMPOTENT_ALGEBRAS = ALGEBRAS[:4] + [
@@ -137,14 +144,16 @@ IDEMPOTENT_ALGEBRAS = ALGEBRAS[:4] + [
 
 
 @pytest.mark.parametrize("alg", IDEMPOTENT_ALGEBRAS, ids=lambda a: a.label)
-def test_idempotent_scan_matches_bruteforce(alg):
-    # one seeded subspace of every dimension, smallest first, so matrix
-    # algebras take the scan below the build rule and the filter above it;
-    # opp(M_2(F_2)) is no matrix algebra on matrix units and always scans
+def test_idempotent_scan_matches_bruteforce(monkeypatch, alg):
+    # one seeded subspace of every dimension, smallest first: each subspace
+    # is scanned until listing the algebra's idempotents costs no more than
+    # its scan (the formula count for matrix algebras, q^dim for the others,
+    # such as opp(M_2(F_2))), and filtered from then on
     alg = _fresh(alg)
     rng = random.Random(29)
     p, d, n = alg.field.order, alg.dim, alg.matrix_size
-    count = _scan.matrix_idempotent_count(n, p) if n is not None else None
+    cost = _scan.matrix_idempotent_count(n, p) if n is not None else p**d
+    subspaces, expected = [], []
     for r in range(d + 1):
         v = span(alg, [])
         while v.dim < r:
@@ -153,9 +162,20 @@ def test_idempotent_scan_matches_bruteforce(alg):
         if p**r <= 256:
             slow = [x.coords for x in v.elements() if (x * x).coords == x.coords]
             assert scanned == sorted(slow)
-        built = count is not None and (alg._idempotents is not None or count <= p**r)
+        built = alg._idempotents is not None or cost <= p**r
         assert _idempotents_of(v, max_scan=10**7) == scanned
         assert (alg._idempotents is not None) == built
+        subspaces.append(v.basis)
+        expected.append(scanned)
+    # the list is built by now (at r = dim at the latest), and every
+    # subspace is decided again by the filter alone
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("idempotent scan after the list was built")
+
+    monkeypatch.setattr(_scan, "idempotent_coords", no_scan)
+    refiltered = [_idempotents_of(span(alg, basis), max_scan=10**7) for basis in subspaces]
+    assert refiltered == expected
 
 
 def _wrong_entry(rows):
@@ -188,7 +208,7 @@ def test_census_hyperplane_is_decided_without_a_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError("idempotent scan on the filter route")
 
-    monkeypatch.setattr(_scan, "iter_idempotents", no_scan)
+    monkeypatch.setattr(_scan, "idempotent_coords", no_scan)
     alg = matrix_algebra(3, F5)
     v = trace_orthogonal(alg.one())
     # the trace of an idempotent is its rank mod 5, so only 0 has trace 0
@@ -209,6 +229,11 @@ def test_refusals_and_small_subspaces_build_nothing():
     assert _scan.matrix_idempotent_count(4, 7) == 7_117_252
     line = span(alg, [[1, 2] + [0] * 13 + [3]])
     assert decide_mathieu(line, Sidedness.TWO_SIDED).is_mathieu
+    assert alg._idempotents is None
+    # F_65537[t]/(t^2) has 65537^2 elements, past the default budget
+    alg = poly_quotient_algebra(Poly.from_ints(GF(65537), [0, 0, 1]))
+    with pytest.raises(TooLarge):
+        is_quasi_stable(alg)
     assert alg._idempotents is None
 
 

@@ -11,6 +11,7 @@ from mathieu_kit.algebra import (
     poly_quotient_algebra,
 )
 from mathieu_kit.errors import (
+    FieldMismatch,
     InfiniteField,
     InfiniteFieldNoDecision,
     NotCommutative,
@@ -466,6 +467,16 @@ def test_witness_rejects_tampering():
     assert not verify_witness(span(a, [[0, 1, 0, 0]]), Sidedness.LEFT, Witness((0, 1, 0, 0), w.b, None, w.product))
     # wrong product recorded
     assert not verify_witness(v, Sidedness.LEFT, Witness(w.e, w.b, None, (0, 0, 0, 0)))
+    # malformed vectors are refused, not padded or reduced: b with three
+    # coordinates, and b with the residue 4, which is no F_3 residue
+    a = matrix_algebra(2, F3)
+    v = span(a, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    e, product = (1, 0, 0, 0), (0, 0, 1, 0)
+    assert verify_witness(v, Sidedness.LEFT, Witness(e, (0, 0, 1, 0), None, product))
+    with pytest.raises(ValueError, match="expected 4 coordinates"):
+        verify_witness(v, Sidedness.LEFT, Witness(e, (0, 0, 1), None, product))
+    with pytest.raises(FieldMismatch, match="out of range"):
+        verify_witness(v, Sidedness.LEFT, Witness(e, (0, 0, 4, 0), None, product))
 
 
 def test_decide_all_variants_shares_scan():
