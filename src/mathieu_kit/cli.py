@@ -36,9 +36,13 @@ from .subspace import Sidedness, max_theta_ideal, theta_ideal
 CHECK_TRUE, CHECK_FALSE, USAGE_ERROR = 0, 1, 2
 
 
-def _env_max_scan() -> int:
-    raw = os.environ.get("MATHIEU_KIT_MAX_SCAN")
-    return int(raw) if raw else MAX_SCAN_DEFAULT
+def _scan_budget(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid budget {text!r} (from --max-scan or MATHIEU_KIT_MAX_SCAN)"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,8 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--max-scan",
-        type=int,
-        default=_env_max_scan(),
+        type=_scan_budget,
+        # argparse converts a string default only when --max-scan is absent,
+        # so a malformed MATHIEU_KIT_MAX_SCAN is a usage error, --help never
+        # reads it and an explicit --max-scan wins
+        default=os.environ.get("MATHIEU_KIT_MAX_SCAN") or str(MAX_SCAN_DEFAULT),
         help="budget for exhaustive element scans (default 10^7, "
         "or MATHIEU_KIT_MAX_SCAN)",
     )

@@ -13,6 +13,14 @@ just cite the expected answer.
 
 Projective classes are canonicalized by scaling the first nonzero
 coordinate (row-major matrix order) to 1.
+
+The census refutes a block of classes at once (:func:`_batch_witnesses`).
+The block is column-major: one row per matrix entry and one column per
+class, in the narrowest signed dtype that holds n (p-1)^2.  Both refuting
+idempotents are built and checked on the full n x n matrices (A^2 = A,
+A != 0, A != I, AX != 0, Tr(AX) = 0, and the same for B against XB) by
+multiply-adds on whole rows, and equal the matrices of
+:func:`witness_idempotents`.
 """
 
 from __future__ import annotations
@@ -192,78 +200,108 @@ def witness_idempotents(x: Element) -> tuple[Element, Element]:
 # -- batched refutation kernel --------------------------------------------------------
 
 
+def _column_product(x: np.ndarray, y: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The products XY mod p of two (n*n, B) column blocks of n x n matrices.
+
+    Row i*n + j of a block holds entry (i, j) of every matrix.  Each product
+    entry is n row-wise multiply-adds of residues, so its sum stays below
+    n (p-1)^2, which the blocks' dtype holds; the whole product is reduced
+    mod p once.
+    """
+    out = np.zeros_like(x)
+    term = np.empty_like(x[0])
+    for i in range(n):
+        for j in range(n):
+            acc = out[i * n + j]
+            for k in range(n):
+                np.multiply(x[i * n + k], y[k * n + j], out=term)
+                acc += term
+    return _scan.reduce_mod(out, p)
+
+
+def _witness_2x2_columns(a, b, c, d, inv: np.ndarray, p: int):
+    """:func:`_witness_2x2` on (B,) residue vectors: its entries (mm, mk, km, kk).
+
+    ``inv`` maps each residue to its inverse (0 to 0).  Every case is
+    computed for every column, and each entry is the sum of the case values
+    times the disjoint 0/1 case masks, so a case that does not hold reads a
+    harmless 0 inverse and contributes nothing.
+    """
+    case1 = b != 0
+    case2 = ~case1 & (c != 0)
+    case3 = ~case1 & ~case2  # then a != d
+    s = inv[_scan.reduce_mod(d - a, p)]
+    sd = _scan.reduce_mod(s * d, p)
+    nsa = _scan.reduce_mod(-s * a, p)
+    return (
+        case1 + case3 * sd,
+        case2 * _scan.reduce_mod(-inv[c] * d, p) + case3 * sd,
+        case1 * _scan.reduce_mod(-a * inv[b], p) + case3 * nsa,
+        case2 + case3 * nsa,
+    )
+
+
 def _batch_witnesses(xs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The refuting idempotents (A, B) of every dual in a block, verified.
 
     ``xs`` is (count, n, n) over F_p with no scalar matrices.  Returns the
     matrices :func:`witness_idempotents` builds, as two (count, n, n)
-    arrays: A by the 2x2 case analysis at each row's first non-scalar index
-    pair, and B as the transpose of that construction on the transpose of
-    X.  Checks A@A == A, A nonzero and not the identity, A@X != 0 and
-    trace(A@X) == 0, and the same for B against X^T; any failure raises
-    ConsistencyError.
+    arrays.  The block is held column-major, one (count,) row per matrix
+    entry, in the narrowest signed dtype that holds n (p-1)^2
+    (:func:`_scan.exact_dtype`), so every step is arithmetic on whole rows.
+    Each column's first non-scalar index pair is gathered once into four
+    vectors a, b, c, d; A is the 2x2 case analysis on them, and B, the
+    transpose of the construction on X^T, is the same analysis with b and c
+    swapped, placed transposed.  On the full n x n matrices it checks
+    A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0 and B^2 = B, B != 0,
+    B != I, XB != 0, Tr(XB) = 0 (:func:`_column_product`); any failure
+    raises ConsistencyError.
     """
     count, n, _ = xs.shape
-    inv = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        inv[v] = pow(v, p - 2, p)
+    dt = _scan.exact_dtype(n * (p - 1) ** 2)
+    x = np.ascontiguousarray(xs.reshape(count, n * n).T, dtype=dt)
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=dt)
 
-    # the non-scalar test on a pair is symmetric, so X and X^T share it
-    pairs = list(itertools.combinations(range(n), 2))
-    valid = np.stack(
-        [
-            (xs[:, m, k] != 0) | (xs[:, k, m] != 0) | (xs[:, m, m] != xs[:, k, k])
-            for (m, k) in pairs
-        ]
-    )
-    if not np.all(np.any(valid, axis=0)):
+    # each pair's rows (mm, mk, km, kk), and a 0/1 mask of the columns whose
+    # first non-scalar pair it is; the test is symmetric, so X^T shares it
+    pairs = [
+        (m * (n + 1), m * n + k, k * n + m, k * (n + 1))
+        for m, k in itertools.combinations(range(n), 2)
+    ]
+    first = []
+    pending = np.ones(count, dtype=bool)
+    for mm, mk, km, kk in pairs:
+        hit = pending & ((x[mk] != 0) | (x[km] != 0) | (x[mm] != x[kk]))
+        pending &= ~hit
+        first.append(hit)
+    if pending.any():
         raise ConsistencyError("scalar matrix slipped into the refutation batch")
-    first = np.argmax(valid, axis=0)
-    ident = np.eye(n, dtype=np.int64)
+    a, b, c, d = (sum(hit * x[r] for hit, r in zip(first, rows)) for rows in zip(*pairs))
 
-    built = []
-    for ys in (xs, xs.transpose(0, 2, 1)):
-        amat = np.zeros_like(xs)
-        for g, (m, k) in enumerate(pairs):
-            rows = np.nonzero(first == g)[0]
-            if len(rows) == 0:
-                continue
-            a = ys[rows, m, m]
-            b = ys[rows, m, k]
-            c = ys[rows, k, m]
-            d = ys[rows, k, k]
-            case1 = b != 0
-            case2 = ~case1 & (c != 0)
-            case3 = ~case1 & ~case2
-            r1 = rows[case1]
-            amat[r1, m, m] = 1
-            amat[r1, k, m] = (-a[case1] * inv[b[case1]]) % p
-            r2 = rows[case2]
-            amat[r2, m, k] = (-inv[c[case2]] * d[case2]) % p
-            amat[r2, k, k] = 1
-            r3 = rows[case3]
-            s = inv[(d[case3] - a[case3]) % p]
-            sd = (s * d[case3]) % p
-            nsa = (-s * a[case3]) % p
-            amat[r3, m, m] = sd
-            amat[r3, m, k] = sd
-            amat[r3, k, m] = nsa
-            amat[r3, k, k] = nsa
+    left = _witness_2x2_columns(a, b, c, d, inv, p)
+    right = _witness_2x2_columns(a, c, b, d, inv, p)
+    wa = np.zeros_like(x)
+    wb = np.zeros_like(x)
+    for hit, (mm, mk, km, kk) in zip(first, pairs):
+        for r, v in zip((mm, mk, km, kk), left):
+            wa[r] += hit * v
+        for r, v in zip((mm, km, mk, kk), right):
+            wb[r] += hit * v
 
-        if not np.all(np.matmul(amat, amat) % p == amat):
-            raise ConsistencyError("constructed matrix is not idempotent")
-        zero = np.all(amat.reshape(count, -1) == 0, axis=1)
-        if np.any(zero) or np.any(np.all(amat == ident, axis=(1, 2))):
-            raise ConsistencyError("constructed idempotent is trivial")
-        prod = np.matmul(amat, ys) % p
-        if not np.all(np.any(prod.reshape(count, -1) != 0, axis=1)):
-            raise ConsistencyError("idempotent annihilates the dual vector")
-        if not np.all(np.trace(prod, axis1=1, axis2=2) % p == 0):
-            raise ConsistencyError("refuting idempotent left the hyperplane")
-        built.append(amat)
-
-    a_left, b_t = built
-    return a_left, b_t.transpose(0, 2, 1)
+    ident = np.eye(n, dtype=dt).reshape(n * n, 1)
+    for name, w, wx in (
+        ("A", wa, _column_product(wa, x, n, p)),
+        ("B", wb, _column_product(x, wb, n, p)),
+    ):
+        if not np.array_equal(_column_product(w, w, n, p), w):
+            raise ConsistencyError(f"constructed {name} is not idempotent")
+        if not (w.any(axis=0).all() and (w != ident).any(axis=0).all()):
+            raise ConsistencyError(f"constructed idempotent {name} is trivial")
+        if not wx.any(axis=0).all():
+            raise ConsistencyError(f"idempotent {name} annihilates the dual vector")
+        if _scan.reduce_mod(np.add.reduce(wx[:: n + 1], axis=0, dtype=dt), p).any():
+            raise ConsistencyError(f"refuting idempotent {name} left the hyperplane")
+    return wa.T.reshape(count, n, n), wb.T.reshape(count, n, n)
 
 
 # -- classification reports --------------------------------------------------------------
@@ -294,13 +332,15 @@ class Codim1Report:
 
 
 def _canonical_class_block(q: int, d: int, lead: int, start: int, stop: int) -> np.ndarray:
-    """Block of canonical projective vectors with first nonzero coordinate at ``lead``."""
-    tail = d - 1 - lead
-    block = np.zeros((stop - start, d), dtype=np.int64)
-    block[:, lead] = 1
-    if tail:
-        block[:, lead + 1 :] = _scan.coeff_block(q, tail, start, stop)
-    return block
+    """Block of canonical projective vectors with first nonzero coordinate at ``lead``.
+
+    The (B, d) result is the transposed view of a (d, B) array, so
+    :func:`_batch_witnesses` reads its columns without a copy.
+    """
+    block = np.zeros((d, stop - start), dtype=np.int64)
+    block[lead] = 1
+    block[lead + 1 :] = _scan.coeff_block(q, d - 1 - lead, start, stop).T
+    return block.T
 
 
 def classify_codim1(
@@ -338,7 +378,9 @@ def classify_codim1(
     record(identity.coords, decide_all_variants(trace_orthogonal(identity), max_scan))
     scan_checked = 1
 
-    ident_row = np.array(identity.coords, dtype=np.int64)
+    # the identity's index among the lead-0 classes: its coordinates after
+    # the leading 1, read as base-q digits
+    ident_at = sum(c * q ** (d - 1 - i) for i, c in enumerate(identity.coords) if i)
     seen = 0
     refuted = 0
     for lead in range(d):
@@ -346,7 +388,8 @@ def classify_codim1(
         for start in range(0, tail_total, _scan.DEFAULT_BLOCK):
             stop = min(start + _scan.DEFAULT_BLOCK, tail_total)
             block = _canonical_class_block(q, d, lead, start, stop)
-            block = block[~np.all(block == ident_row, axis=1)]
+            if lead == 0 and start <= ident_at < stop:
+                block = np.delete(block.T, ident_at - start, axis=1).T
             if decision == "witness" and len(block):
                 _batch_witnesses(block.reshape(-1, n, n), q)
                 refuted += len(block)

@@ -234,6 +234,21 @@ def test_env_var_mirrors_max_scan(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_malformed_env_max_scan_is_a_usage_error(capsys, monkeypatch):
+    for raw in ("abc", "1e7"):
+        monkeypatch.setenv("MATHIEU_KIT_MAX_SCAN", raw)
+        code, out, err = run_cli(capsys, "algebra", "info", "--algebra", "mat:2:2")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "MATHIEU_KIT_MAX_SCAN" in err and raw in err
+        # help never reads the budget, and an explicit --max-scan wins
+        assert run_cli(capsys, "--help")[0] == 0
+        code, out, err = run_cli(
+            capsys, "--max-scan", "100", "algebra", "info", "--algebra", "mat:2:2"
+        )
+        assert code == 0 and out and err == ""
+
+
 def test_suite_run_json_lines(capsys):
     code, out, _ = run_cli(capsys, "--json", "suite", "run", "stable")
     assert code == 0

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from mathieu_kit import matrixlab
 from mathieu_kit.algebra import matrix_algebra, poly_quotient_algebra
 from mathieu_kit.errors import (
     ConsistencyError,
@@ -187,6 +188,134 @@ def test_batch_refute_agrees_with_scalar_construction():
         assert classes == (q**d - 1) // (q - 1) - 1
     with pytest.raises(ConsistencyError):
         _batch_witnesses(np.array([np.eye(2, dtype=np.int64)]), 3)
+
+
+def _first_pair_and_case(x):
+    """The index pair and 2x2 case the scalar construction uses on x."""
+    for m, k in itertools.combinations(range(len(x)), 2):
+        if x[m][k] or x[k][m] or x[m][m] != x[k][k]:
+            return (m, k), 1 if x[m][k] else 2 if x[k][m] else 3
+    return None
+
+
+def _random_nonscalar_duals(n, p, count, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, p, size=(count, n, n))
+    # zero half the entries, so every case and every first pair occurs
+    xs *= rng.integers(0, 2, size=xs.shape)
+    return xs[[_first_pair_and_case(x.tolist()) is not None for x in xs]]
+
+
+# (n, p, dtype): the kernel's largest sum n (p-1)^2 on either side of each
+# signed dtype's maximum
+BATCH_DTYPES = [
+    (2, 7, np.int8),
+    (2, 11, np.int16),
+    (2, 127, np.int16),
+    (2, 131, np.int32),
+    (2, 65537, np.int64),
+    (3, 7, np.int8),
+    (3, 11, np.int16),
+    (3, 103, np.int16),
+    (3, 107, np.int32),
+    (4, 3, np.int8),
+]
+
+
+@pytest.mark.parametrize("n, p, dtype", BATCH_DTYPES)
+def test_batch_witnesses_match_scalar_construction_at_dtype_boundaries(n, p, dtype):
+    xs = _random_nonscalar_duals(n, p, 600, seed=1000 * n + p)
+    seen = {_first_pair_and_case(x.tolist()) for x in xs}
+    assert {case for _, case in seen} == {1, 2, 3}
+    assert {pair for pair, _ in seen} == set(itertools.combinations(range(n), 2))
+    a, b = _batch_witnesses(xs, p)
+    assert a.dtype == b.dtype == dtype  # never float, never wider than needed
+    alg = matrix_algebra(n, GF(p))
+    for x, am, bm in zip(xs, a, b):
+        wa, wb = witness_idempotents(alg.element(tuple(int(c) for c in x.reshape(-1))))
+        assert am.reshape(-1).tolist() == list(wa.coords)
+        assert bm.reshape(-1).tolist() == list(wb.coords)
+
+
+def _bump_entry_00(out, p):
+    out[0] = (out[0] + 1) % p
+    return out
+
+
+def _fault_on_second_call(fault):
+    calls = []
+
+    def wrap(f):
+        def faulty(*args):
+            calls.append(args)
+            out = f(*args)
+            return fault(out, *args) if len(calls) == 2 else out
+
+        return faulty
+
+    return wrap
+
+
+# name -> (kernel, fault, the check that must catch it)
+WITNESS_FAULTS = {
+    "product corrupts one entry": (
+        "_column_product",
+        lambda f: lambda x, y, n, p: _bump_entry_00(f(x, y, n, p), p),
+        "A is not idempotent",
+    ),
+    "product with the dual is zero": (
+        "_column_product",
+        lambda f: lambda x, y, n, p: f(x, y, n, p) * (x is y),
+        "A annihilates the dual",
+    ),
+    "product with the dual corrupts its trace": (
+        "_column_product",
+        lambda f: lambda x, y, n, p: (
+            f(x, y, n, p) if x is y else _bump_entry_00(f(x, y, n, p), p)
+        ),
+        "A left the hyperplane",
+    ),
+    # [[1, 0], [t, 0]] stays idempotent for every t, so only the trace tells
+    "wrong case-1 value": (
+        "_witness_2x2_columns",
+        lambda f: lambda a, b, c, d, inv, p: (
+            lambda mm, mk, km, kk: (mm, mk, (km + (b != 0)) % p, kk)
+        )(*f(a, b, c, d, inv, p)),
+        "A left the hyperplane",
+    ),
+    "zero case values": (
+        "_witness_2x2_columns",
+        lambda f: lambda *args: tuple(v * 0 for v in f(*args)),
+        "A is trivial",
+    ),
+    "identity case values": (
+        "_witness_2x2_columns",
+        lambda f: lambda *args: tuple(
+            v * 0 + e for v, e in zip(f(*args), (1, 0, 0, 1))
+        ),
+        "A is trivial",
+    ),
+    "zero case values for B only": (
+        "_witness_2x2_columns",
+        _fault_on_second_call(lambda out, *args: tuple(v * 0 for v in out)),
+        "B is trivial",
+    ),
+    "B's product with the dual corrupts its trace": (
+        "_column_product",
+        # calls: AX, XB, AA, BB
+        _fault_on_second_call(lambda out, x, y, n, p: _bump_entry_00(out, p)),
+        "B left the hyperplane",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WITNESS_FAULTS))
+def test_batch_witness_checks_catch_a_faulty_kernel(monkeypatch, fault):
+    kernel, make, message = WITNESS_FAULTS[fault]
+    monkeypatch.setattr(matrixlab, kernel, make(getattr(matrixlab, kernel)))
+    xs = _random_nonscalar_duals(2, 5, 200, seed=5)
+    with pytest.raises(ConsistencyError, match=message.replace(" ", ".*")):
+        _batch_witnesses(xs, 5)
 
 
 # -- classification --------------------------------------------------------------------------
