@@ -45,6 +45,15 @@ WITNESS_ELEMENTS = (
 
 RADICAL_ALGEBRAS = ("mat:3:3", "mat:2:11", "polyq:31:0,0,1")
 
+# nonzero subspaces: their membership test has constraint rows to check
+RADICAL_SUBSPACES = (
+    ("mat:2:3", "1,0,0,2;0,1,0,0;0,0,1,0"),  # the trace-zero hyperplane
+    ("mat:2:3", "1,0,0,0;0,1,0,0;0,0,0,1"),  # the upper triangular matrices
+    ("polyq:31:0,0,1", "1,3"),  # a line
+    ("mat:2:5", "1,0,0,0;0,0,0,1"),  # the diagonal: a plane that is no ideal
+    ("dsum:mat:1:3+mat:2:3", "1,0,0,0,0;0,0,1,0,0"),
+)
+
 VARIANTS = ("left", "right", "pre_two_sided", "two_sided")
 
 # each is refuted by an idempotent in at least three of the four variants
@@ -101,6 +110,8 @@ def commands() -> list[list[str]]:
             for spec, elem in WITNESS_ELEMENTS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", ""]
             for spec in RADICAL_ALGEBRAS]
+    out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", basis]
+            for spec, basis in RADICAL_SUBSPACES]
     out += [["--json", "space", "check", "--algebra", spec, "--basis", basis, "--theta", theta]
             for spec, basis in REFUTED_SUBSPACES for theta in VARIANTS]
     out += [["--json", "space", "max-ideal", "--algebra", spec, "--basis", basis,

@@ -15,7 +15,10 @@ is built.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
-witness selection everywhere in the package.
+witness selection everywhere in the package.  An element's position in that
+order is its index; power chunks store every power as the index of its
+element, so a radical query tests membership once per element of the
+algebra and reads it for each stored power by indexing.
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
 with one rule for every algebra: check V's q^dim V vectors against the
@@ -125,11 +128,11 @@ def batch_mul(table, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     for i, j, k, c in zip(*table):
         np.multiply(xt[i], yt[j], out=term)
         if c != 1:
-            term %= p
+            reduce_mod(term, p)
             term *= c
         out[k] += term
     del xt, yt  # freed before the result is allocated, to bound peak memory
-    return np.remainder(out.T, p, order="C")
+    return np.ascontiguousarray(reduce_mod(out, p).T)
 
 
 def idempotent_coords(
@@ -264,8 +267,12 @@ class PowerChunk:
     """Power-sequence data for one contiguous block of algebra elements.
 
     For element b (0-based within the chunk) the stored rows
-    ``rows[offset[b] : offset[b+1]]`` are the coordinates of a^1 .. a^(mu+lam-1),
-    all distinct; the sequence repeats with a^(m+lam) = a^m for m >= mu.
+    ``rows[offset[b] : offset[b+1]]`` are a^1 .. a^(mu+lam-1), all distinct,
+    each as its element's lexicographic index (the row of that element in
+    :func:`coeff_block`'s enumeration of the algebra); the sequence repeats
+    with a^(m+lam) = a^m for m >= mu.  A test on elements, computed once per
+    element of the algebra, is read for every stored power by indexing with
+    ``rows``.
 
     ``k`` / ``hdeg`` split the minimal polynomial as t^k * h with h(0) != 0.
     They are read from Krylov ranks, independently of the hash-detected
@@ -282,7 +289,7 @@ class PowerChunk:
 
     start: int  # global index of the first element of the chunk
     count: int
-    rows: np.ndarray  # (R, d) int64, concatenated distinct powers
+    rows: np.ndarray  # (R,) element indices in exact_dtype(size - 1), concatenated
     offset: np.ndarray  # (count+1,) int64
     mu: np.ndarray  # (count,) int64
     lam: np.ndarray  # (count,) int64
@@ -303,7 +310,7 @@ def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
     only ever scaled by nonzero residues, so no inverse is needed, and a
     cleared column is dropped from the working array.
     """
-    m = np.asarray(stack, dtype=np.int64) % p
+    m = reduce_mod(np.array(stack, dtype=np.int64), p)  # a copy: reduced in place
     used = np.zeros(m.shape[:2], dtype=bool)
     blocks = np.arange(len(m))
     for _ in range(m.shape[2]):
@@ -316,7 +323,7 @@ def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
         pivot_row = m[blocks, pivot, 1:]
         m = m[:, :, 1:] * np.where(found, column[blocks, pivot], 1)[:, None, None]
         m -= factor[:, :, None] * pivot_row[:, None, :]
-        m %= p
+        reduce_mod(m, p)
     return used.sum(axis=1)
 
 
@@ -343,22 +350,24 @@ def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerCh
     base = coeff_block(p, d, start, stop)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
 
-    # powers are stored in the smallest unsigned type that holds a residue;
-    # batch_mul widens its operands to int64 before multiplying, so nothing
-    # can overflow
-    store = np.min_scalar_type(p - 1)
-    powers = [base.astype(store)]
-    keys = [base @ radix]
+    # each power is kept as its key, its element's lexicographic index, which
+    # also detects the cycle; only the last power's coordinates are needed
+    # for the next product
+    key_dtype = exact_dtype(a.size - 1)
+    power = base
+    krylov = [base]  # a^1 .. a^(2d-1), in coordinates
+    keys = [(base @ radix).astype(key_dtype)]
     horizon = 8
     while horizon < 2 * d - 1:  # the Krylov split reads a^1 .. a^(2d-1)
         horizon *= 2
     while True:
         if count * horizon > budget:
             raise TooLarge(count * horizon, budget, what=f"power scan of {a.label}")
-        while len(powers) < horizon:
-            nxt = batch_mul(table, powers[-1], base, p)
-            keys.append(nxt @ radix)
-            powers.append(nxt.astype(store))
+        while len(keys) < horizon:
+            power = batch_mul(table, power, base, p)
+            keys.append((power @ radix).astype(key_dtype))
+            if len(krylov) < 2 * d - 1:
+                krylov.append(power)
         key_mat = np.stack(keys, axis=1)
         # a sequence has cycled within the horizon exactly when its last
         # power repeats an earlier one; the nearest copy is then lam back
@@ -376,12 +385,12 @@ def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerCh
     lengths = mu + lam - 1
     offset = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offset[1:])
-    stack = np.stack(powers, axis=1)  # (count, horizon, d): a^1 .. a^horizon
-    rows = stack[np.arange(horizon) < lengths[:, None]].astype(np.int64)
+    rows = key_mat[np.arange(horizon) < lengths[:, None]]
 
+    stack = np.stack(krylov, axis=1)  # (count, 2d-1, d): a^1 .. a^(2d-1)
     unit = np.broadcast_to(np.array(a.unit, dtype=np.int64), (count, 1, d))
     rank_low = batch_rank(np.concatenate([unit, stack[:, : d - 1]], axis=1), p)
-    hdeg = batch_rank(stack[:, d - 1 : 2 * d - 1], p)
+    hdeg = batch_rank(stack[:, d - 1 :], p)
     k = rank_low - hdeg
 
     cyc_off, seg, pos = _segments(lam)
@@ -406,12 +415,16 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     The chunk's first and last elements and the one with the longest mu+lam
     go through ``power_cycle``, ``minimal_polynomial`` and repeated
     ``Element`` products, which share no code with the array kernels.  Any
-    difference in (mu, lam), (k, deg h) or the stored rows raises
-    ``ConsistencyError``.
+    difference in (mu, lam), (k, deg h) or the stored powers, decoded from
+    their element indices, raises ``ConsistencyError``.
     """
     p, d = a.field.order, a.dim
+
+    def decode(index):
+        return [index // p ** (d - 1 - i) % p for i in range(d)]
+
     for b in sorted({0, chunk.count - 1, int(np.argmax(chunk.mu + chunk.lam))}):
-        x = a.element([(chunk.start + b) // p ** (d - 1 - i) % p for i in range(d)])
+        x = a.element(decode(chunk.start + b))
         cycle, minpoly = power_cycle(x), minimal_polynomial(x)
         powers = [x]
         while len(powers) < cycle.preperiod + cycle.period - 1:
@@ -419,7 +432,8 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
         want = (cycle.preperiod, cycle.period, minpoly.k, minpoly.h.degree)
         want += ([list(y.coords) for y in powers],)
         got = tuple(int(v[b]) for v in (chunk.mu, chunk.lam, chunk.k, chunk.hdeg))
-        got += (chunk.rows[chunk.offset[b] : chunk.offset[b + 1]].tolist(),)
+        stored = chunk.rows[chunk.offset[b] : chunk.offset[b + 1]].tolist()
+        got += ([decode(index) for index in stored],)
         if got != want:
             raise ConsistencyError(
                 f"power kernel and reference arithmetic disagree on {x.coords} "

@@ -149,32 +149,43 @@ def radical_enumerate(
 ) -> list[Element]:
     """The exact radical of ``v`` as a list of elements, by full enumeration.
 
-    Every element's verdict is computed twice: through the minimal-polynomial
-    window and through the hash-detected power cycle.  Any disagreement
-    raises :class:`ConsistencyError` (it would mean a bug, not a property of
-    the input).  Elements come back in lexicographic coordinate order.
+    Membership in ``v`` (N x = 0) is tested once per element of the algebra,
+    once the power scan has accepted the budget, and read for every stored
+    power through its element index.  Every element's verdict is computed
+    twice: through the minimal-polynomial window and through the
+    hash-detected power cycle.  Any disagreement raises
+    :class:`ConsistencyError` (it would mean a bug, not a property of the
+    input).  Elements come back in lexicographic coordinate order.
     """
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("radical enumeration needs a finite field")
-    p = a.field.order
+    p, d, size = a.field.order, a.dim, a.size
     constraints = v.constraints()
+    in_a = None
     out: list[Element] = []
     for chunk in _scan.power_chunks(a, max_scan):
-        in_v = _scan.membership_bitmap(chunk.rows, constraints, p)
+        if in_a is None:  # built only once power_chunks has accepted the budget
+            in_a = np.concatenate([
+                _scan.membership_bitmap(
+                    _scan.coeff_block(p, d, s, min(s + _scan.DEFAULT_BLOCK, size)),
+                    constraints,
+                    p,
+                )
+                for s in range(0, size, _scan.DEFAULT_BLOCK)
+            ])
+        in_v = in_a[chunk.rows]
         win_ok = _scan.slice_all_true(in_v, chunk.win_idx, chunk.win_off)
         window_verdict = (chunk.hdeg == 0) | win_ok
         cyc_ok = _scan.slice_all_true(in_v, chunk.cyc_idx, chunk.cyc_off)
+        elements = _scan.coeff_block(p, d, chunk.start, chunk.start + chunk.count)
         if not np.array_equal(window_verdict, cyc_ok):
             b = int(np.nonzero(window_verdict != cyc_ok)[0][0])
-            coords = tuple(int(c) for c in chunk.rows[chunk.offset[b]])
             raise ConsistencyError(
-                f"window criterion and power cycle disagree on {coords} "
-                f"in {a.label}"
+                f"window criterion and power cycle disagree on "
+                f"{tuple(elements[b].tolist())} in {a.label}"
             )
-        for b in np.nonzero(cyc_ok)[0]:
-            coords = tuple(int(c) for c in chunk.rows[chunk.offset[b]])
-            out.append(Element(a, coords))
+        out += [Element(a, tuple(coords)) for coords in elements[cyc_ok].tolist()]
     return out
 
 

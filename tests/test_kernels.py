@@ -31,9 +31,11 @@ from mathieu_kit.mathieu import (
     decide_mathieu,
     is_quasi_stable,
     radical_enumerate,
+    radical_member,
 )
+from mathieu_kit.experiments import catalog_over
 from mathieu_kit.matrixlab import trace_orthogonal
-from mathieu_kit.subspace import Sidedness, Subspace, span
+from mathieu_kit.subspace import Sidedness, Subspace, enumerate_subspaces, span
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -237,14 +239,20 @@ def test_refusals_and_small_subspaces_build_nothing():
     assert alg._idempotents is None
 
 
+def element_coords(alg, index):
+    """Coordinates of the element at ``index`` in lexicographic order, which
+    is how power chunks store each power."""
+    p, d = alg.field.order, alg.dim
+    return tuple(int(index) // p ** (d - 1 - i) % p for i in range(d))
+
+
 def _check_power_data(alg, indices):
     """Chunk data of the given elements against the pure-Python reference."""
-    p, d = alg.field.order, alg.dim
     chunks = list(_scan.power_chunks(alg, max_scan=10**7))
     for index in indices:
         chunk = next(c for c in chunks if c.start <= index < c.start + c.count)
         b = index - chunk.start
-        x = alg.element([(index // p ** (d - 1 - i)) % p for i in range(d)])
+        x = alg.element(element_coords(alg, index))
         info = power_cycle(x)
         mu, lam = info.preperiod, info.period
         assert (mu, lam) == (int(chunk.mu[b]), int(chunk.lam[b]))
@@ -258,7 +266,7 @@ def _check_power_data(alg, indices):
         assert powers[-1] == elem_power(x, len(powers))
 
         def stored(idx):
-            return [tuple(int(c) for c in chunk.rows[i]) for i in idx]
+            return [element_coords(alg, chunk.rows[i]) for i in idx]
 
         def coords(exponents):
             return [powers[m - 1].coords for m in exponents]
@@ -361,7 +369,7 @@ def test_power_chunks_hold_residues_of_large_primes(p):
     chunks = list(_scan.power_chunks(alg, max_scan=10**7))
     for chunk in chunks:
         for b in range(chunk.count):
-            x = alg.element(tuple(int(c) for c in chunk.rows[chunk.offset[b]]))
+            x = alg.element(element_coords(alg, chunk.rows[chunk.offset[b]]))
             info = power_cycle(x)
             assert (info.preperiod, info.period) == (int(chunk.mu[b]), int(chunk.lam[b]))
     zero = Subspace.zero(alg)
@@ -379,6 +387,115 @@ def test_streamed_power_chunks_match_cached(monkeypatch):
             np.concatenate([getattr(c, name) for c in cached]),
             np.concatenate([getattr(c, name) for c in streamed]),
         )
+
+
+STORAGE = pytest.mark.parametrize("streamed", [False, True], ids=["cached", "streamed"])
+
+
+@STORAGE
+def test_radical_enumerate_matches_the_definition(monkeypatch, streamed):
+    # every subspace of every catalog algebra over F_2 or F_3 of dimension
+    # at most 3, against the pure-Python window definition
+    if streamed:
+        monkeypatch.setattr(_scan, "POWER_CACHE_LIMIT", 0)
+    algebras = [e.algebra for e in catalog_over({2, 3}).values() if e.algebra.dim <= 3]
+    assert len(algebras) == 9
+    for shared in algebras:
+        alg = Algebra(shared.field, shared.table, shared.unit, shared.label)  # no cache yet
+        for r in range(alg.dim + 1):
+            for v in enumerate_subspaces(alg, r):
+                want = [x.coords for x in alg.elements() if radical_member(v, x)]
+                assert [x.coords for x in radical_enumerate(v)] == want, (alg.label, v.basis)
+        assert (alg._power_data is None) == streamed
+
+
+# name: (algebra factory, basis of a subalgebra or ideal, whose radical holds
+# more than the nilpotents); each is also checked on the zero subspace and on
+# a seeded random line and hyperplane
+RADICAL_SAMPLES = {
+    # int16 keys; the upper triangular matrices
+    "M_2(F_11)": (lambda: matrix_algebra(2, GF(11)), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+    "F_131+F_131": (
+        lambda: direct_sum(field_algebra(GF(131)), field_algebra(GF(131))), [[1, 0]]
+    ),
+    # 59,049 elements: int32 keys; the ideal (t^5)
+    "F_3[t]/(t^10)": (
+        lambda: poly_quotient_algebra(Poly.from_ints(F3, [0] * 10 + [1])),
+        [[0] * i + [1] + [0] * (9 - i) for i in range(5, 10)],
+    ),
+}
+
+
+@STORAGE
+@pytest.mark.parametrize("name", sorted(RADICAL_SAMPLES))
+def test_radical_enumerate_matches_the_definition_on_samples(monkeypatch, streamed, name):
+    make, structured = RADICAL_SAMPLES[name]
+    if streamed:
+        monkeypatch.setattr(_scan, "POWER_CACHE_LIMIT", 0)
+    alg = make()
+    p, d = alg.field.order, alg.dim
+    rng = random.Random(sorted(RADICAL_SAMPLES).index(name))
+
+    def random_rows(r):
+        return [[rng.randrange(p) for _ in range(d)] for _ in range(r)]
+
+    subspaces = [Subspace.zero(alg), span(alg, random_rows(1)), span(alg, random_rows(d - 1))]
+    subspaces.append(span(alg, structured))
+    for v in subspaces:
+        got = [x.coords for x in radical_enumerate(v)]
+        assert got == sorted(set(got))  # lexicographic, no repeats
+        inside = set(got)
+        assert len(inside) >= 1  # 0 is always in the radical
+        for coords in rng.sample(got, min(25, len(got))):
+            assert radical_member(v, alg.element(coords)), (name, v.basis, coords)
+        for _ in range(25):
+            x = alg.element(element_coords(alg, rng.randrange(alg.size)))
+            assert radical_member(v, x) == (x.coords in inside), (name, v.basis, x.coords)
+    if streamed:
+        assert alg._power_data is None
+    else:
+        keys = np.int32 if alg.size > 1 << 15 else np.int16
+        assert [c.rows.dtype for c in alg._power_data] == [keys]
+
+
+def _corrupt_zero_key(chunk):
+    # the zero element's one stored power (itself) now reads as E_22
+    chunk.rows[chunk.offset[0]] = 1
+
+
+def _corrupt_window_index(chunk):
+    # the first non-nilpotent element's window now reads the zero element
+    b = int(np.nonzero(chunk.hdeg)[0][0])
+    chunk.win_idx[chunk.win_off[b] : chunk.win_off[b + 1]] = chunk.offset[0]
+
+
+@pytest.mark.parametrize("fault", [_corrupt_zero_key, _corrupt_window_index], ids=["key", "window"])
+def test_radical_enumerate_catches_corrupt_power_data(fault):
+    alg = matrix_algebra(2, F3)
+    zero = Subspace.zero(alg)
+    nilpotent = radical_enumerate(zero)
+    assert len(nilpotent) == 9  # 3^(n^2 - n) nilpotent matrices
+    fault(alg._power_data[0])
+    with pytest.raises(ConsistencyError, match="window criterion and power cycle disagree"):
+        radical_enumerate(zero)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called before the budget was accepted")
+
+
+def test_radical_refusals_come_before_any_membership_work(monkeypatch):
+    alg = matrix_algebra(2, F3)  # 81 elements
+    zero = Subspace.zero(alg)
+    monkeypatch.setattr(_scan, "membership_bitmap", _must_not_run)
+    # 81 elements at a horizon of 8 powers overspend a budget of 100
+    with pytest.raises(TooLarge, match="power scan"):
+        radical_enumerate(zero, max_scan=100)
+    # past the element budget, not even an element block is built
+    monkeypatch.setattr(_scan, "coeff_block", _must_not_run)
+    with pytest.raises(TooLarge, match="element scan"):
+        radical_enumerate(zero, max_scan=80)
+    assert alg._power_data is None
 
 
 def test_slice_all_true_handles_empty_slices():
