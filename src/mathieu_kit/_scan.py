@@ -16,9 +16,10 @@ is built.
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
 witness selection everywhere in the package.  An element's position in that
-order is its index; power chunks store every power as the index of its
-element, so a radical query tests membership once per element of the
-algebra and reads it for each stored power by indexing.
+order is its index; power chunks store every element's powers
+a^1 .. a^(2d-1), d the dimension, each as the index of its element, so a
+radical query tests membership once per element of the algebra and reads it
+for each stored power by indexing.
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
 with one rule for every algebra: check V's q^dim V vectors against the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, minimal_polynomial, power_cycle
+from .algebra import Algebra, minimal_polynomial
 from .errors import ConsistencyError, InfiniteField, TooLarge
 from .subspace import gaussian_binomial
 
@@ -153,7 +154,7 @@ def idempotent_coords(
     out = []
     for start in range(0, total, DEFAULT_BLOCK):
         vecs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total)) @ basis
-        vecs %= p  # in place, so the block costs no more memory than one array
+        reduce_mod(vecs, p)  # in place, so the block costs no more memory than one array
         squares = batch_mul(table, vecs, vecs, p)
         out += map(tuple, vecs[np.all(squares == vecs, axis=1)].tolist())
     return out
@@ -180,7 +181,7 @@ def idempotents(
         n = a.matrix_size
         if (a.size if n is None else matrix_idempotent_count(n, p)) > total:
             return sorted(idempotent_coords(a, basis_rows, max_scan))
-        store = np.min_scalar_type(p - 1)
+        store = exact_dtype(p - 1)
         if n is None:
             # on the standard basis, scan order is coordinate order
             rows = np.array(idempotent_coords(a, a._basis, max_scan), dtype=store)
@@ -264,41 +265,26 @@ def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
 
 @dataclass
 class PowerChunk:
-    """Power-sequence data for one contiguous block of algebra elements.
+    """Powers a^1 .. a^(2d-1) of one contiguous block of algebra elements.
 
-    For element b (0-based within the chunk) the stored rows
-    ``rows[offset[b] : offset[b+1]]`` are a^1 .. a^(mu+lam-1), all distinct,
-    each as its element's lexicographic index (the row of that element in
-    :func:`coeff_block`'s enumeration of the algebra); the sequence repeats
-    with a^(m+lam) = a^m for m >= mu.  A test on elements, computed once per
-    element of the algebra, is read for every stored power by indexing with
-    ``rows``.
+    ``rows`` holds them element-major, 2d-1 entries per element (row b's
+    powers are ``rows[b * (2d-1) : (b + 1) * (2d-1)]``), each as its
+    element's lexicographic index (the row of that element in
+    :func:`coeff_block`'s enumeration of the algebra).  A test on elements,
+    computed once per element of the algebra, is read for every stored
+    power by indexing with ``rows``.
 
-    ``k`` / ``hdeg`` split the minimal polynomial as t^k * h with h(0) != 0.
-    They are read from Krylov ranks, independently of the hash-detected
-    cycle: dim a^j F[a] = deg - min(j, k) and k <= d, so with
-    R(j) = rank(a^j .. a^(j+d-1)) mod p, ``hdeg`` = R(d) and
+    ``k`` / ``hdeg`` split the minimal polynomial as t^k * h with h(0) != 0,
+    read from Krylov ranks: dim a^j F[a] = deg - min(j, k) and k <= d, so
+    with R(j) = rank(a^j .. a^(j+d-1)) mod p, ``hdeg`` = R(d) and
     ``k`` = R(0) - R(d).
-
-    ``cyc_idx[cyc_off[b]:cyc_off[b+1]]`` indexes the rows of one full tail
-    cycle a^mu .. a^(mu+lam-1); ``win_idx`` does the same for the
-    minimal-polynomial window a^s .. a^(s+hdeg-1), s = max(k, 1), reducing
-    powers past the stored rows into the cycle.  It is empty for nilpotent
-    elements (hdeg = 0).
     """
 
     start: int  # global index of the first element of the chunk
     count: int
-    rows: np.ndarray  # (R,) element indices in exact_dtype(size - 1), concatenated
-    offset: np.ndarray  # (count+1,) int64
-    mu: np.ndarray  # (count,) int64
-    lam: np.ndarray  # (count,) int64
+    rows: np.ndarray  # (count * (2d-1),) element indices in exact_dtype(size - 1)
     k: np.ndarray  # (count,) int64
     hdeg: np.ndarray  # (count,) int64
-    cyc_idx: np.ndarray  # flat row indices, grouped by element
-    cyc_off: np.ndarray  # (count+1,) int64
-    win_idx: np.ndarray
-    win_off: np.ndarray
 
 
 def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
@@ -327,84 +313,31 @@ def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
     return used.sum(axis=1)
 
 
-def _segments(lengths: np.ndarray):
-    """Offsets of back-to-back segments, and each slot's segment and position."""
-    off = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=off[1:])
-    seg = np.repeat(np.arange(len(lengths)), lengths)
-    return off, seg, np.arange(off[-1]) - off[seg]
-
-
 def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerChunk:
     """Power data for elements start..stop (global lexicographic indices).
 
-    ``budget`` is the number of power evaluations still allowed.  Every
-    element is advanced to a common horizon, doubled until each power
-    sequence has repeated; a horizon whose count * horizon exceeds the
-    budget raises ``TooLarge`` before anything is computed for it.
+    ``budget`` is the number of power evaluations still allowed; the chunk
+    costs count * (2d-1) and raises ``TooLarge`` before any product when
+    that exceeds it.
     """
     p = a.field.order
     d = a.dim
-    table = np_table(a)
     count = stop - start
+    horizon = 2 * d - 1
+    if count * horizon > budget:
+        raise TooLarge(count * horizon, budget, what=f"power scan of {a.label}")
+    table = np_table(a)
     base = coeff_block(p, d, start, stop)
+    stack = np.empty((count, horizon, d), dtype=np.int64)  # a^1 .. a^(2d-1)
+    stack[:, 0] = base
+    for m in range(1, horizon):
+        stack[:, m] = batch_mul(table, stack[:, m - 1], base, p)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-
-    # each power is kept as its key, its element's lexicographic index, which
-    # also detects the cycle; only the last power's coordinates are needed
-    # for the next product
-    key_dtype = exact_dtype(a.size - 1)
-    power = base
-    krylov = [base]  # a^1 .. a^(2d-1), in coordinates
-    keys = [(base @ radix).astype(key_dtype)]
-    horizon = 8
-    while horizon < 2 * d - 1:  # the Krylov split reads a^1 .. a^(2d-1)
-        horizon *= 2
-    while True:
-        if count * horizon > budget:
-            raise TooLarge(count * horizon, budget, what=f"power scan of {a.label}")
-        while len(keys) < horizon:
-            power = batch_mul(table, power, base, p)
-            keys.append((power @ radix).astype(key_dtype))
-            if len(krylov) < 2 * d - 1:
-                krylov.append(power)
-        key_mat = np.stack(keys, axis=1)
-        # a sequence has cycled within the horizon exactly when its last
-        # power repeats an earlier one; the nearest copy is then lam back
-        back = key_mat[:, -2::-1] == key_mat[:, -1:]
-        if back.any(axis=1).all():
-            break
-        horizon *= 2
-
-    lam = back.argmax(axis=1) + 1
-    # mu is the first power equal to the one lam further on
-    ahead = np.arange(horizon) + lam[:, None]
-    same = np.take_along_axis(key_mat, np.minimum(ahead, horizon - 1), axis=1) == key_mat
-    mu = (same & (ahead < horizon)).argmax(axis=1) + 1
-
-    lengths = mu + lam - 1
-    offset = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offset[1:])
-    rows = key_mat[np.arange(horizon) < lengths[:, None]]
-
-    stack = np.stack(krylov, axis=1)  # (count, 2d-1, d): a^1 .. a^(2d-1)
+    rows = (stack @ radix).astype(exact_dtype(a.size - 1)).reshape(-1)
     unit = np.broadcast_to(np.array(a.unit, dtype=np.int64), (count, 1, d))
     rank_low = batch_rank(np.concatenate([unit, stack[:, : d - 1]], axis=1), p)
     hdeg = batch_rank(stack[:, d - 1 :], p)
-    k = rank_low - hdeg
-
-    cyc_off, seg, pos = _segments(lam)
-    cyc_idx = offset[seg] + mu[seg] - 1 + pos
-
-    win_off, seg, pos = _segments(hdeg)
-    m = np.maximum(k[seg], 1) + pos
-    m_mu, m_lam = mu[seg], lam[seg]
-    m = np.where(m < m_mu + m_lam, m, m_mu + (m - m_mu) % m_lam)
-    win_idx = offset[seg] + m - 1
-
-    chunk = PowerChunk(
-        start, count, rows, offset, mu, lam, k, hdeg, cyc_idx, cyc_off, win_idx, win_off
-    )
+    chunk = PowerChunk(start, count, rows, rank_low - hdeg, hdeg)
     _replay_sample(a, chunk)
     return chunk
 
@@ -412,28 +345,27 @@ def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerCh
 def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     """Recompute three elements of a new chunk with the reference arithmetic.
 
-    The chunk's first and last elements and the one with the longest mu+lam
-    go through ``power_cycle``, ``minimal_polynomial`` and repeated
-    ``Element`` products, which share no code with the array kernels.  Any
-    difference in (mu, lam), (k, deg h) or the stored powers, decoded from
-    their element indices, raises ``ConsistencyError``.
+    The chunk's first and last elements and the one with the largest k go
+    through ``minimal_polynomial`` and repeated ``Element`` products, which
+    share no code with the array kernels.  Any difference in (k, deg h) or
+    the stored powers, decoded from their element indices, raises
+    ``ConsistencyError``.
     """
     p, d = a.field.order, a.dim
+    horizon = 2 * d - 1
 
     def decode(index):
         return [index // p ** (d - 1 - i) % p for i in range(d)]
 
-    for b in sorted({0, chunk.count - 1, int(np.argmax(chunk.mu + chunk.lam))}):
+    for b in sorted({0, chunk.count - 1, int(np.argmax(chunk.k))}):
         x = a.element(decode(chunk.start + b))
-        cycle, minpoly = power_cycle(x), minimal_polynomial(x)
+        minpoly = minimal_polynomial(x)
         powers = [x]
-        while len(powers) < cycle.preperiod + cycle.period - 1:
+        while len(powers) < horizon:
             powers.append(powers[-1] * x)
-        want = (cycle.preperiod, cycle.period, minpoly.k, minpoly.h.degree)
-        want += ([list(y.coords) for y in powers],)
-        got = tuple(int(v[b]) for v in (chunk.mu, chunk.lam, chunk.k, chunk.hdeg))
-        stored = chunk.rows[chunk.offset[b] : chunk.offset[b + 1]].tolist()
-        got += ([decode(index) for index in stored],)
+        want = (minpoly.k, minpoly.h.degree, [list(y.coords) for y in powers])
+        stored = chunk.rows[b * horizon : (b + 1) * horizon].tolist()
+        got = (int(chunk.k[b]), int(chunk.hdeg[b]), [decode(index) for index in stored])
         if got != want:
             raise ConsistencyError(
                 f"power kernel and reference arithmetic disagree on {x.coords} "
@@ -449,11 +381,9 @@ def power_chunks(a: Algebra, max_scan: int):
     cache; larger ones are streamed in smaller chunks.
 
     The budget counts elements first, then power-vector evaluations: each
-    chunk is charged count * its longest mu+lam (the horizon the chunk
-    needed), and each build is handed what is left, so it refuses before
-    allocating a horizon that would overspend it; the limit a refusal
-    reports is that remainder.  An algebra whose power sequences cycle
-    slowly is refused rather than ground through.
+    chunk is charged count * (2d-1), and each build is handed what is left,
+    so it refuses before computing a chunk that would overspend it; the
+    limit a refusal reports is that remainder.
     """
     if not a.field.is_finite:
         raise InfiniteField("power scans need a finite field")
@@ -468,7 +398,7 @@ def power_chunks(a: Algebra, max_scan: int):
     spent = 0
     for s in range(0, size, step):
         chunk = build_power_chunk(a, s, min(s + step, size), max_scan - spent)
-        spent += chunk.count * int((chunk.mu + chunk.lam).max())
+        spent += chunk.count * (2 * a.dim - 1)
         if cache is not None:
             cache.append(chunk)
         yield chunk
@@ -481,15 +411,4 @@ def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:
     if not constraints:
         return np.ones(len(rows), dtype=bool)
     n = np.array(constraints, dtype=np.int64)
-    return np.all((rows @ n.T) % p == 0, axis=1)
-
-
-def slice_all_true(flags: np.ndarray, idx: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """For consecutive index slices idx[offsets[b]:offsets[b+1]], test all-true.
-
-    Empty slices count as all-true.
-    """
-    bad = (~flags[idx]).astype(np.int64) if len(idx) else np.zeros(0, dtype=np.int64)
-    prefix = np.zeros(len(bad) + 1, dtype=np.int64)
-    np.cumsum(bad, out=prefix[1:])
-    return prefix[offsets[1:]] == prefix[offsets[:-1]]
+    return np.all(reduce_mod(rows @ n.T, p) == 0, axis=1)

@@ -157,6 +157,7 @@ class ConsistencyError(MathieuKitError, RuntimeError):
     """Two independent routes to the same fact disagreed.
 
     Raised by operations that recompute their own answer a second way
-    (for example the power-window membership test against the cycle-based
-    one).  Reaching this is always a bug, never a property of the input.
+    (for example the fixed power window a^d .. a^(2d-1) against the
+    minimal-polynomial window in a radical enumeration).  Reaching this is
+    always a bug, never a property of the input.
     """

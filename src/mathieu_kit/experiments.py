@@ -467,7 +467,10 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
 
         rec.run("commutative_radical_rule", entry.name, commutative_rule)
 
-    # window-vs-cycle validation over the whole F_2/F_3 catalog
+    # radical_enumerate decides every element twice, by the fixed window
+    # a^d .. a^(2d-1) and by the minimal-polynomial window, and raises on
+    # any disagreement; on the small algebras both are also compared with
+    # the hash-detected power cycle
     rng_window = random.Random(seed)
     f23 = list(catalog_over({2, 3}).values())
 
@@ -475,7 +478,9 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
         for entry in f23:
             if entry.algebra.dim <= 3:
                 for v in all_subspaces(entry.algebra):
-                    radical_enumerate(v, max_scan)  # raises on any disagreement
+                    got = [x.coords for x in radical_enumerate(v, max_scan)]
+                    members = set(v.coord_vectors())
+                    assert got == sorted(_radical_of_set(entry.algebra, members))
 
     rec.run("window_equals_cycle_exhaustive", "dim<=3 catalog algebras", window_small)
 

@@ -24,9 +24,11 @@ everything here is decided exactly:
   h(0) != 0 and e = deg h >= 1, the tail powers satisfy a linear recurrence
   with invertible constant term, so membership of the e consecutive powers
   a^s, ..., a^(s+e-1) (s = max(k, 1)) propagates to the whole tail in both
-  directions.  Nilpotent elements always qualify.  ``radical_enumerate``
-  recomputes every verdict a second way from the hash-detected power cycle
-  and refuses to return on any disagreement.
+  directions.  Nilpotent elements always qualify.  Since k + e <= d = dim A,
+  the fixed window a^d, ..., a^(2d-1) decides it for every element at once,
+  nilpotent ones included, with no minimal polynomial at all.
+  ``radical_enumerate`` reads both windows from one table of the powers
+  a^1, ..., a^(2d-1) and refuses to return on any disagreement.
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -151,17 +153,19 @@ def radical_enumerate(
 
     Membership in ``v`` (N x = 0) is tested once per element of the algebra,
     once the power scan has accepted the budget, and read for every stored
-    power through its element index.  Every element's verdict is computed
-    twice: through the minimal-polynomial window and through the
-    hash-detected power cycle.  Any disagreement raises
-    :class:`ConsistencyError` (it would mean a bug, not a property of the
-    input).  Elements come back in lexicographic coordinate order.
+    power a^1 .. a^(2d-1) through its element index.  Every element's
+    verdict is computed twice: through the fixed window a^d .. a^(2d-1) and
+    through the minimal-polynomial window (see the module docstring).  Any
+    disagreement raises :class:`ConsistencyError` (it would mean a bug, not
+    a property of the input).  Elements come back in lexicographic
+    coordinate order.
     """
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("radical enumeration needs a finite field")
     p, d, size = a.field.order, a.dim, a.size
     constraints = v.constraints()
+    exponents = np.arange(1, 2 * d)  # column j of a chunk holds a^(j+1)
     in_a = None
     out: list[Element] = []
     for chunk in _scan.power_chunks(a, max_scan):
@@ -174,18 +178,19 @@ def radical_enumerate(
                 )
                 for s in range(0, size, _scan.DEFAULT_BLOCK)
             ])
-        in_v = in_a[chunk.rows]
-        win_ok = _scan.slice_all_true(in_v, chunk.win_idx, chunk.win_off)
-        window_verdict = (chunk.hdeg == 0) | win_ok
-        cyc_ok = _scan.slice_all_true(in_v, chunk.cyc_idx, chunk.cyc_off)
+        in_v = in_a[chunk.rows].reshape(chunk.count, 2 * d - 1)
+        fixed = in_v[:, d - 1 :].all(axis=1)
+        first = np.maximum(chunk.k, 1)[:, None]
+        window = (exponents >= first) & (exponents < first + chunk.hdeg[:, None])
+        minpoly = (in_v | ~window).all(axis=1)
         elements = _scan.coeff_block(p, d, chunk.start, chunk.start + chunk.count)
-        if not np.array_equal(window_verdict, cyc_ok):
-            b = int(np.nonzero(window_verdict != cyc_ok)[0][0])
+        if not np.array_equal(fixed, minpoly):
+            b = int(np.nonzero(fixed != minpoly)[0][0])
             raise ConsistencyError(
-                f"window criterion and power cycle disagree on "
+                f"fixed power window and minimal-polynomial window disagree on "
                 f"{tuple(elements[b].tolist())} in {a.label}"
             )
-        out += [Element(a, tuple(coords)) for coords in elements[cyc_ok].tolist()]
+        out += [Element(a, tuple(coords)) for coords in elements[fixed].tolist()]
     return out
 
 

@@ -31,6 +31,7 @@ from mathieu_kit.experiments import (
 )
 from mathieu_kit.fields import GF, QQ, Poly
 from mathieu_kit.mathieu import (
+    _cycle_radical_member,
     decide_mathieu,
     find_nontrivial_mathieu,
     is_quasi_stable,
@@ -103,16 +104,21 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_radical_window_validation():
-    # radical_enumerate recomputes every element's verdict through the
-    # minimal-polynomial window AND the hash-detected power cycle, raising
+    # radical_enumerate decides every element twice, through the fixed
+    # window a^d .. a^(2d-1) AND the minimal-polynomial window, raising
     # ConsistencyError on any disagreement; this drives it over every
-    # element of every F_2/F_3 catalog algebra.
+    # element of every F_2/F_3 catalog algebra, and compares it with the
+    # hash-detected power cycle on every subspace of dimension at most 3.
     started = time.perf_counter()
     entries = list(catalog_over({2, 3}).values())
     for entry in entries:
         if entry.algebra.dim <= 3:
             for v in all_subspaces(entry.algebra):
-                radical_enumerate(v)
+                cycle = [
+                    x.coords for x in entry.algebra.elements()
+                    if _cycle_radical_member(v.member_coords, x)
+                ]
+                assert [x.coords for x in radical_enumerate(v)] == cycle
     rng = random.Random(20240809)
     count = 0
     while count < 200:

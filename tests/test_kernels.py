@@ -1,5 +1,6 @@
 """The vectorized kernels against the pure-Python reference arithmetic."""
 
+import ast
 import itertools
 import os
 import random
@@ -26,6 +27,7 @@ from mathieu_kit.algebra import (
 from mathieu_kit.errors import ConsistencyError, TooLarge
 from mathieu_kit.fields import GF, Poly
 from mathieu_kit.mathieu import (
+    _cycle_radical_member,
     _idempotents_of,
     decide_all_variants,
     decide_mathieu,
@@ -123,9 +125,22 @@ def test_constructed_idempotents_match_full_scan(n, q):
     full_basis = [alg._basis_coords(i) for i in range(alg.dim)]
     scanned = _scan.idempotent_coords(alg, full_basis, max_scan=10**7)
     built = _all_idempotents(alg)
-    assert alg._idempotents.dtype == np.uint8
+    assert alg._idempotents.dtype == _scan.exact_dtype(q - 1) == np.int8
     assert built == sorted(scanned)
     assert len(built) == _scan.matrix_idempotent_count(n, q)
+
+
+def test_listed_idempotents_are_stored_signed():
+    # residues up to 130 need int16: an unsigned store would be uint8, and
+    # uint64 mixed with int64 promotes to float64.  The upper triangular
+    # matrices of M_2(F_131) hold 0, 1, [[1, b], [0, 0]] and [[0, b], [0, 1]]
+    alg = matrix_algebra(2, GF(131))
+    upper = span(alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    got = _idempotents_of(upper, 10**7)
+    assert alg._idempotents.dtype == np.int16
+    want = [(0, 0, 0, 0), (1, 0, 0, 1)]
+    want += [(1, b, 0, 0) for b in range(131)] + [(0, b, 0, 1) for b in range(131)]
+    assert got == sorted(want)
 
 
 def test_constructed_idempotents_have_the_formula_count():
@@ -249,34 +264,22 @@ def element_coords(alg, index):
 def _check_power_data(alg, indices):
     """Chunk data of the given elements against the pure-Python reference."""
     chunks = list(_scan.power_chunks(alg, max_scan=10**7))
+    horizon = 2 * alg.dim - 1
     for index in indices:
         chunk = next(c for c in chunks if c.start <= index < c.start + c.count)
         b = index - chunk.start
         x = alg.element(element_coords(alg, index))
-        info = power_cycle(x)
-        mu, lam = info.preperiod, info.period
-        assert (mu, lam) == (int(chunk.mu[b]), int(chunk.lam[b]))
         data = minimal_polynomial(x)
         k, hdeg = data.k, data.h.degree
         assert (k, hdeg) == (int(chunk.k[b]), int(chunk.hdeg[b]))
-        s = max(k, 1)
+        # the fixed window a^d .. a^(2d-1) lies on the tail cycle
+        assert power_cycle(x).preperiod <= max(k, 1) <= alg.dim
         powers = [x]  # powers[m - 1] = x^m
-        while len(powers) < max(mu + lam - 1, s + hdeg - 1):
+        while len(powers) < horizon:
             powers.append(powers[-1] * x)
-        assert powers[-1] == elem_power(x, len(powers))
-
-        def stored(idx):
-            return [element_coords(alg, chunk.rows[i]) for i in idx]
-
-        def coords(exponents):
-            return [powers[m - 1].coords for m in exponents]
-
-        lo, hi = chunk.offset[b], chunk.offset[b + 1]
-        assert stored(range(lo, hi)) == coords(range(1, mu + lam))
-        cyc = chunk.cyc_idx[chunk.cyc_off[b] : chunk.cyc_off[b + 1]]
-        assert stored(cyc) == coords(range(mu, mu + lam))
-        win = chunk.win_idx[chunk.win_off[b] : chunk.win_off[b + 1]]
-        assert stored(win) == coords(range(s, s + hdeg))
+        assert powers[-1] == elem_power(x, horizon)
+        stored = chunk.rows[b * horizon : (b + 1) * horizon]
+        assert [element_coords(alg, i) for i in stored] == [y.coords for y in powers]
 
 
 def test_power_chunks_match_elem_power_and_cycles():
@@ -326,7 +329,7 @@ def test_build_replay_catches_a_faulty_kernel(monkeypatch, kernel):
     assert alg._power_data is None
 
 
-REFUSAL_CHILD = """
+SLOW_CYCLE_CHILD = """
 import resource, sys
 cap = 1536 << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -335,31 +338,46 @@ from mathieu_kit.errors import TooLarge
 from mathieu_kit.fields import GF, Poly
 from mathieu_kit.mathieu import radical_enumerate
 from mathieu_kit.subspace import Subspace
-try:
-    radical_enumerate(Subspace.zero({algebra}))
-except TooLarge as exc:
-    print("TooLarge", exc)
+zero = Subspace.zero({algebra})
+if {refuse_at} is not None:
+    try:
+        radical_enumerate(zero, max_scan={refuse_at})
+    except TooLarge as exc:
+        print("TooLarge", exc)
+print([x.coords for x in radical_enumerate(zero)])
 print("peak_rss_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
+#: algebra: (its radical of zero, a budget between its size and the
+#: size * (2d-1) power evaluations of its power table, or None)
+SLOW_CYCLES = {
+    # periods up to 17,030; 17,161 elements, 51,483 powers
+    "poly_quotient_algebra(Poly.from_ints(GF(131), [0, 0, 1]))": (
+        [(0, b) for b in range(131)], 2 * 131**2
+    ),
+    # periods up to 65,536
+    "field_algebra(GF(65537))": ([(0,)], None),
+}
 
-@pytest.mark.parametrize(
-    "algebra",
-    ["poly_quotient_algebra(Poly.from_ints(GF(131), [0, 0, 1]))", "field_algebra(GF(65537))"],
-)
+
+@pytest.mark.parametrize("algebra", list(SLOW_CYCLES))
 def test_slow_power_cycles_are_refused_before_allocating(algebra):
-    # periods up to 17,030 and 65,536: without the up-front check the
-    # horizon doubling allocates GBs first, so the call runs in a child
-    # whose address space is capped
+    # a power table holds a^1 .. a^(2d-1) however long the power cycles
+    # are, so the default budget answers; a budget below its size * (2d-1)
+    # entries is refused before any power is computed.  The child's address
+    # space is capped
+    radical, refuse_at = SLOW_CYCLES[algebra]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", REFUSAL_CHILD.format(algebra=algebra)],
+        [sys.executable, "-c", SLOW_CYCLE_CHILD.format(algebra=algebra, refuse_at=refuse_at)],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0].startswith("TooLarge power scan of"), done.stdout
+    if refuse_at is not None:
+        assert lines.pop(0).startswith("TooLarge power scan of"), done.stdout
+    assert ast.literal_eval(lines[0]) == radical
     assert int(lines[1].split()[1]) < 1 << 20  # KiB: under 1 GiB
 
 
@@ -367,11 +385,10 @@ def test_slow_power_cycles_are_refused_before_allocating(algebra):
 def test_power_chunks_hold_residues_of_large_primes(p):
     alg = field_algebra(GF(p))
     chunks = list(_scan.power_chunks(alg, max_scan=10**7))
-    for chunk in chunks:
+    for chunk in chunks:  # d = 1: the one stored power of x is x
         for b in range(chunk.count):
-            x = alg.element(element_coords(alg, chunk.rows[chunk.offset[b]]))
-            info = power_cycle(x)
-            assert (info.preperiod, info.period) == (int(chunk.mu[b]), int(chunk.lam[b]))
+            x = alg.element(element_coords(alg, chunk.rows[b]))
+            assert x.coords == element_coords(alg, chunk.start + b)
     zero = Subspace.zero(alg)
     assert [x.coords for x in radical_enumerate(zero)] == [(0,)]
 
@@ -382,7 +399,7 @@ def test_streamed_power_chunks_match_cached(monkeypatch):
     alg = matrix_algebra(2, F5)
     streamed = list(_scan.power_chunks(alg, max_scan=10**7))
     assert alg._power_data is None
-    for name in ("mu", "lam", "k", "hdeg", "rows"):
+    for name in ("k", "hdeg", "rows"):
         assert np.array_equal(
             np.concatenate([getattr(c, name) for c in cached]),
             np.concatenate([getattr(c, name) for c in streamed]),
@@ -395,7 +412,8 @@ STORAGE = pytest.mark.parametrize("streamed", [False, True], ids=["cached", "str
 @STORAGE
 def test_radical_enumerate_matches_the_definition(monkeypatch, streamed):
     # every subspace of every catalog algebra over F_2 or F_3 of dimension
-    # at most 3, against the pure-Python window definition
+    # at most 3, against the pure-Python window definition and the
+    # hash-detected power cycle
     if streamed:
         monkeypatch.setattr(_scan, "POWER_CACHE_LIMIT", 0)
     algebras = [e.algebra for e in catalog_over({2, 3}).values() if e.algebra.dim <= 3]
@@ -405,7 +423,13 @@ def test_radical_enumerate_matches_the_definition(monkeypatch, streamed):
         for r in range(alg.dim + 1):
             for v in enumerate_subspaces(alg, r):
                 want = [x.coords for x in alg.elements() if radical_member(v, x)]
-                assert [x.coords for x in radical_enumerate(v)] == want, (alg.label, v.basis)
+                got = [x.coords for x in radical_enumerate(v)]
+                assert got == want, (alg.label, v.basis)
+                cycle = [
+                    x.coords for x in alg.elements()
+                    if _cycle_radical_member(v.member_coords, x)
+                ]
+                assert got == cycle, (alg.label, v.basis)
         assert (alg._power_data is None) == streamed
 
 
@@ -458,25 +482,34 @@ def test_radical_enumerate_matches_the_definition_on_samples(monkeypatch, stream
         assert [c.rows.dtype for c in alg._power_data] == [keys]
 
 
-def _corrupt_zero_key(chunk):
-    # the zero element's one stored power (itself) now reads as E_22
-    chunk.rows[chunk.offset[0]] = 1
+#: the index of (1, 0, 0, 1), the unit of M_2(F_3), which stores 2d-1 = 7
+#: powers per element, a^d .. a^(2d-1) in the last four
+UNIT = 1 * 3**3 + 1
 
 
-def _corrupt_window_index(chunk):
-    # the first non-nilpotent element's window now reads the zero element
-    b = int(np.nonzero(chunk.hdeg)[0][0])
-    chunk.win_idx[chunk.win_off[b] : chunk.win_off[b + 1]] = chunk.offset[0]
+def _corrupt_fixed_window(chunk):
+    # the unit's powers a^4 .. a^7 now read as the zero element
+    chunk.rows[UNIT * 7 + 3 : (UNIT + 1) * 7] = 0
 
 
-@pytest.mark.parametrize("fault", [_corrupt_zero_key, _corrupt_window_index], ids=["key", "window"])
+def _corrupt_minpoly_window(chunk):
+    # the unit now reads as nilpotent, with an empty window
+    chunk.hdeg[UNIT] = 0
+
+
+@pytest.mark.parametrize(
+    "fault", [_corrupt_fixed_window, _corrupt_minpoly_window], ids=["key", "window"]
+)
 def test_radical_enumerate_catches_corrupt_power_data(fault):
     alg = matrix_algebra(2, F3)
     zero = Subspace.zero(alg)
     nilpotent = radical_enumerate(zero)
     assert len(nilpotent) == 9  # 3^(n^2 - n) nilpotent matrices
     fault(alg._power_data[0])
-    with pytest.raises(ConsistencyError, match="window criterion and power cycle disagree"):
+    with pytest.raises(
+        ConsistencyError,
+        match=r"fixed power window and minimal-polynomial window disagree on \(1, 0, 0, 1\)",
+    ):
         radical_enumerate(zero)
 
 
@@ -488,7 +521,8 @@ def test_radical_refusals_come_before_any_membership_work(monkeypatch):
     alg = matrix_algebra(2, F3)  # 81 elements
     zero = Subspace.zero(alg)
     monkeypatch.setattr(_scan, "membership_bitmap", _must_not_run)
-    # 81 elements at a horizon of 8 powers overspend a budget of 100
+    monkeypatch.setattr(_scan, "batch_mul", _must_not_run)
+    # 81 elements at 2d-1 = 7 powers each overspend a budget of 100
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=100)
     # past the element budget, not even an element block is built
@@ -496,14 +530,6 @@ def test_radical_refusals_come_before_any_membership_work(monkeypatch):
     with pytest.raises(TooLarge, match="element scan"):
         radical_enumerate(zero, max_scan=80)
     assert alg._power_data is None
-
-
-def test_slice_all_true_handles_empty_slices():
-    flags = np.array([True, False, True, True])
-    idx = np.array([0, 2, 3, 1])
-    offsets = np.array([0, 1, 1, 3, 4])  # second slice empty
-    got = _scan.slice_all_true(flags, idx, offsets)
-    assert got.tolist() == [True, True, True, False]
 
 
 def all_monic_polys(field, degree):
