@@ -112,6 +112,9 @@ def commands() -> list[list[str]]:
             for spec in RADICAL_ALGEBRAS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", basis]
             for spec, basis in RADICAL_SUBSPACES]
+    # 81 elements at 2d-1 = 7 powers each are past the budget: refused, exit 2
+    out.append(["--json", "--max-scan", "100", "space", "radical-enum", "--algebra", "mat:2:3",
+                "--basis", ""])
     out += [["--json", "space", "check", "--algebra", spec, "--basis", basis, "--theta", theta]
             for spec, basis in REFUTED_SUBSPACES for theta in VARIANTS]
     out += [["--json", "space", "max-ideal", "--algebra", spec, "--basis", basis,

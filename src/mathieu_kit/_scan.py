@@ -51,22 +51,6 @@ STREAM_BLOCK = 1 << 14
 POWER_CACHE_LIMIT = 200_000
 
 
-def np_table(a: Algebra):
-    """The nonzero structure constants of ``a``, cached on the instance.
-
-    Four parallel lists ``(i, j, k, c)`` of Python ints, one entry per
-    nonzero constant ``c = table[i][j][k]`` (e_i * e_j has coefficient c on
-    e_k), in (i, j, k) order.
-    """
-    if not a.field.is_finite:
-        raise InfiniteField("numpy kernels need a finite prime field")
-    if a._np_table is None:
-        t = np.array(a.table, dtype=np.int64)
-        nonzero = np.nonzero(t)
-        a._np_table = tuple(v.tolist() for v in (*nonzero, t[nonzero]))
-    return a._np_table
-
-
 def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
     """Rows start..stop of the lexicographic enumeration of {0..q-1}^r.
 
@@ -107,12 +91,14 @@ def reduce_mod(v: np.ndarray, p: int) -> np.ndarray:
     return v
 
 
-def batch_mul(table, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise algebra product of two (B, d) coordinate blocks, mod p.
+def batch_mul(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise product in ``a`` of two (B, d) coordinate blocks, mod p.
 
-    ``table`` is :func:`np_table`'s nonzero constants.  Each constant
-    (i, j, k, c) adds x_i * y_j * c to output column k, so the work is one
-    (B,)-row pass per nonzero constant, however sparse the table.
+    Reads the nonzero structure constants from ``a._sparse_table()``, the
+    cache the reference arithmetic multiplies with.  Each constant
+    c = table[i][j][k] adds x_i * y_j * c to output column k, in (i, j, k)
+    order, so the work is one (B,)-row pass per nonzero constant, however
+    sparse the table.
 
     Exactness: inputs are residues below p, and each term is kept below p^2
     (x_i * y_j, reduced mod p and then multiplied by c only when c != 1).
@@ -122,40 +108,39 @@ def batch_mul(table, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     p <= max_scan, so at the default budget of 10^7 any n_k below 92,000
     is exact (n_k <= d^2 for every table).
     """
+    p = a.field.order  # raises InfiniteField over the rationals
     xt = np.ascontiguousarray(x.T, dtype=np.int64)
     yt = np.ascontiguousarray(y.T, dtype=np.int64)
     out = np.zeros_like(xt)
     term = np.empty(len(x), dtype=np.int64)
-    for i, j, k, c in zip(*table):
-        np.multiply(xt[i], yt[j], out=term)
-        if c != 1:
-            reduce_mod(term, p)
-            term *= c
-        out[k] += term
+    for i, row in enumerate(a._sparse_table()):
+        for j, entries in enumerate(row):
+            for k, c in entries:
+                np.multiply(xt[i], yt[j], out=term)
+                if c != 1:
+                    reduce_mod(term, p)
+                    term *= c
+                out[k] += term
     del xt, yt  # freed before the result is allocated, to bound peak memory
     return np.ascontiguousarray(reduce_mod(out, p).T)
 
 
-def idempotent_coords(
-    ambient: Algebra, basis_rows, max_scan: int
-) -> list[tuple[int, ...]]:
+def idempotent_coords(ambient: Algebra, basis_rows) -> list[tuple[int, ...]]:
     """Every idempotent in the span of ``basis_rows``, in scan order.
 
     Scans all q^r coefficient combinations in lexicographic order, one block
-    at a time.  ``max_scan`` is the budget q^r was checked against by the
-    caller (:func:`idempotents` holds the one check), so this scan does not
-    check it again.
+    at a time.  The caller has checked q^r against its budget
+    (:func:`idempotents` holds the one check).
     """
     p = ambient.field.order
     r = len(basis_rows)
     total = p**r
-    table = np_table(ambient)
     basis = np.array(basis_rows, dtype=np.int64).reshape(r, ambient.dim)
     out = []
     for start in range(0, total, DEFAULT_BLOCK):
         vecs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total)) @ basis
         reduce_mod(vecs, p)  # in place, so the block costs no more memory than one array
-        squares = batch_mul(table, vecs, vecs, p)
+        squares = batch_mul(ambient, vecs, vecs)
         out += map(tuple, vecs[np.all(squares == vecs, axis=1)].tolist())
     return out
 
@@ -180,11 +165,11 @@ def idempotents(
     if a._idempotents is None:
         n = a.matrix_size
         if (a.size if n is None else matrix_idempotent_count(n, p)) > total:
-            return sorted(idempotent_coords(a, basis_rows, max_scan))
+            return sorted(idempotent_coords(a, basis_rows))
         store = exact_dtype(p - 1)
         if n is None:
             # on the standard basis, scan order is coordinate order
-            rows = np.array(idempotent_coords(a, a._basis, max_scan), dtype=store)
+            rows = np.array(idempotent_coords(a, a._basis), dtype=store)
         else:
             built = construct_matrix_idempotents(n, p)
             rows = built[np.lexsort(built.T[::-1])].astype(store)
@@ -258,7 +243,7 @@ def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
             f"constructed {len(rows)} idempotents of {a.label}, expected {want}"
         )
     if a.size <= POWER_CACHE_LIMIT:
-        scanned = idempotent_coords(a, a._basis, POWER_CACHE_LIMIT)
+        scanned = idempotent_coords(a, a._basis)
         if rows.tolist() != [list(e) for e in scanned]:
             raise ConsistencyError(f"constructed and scanned idempotents of {a.label} differ")
 
@@ -313,25 +298,17 @@ def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
     return used.sum(axis=1)
 
 
-def build_power_chunk(a: Algebra, start: int, stop: int, budget: int) -> PowerChunk:
-    """Power data for elements start..stop (global lexicographic indices).
-
-    ``budget`` is the number of power evaluations still allowed; the chunk
-    costs count * (2d-1) and raises ``TooLarge`` before any product when
-    that exceeds it.
-    """
+def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
+    """Power data for elements start..stop (global lexicographic indices)."""
     p = a.field.order
     d = a.dim
     count = stop - start
     horizon = 2 * d - 1
-    if count * horizon > budget:
-        raise TooLarge(count * horizon, budget, what=f"power scan of {a.label}")
-    table = np_table(a)
     base = coeff_block(p, d, start, stop)
     stack = np.empty((count, horizon, d), dtype=np.int64)  # a^1 .. a^(2d-1)
     stack[:, 0] = base
     for m in range(1, horizon):
-        stack[:, m] = batch_mul(table, stack[:, m - 1], base, p)
+        stack[:, m] = batch_mul(a, stack[:, m - 1], base)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     rows = (stack @ radix).astype(exact_dtype(a.size - 1)).reshape(-1)
     unit = np.broadcast_to(np.array(a.unit, dtype=np.int64), (count, 1, d))
@@ -376,29 +353,26 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
 def power_chunks(a: Algebra, max_scan: int):
     """Yield PowerChunk records covering the whole algebra.
 
+    The job is priced once, first: size * (2d-1) power evaluations past
+    ``max_scan`` raise ``TooLarge`` before the cache is read or anything is
+    allocated, so a cached and an uncached algebra refuse the same budget.
     Small algebras (at most POWER_CACHE_LIMIT elements) are cached on the
     instance after their last chunk is built, and later calls replay the
     cache; larger ones are streamed in smaller chunks.
-
-    The budget counts elements first, then power-vector evaluations: each
-    chunk is charged count * (2d-1), and each build is handed what is left,
-    so it refuses before computing a chunk that would overspend it; the
-    limit a refusal reports is that remainder.
     """
     if not a.field.is_finite:
         raise InfiniteField("power scans need a finite field")
     size = a.size
-    if size > max_scan:
-        raise TooLarge(size, max_scan, what=f"element scan of {a.label}")
+    needed = size * (2 * a.dim - 1)
+    if needed > max_scan:
+        raise TooLarge(needed, max_scan, what=f"power scan of {a.label}")
     if a._power_data is not None:
         yield from a._power_data
         return
     cache = [] if size <= POWER_CACHE_LIMIT else None
     step = STREAM_BLOCK if cache is None else DEFAULT_BLOCK
-    spent = 0
     for s in range(0, size, step):
-        chunk = build_power_chunk(a, s, min(s + step, size), max_scan - spent)
-        spent += chunk.count * (2 * a.dim - 1)
+        chunk = build_power_chunk(a, s, min(s + step, size))
         if cache is not None:
             cache.append(chunk)
         yield chunk

@@ -50,7 +50,6 @@ class Algebra:
         "_sparse",
         "_commutative",
         "_matrix_size",
-        "_np_table",
         "_power_data",
         "_idempotents",
     )
@@ -83,7 +82,6 @@ class Algebra:
         self._sparse = None
         self._commutative: Optional[bool] = None
         self._matrix_size: Optional[int] = -1  # -1 = not yet detected
-        self._np_table = None
         self._power_data = None
         self._idempotents = None
         if check:
@@ -193,6 +191,11 @@ class Algebra:
     # -- products ------------------------------------------------------------------------
 
     def _sparse_table(self):
+        """The nonzero structure constants, cached on the instance.
+
+        Entry [i][j] holds the pairs (k, c) with c = table[i][j][k] != 0, k
+        ascending; the reference product and ``_scan.batch_mul`` both read it.
+        """
         if self._sparse is None:
             self._sparse = tuple(
                 tuple(
@@ -437,11 +440,13 @@ class CycleInfo:
     """Eventual periodicity of the power sequence a, a^2, a^3, ...
 
     ``a^(m + period) == a^m`` for all m >= preperiod, with preperiod minimal
-    and then period minimal.
+    and then period minimal.  ``powers`` holds the coordinates of a^1 ..
+    a^(preperiod + period - 1), every distinct power once.
     """
 
     preperiod: int
     period: int
+    powers: tuple[Coords, ...] = ()
 
 
 def power_cycle(a: Element) -> CycleInfo:
@@ -462,7 +467,7 @@ def power_cycle(a: Element) -> CycleInfo:
         cur = A._mul_coords(cur, a.coords)
         m += 1
     mu = seen[cur]
-    return CycleInfo(preperiod=mu, period=m - mu)
+    return CycleInfo(preperiod=mu, period=m - mu, powers=tuple(seen))
 
 
 class AlgebraHom:

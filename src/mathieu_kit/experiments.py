@@ -28,7 +28,7 @@ from .algebra import (
     opposite,
     poly_quotient_algebra,
 )
-from .errors import ConsistencyError, MathieuKitError, OnlyTrivial, TooLarge
+from .errors import ConsistencyError, MathieuKitError, OnlyTrivial
 from .fields import GF, Poly
 from .mathieu import (
     MAX_SCAN_DEFAULT,
@@ -804,15 +804,15 @@ def enumerate_all_mathieu(
 ) -> LatticeReport:
     """Exhaustive sweep of every subspace; reports the Mathieu lattice extremes.
 
-    Restricted to dimension <= 4 over F_2 / F_3 (the subspace count explodes
-    beyond that).  Verifies that a maximal nontrivial Mathieu subspace exists
-    whenever dim >= 2, and that in a matrix algebra the minimal nonzero ones
-    are exactly the lines with non-quasi-idempotent generators.
+    Priced by its subspace count: more than 212, the count of F_3^4, raises
+    ``TooLarge`` before any subspace is built, so every algebra of dimension
+    <= 4 over F_2 or F_3 is swept.  Verifies that a maximal nontrivial
+    Mathieu subspace exists whenever dim >= 2, and that in a matrix algebra
+    the minimal nonzero ones are exactly the lines with non-quasi-idempotent
+    generators.
     """
     variant = Sidedness.parse(variant)
-    if not a.field.is_finite or a.field.order > 3 or a.dim > 4:
-        raise TooLarge(a.size, 3**4, what="lattice sweep (dim <= 4 over F_2/F_3)")
-    subspaces = list(all_subspaces(a))
+    subspaces = list(all_subspaces(a, max_count=212))
     mathieu = [
         v for v in subspaces if decide_mathieu(v, variant, max_scan).is_mathieu
     ]

@@ -138,12 +138,7 @@ def _cycle_radical_member(member: Callable[[Coords], bool], a: Element) -> bool:
     pass ``member``, a test on coordinate tuples (a subspace's
     ``member_coords`` or any set's ``__contains__``)."""
     info = power_cycle(a)
-    x = elem_power(a, info.preperiod)
-    for _ in range(info.period):
-        if not member(x.coords):
-            return False
-        x = x * a
-    return True
+    return all(member(x) for x in info.powers[info.preperiod - 1 :])
 
 
 def radical_enumerate(
@@ -333,14 +328,9 @@ def oracle_mathieu(
         if not v.member_coords(x.coords):
             continue
         info = power_cycle(x)
-        powers = [x.coords]
-        cur = x.coords
-        for _ in range(info.preperiod + info.period - 2):
-            cur = a._mul_coords(cur, x.coords)
-            powers.append(cur)
-        if not all(v.member_coords(pw) for pw in powers):
+        if not all(v.member_coords(pw) for pw in info.powers):
             continue
-        tail = powers[info.preperiod - 1 :]
+        tail = info.powers[info.preperiod - 1 :]
         if variant in (Sidedness.LEFT, Sidedness.PRE_TWO_SIDED):
             for b in basis:
                 if not all(v.member_coords(a._mul_coords(b, t)) for t in tail):

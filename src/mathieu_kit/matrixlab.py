@@ -6,10 +6,11 @@ dual vector X, unique up to scaling.  When X is not a scalar matrix there
 are explicit nontrivial idempotents A, B with Tr(AX) = Tr(XB) = 0, AX != 0
 and XB != 0; such an idempotent refutes the Mathieu property of the
 hyperplane, because some basis translate of it escapes the hyperplane by
-nonsingularity of the pairing.  The classification experiments decide every
-projective class either by the idempotent criterion on the hyperplane or by
-constructing and verifying that refuting idempotent per class; they never
-just cite the expected answer.
+nonsingularity of the pairing.  The codim-1 census refutes every
+non-identity projective class by constructing and verifying that refuting
+idempotent, and re-decides every class, or a sample of them when the budget
+is short, by the idempotent criterion on the hyperplane; it never just cites
+the expected answer.
 
 Projective classes are canonicalized by scaling the first nonzero
 coordinate (row-major matrix order) to 1.
@@ -316,7 +317,10 @@ class Codim1Report:
     total_classes: int
     per_theta: dict[str, int]
     representatives: dict[str, list[list[str]]]
-    decision: str  # "scan" or "witness"
+    #: the stride of the criterion re-check: "scan" re-decides every class,
+    #: "witness" every (total // (SCAN_SAMPLES + 1))-th; both refute every
+    #: non-identity class by its built idempotents
+    decision: str
     scan_checked: int  # classes decided by the idempotent criterion
 
     def to_dict(self) -> dict:
@@ -351,12 +355,12 @@ def classify_codim1(
     """Decide the Mathieu property of every codimension-one class of M_n(F_q).
 
     The trace hyperplane (X the identity) is decided by the idempotent
-    criterion.  The other classes are walked in canonical blocks.  When a
-    scan of every class fits in ``max_scan`` ("scan" mode) each one is
-    decided by the idempotent criterion; otherwise ("witness" mode) each
-    block is refuted by its verified refuting idempotents, and every
-    ``total // (SCAN_SAMPLES + 1)``-th class is re-decided by the idempotent
-    criterion for agreement.
+    criterion, and its verdicts are the census's counts.  The other classes
+    are walked in canonical blocks, each refuted by its verified refuting
+    idempotents (:func:`_batch_witnesses`), and every ``stride``-th class is
+    re-decided by the idempotent criterion, which must find it refuted too.
+    The budget sets only the stride: 1 when a scan of every class fits in
+    ``max_scan`` ("scan"), else ``total // (SCAN_SAMPLES + 1)`` ("witness").
     """
     field = GF(q)
     alg = matrix_algebra(n, field)
@@ -365,17 +369,13 @@ def classify_codim1(
     decision = "scan" if total * q ** (d - 1) <= max_scan else "witness"
     stride = 1 if decision == "scan" else max(total // (SCAN_SAMPLES + 1), 1)
 
-    counts = {v.value: 0 for v in ALL_VARIANTS}
-    reps: dict[str, list[list[str]]] = {v.value: [] for v in ALL_VARIANTS}
-
-    def record(x_coords, verdicts) -> None:
-        for variant, verdict in verdicts.items():
-            if verdict.is_mathieu:
-                counts[variant.value] += 1
-                reps[variant.value].append([field.format(c) for c in x_coords])
-
     identity = alg.one()
-    record(identity.coords, decide_all_variants(trace_orthogonal(identity), max_scan))
+    rep = [field.format(c) for c in identity.coords]
+    counts: dict[str, int] = {}
+    reps: dict[str, list[list[str]]] = {}
+    for variant, verdict in decide_all_variants(trace_orthogonal(identity), max_scan).items():
+        counts[variant.value] = int(verdict.is_mathieu)
+        reps[variant.value] = [rep] if verdict.is_mathieu else []
     scan_checked = 1
 
     # the identity's index among the lead-0 classes: its coordinates after
@@ -390,20 +390,18 @@ def classify_codim1(
             block = _canonical_class_block(q, d, lead, start, stop)
             if lead == 0 and start <= ident_at < stop:
                 block = np.delete(block.T, ident_at - start, axis=1).T
-            if decision == "witness" and len(block):
+            if len(block):
                 _batch_witnesses(block.reshape(-1, n, n), q)
                 refuted += len(block)
             # the rows whose index seen + row_idx is a multiple of the stride
             for row_idx in range(-seen % stride, len(block), stride):
                 coords = tuple(int(c) for c in block[row_idx])
                 verdicts = decide_all_variants(trace_orthogonal(alg.element(coords)), max_scan)
-                if decision == "scan":
-                    record(coords, verdicts)
-                elif any(v.is_mathieu for v in verdicts.values()):
+                if any(v.is_mathieu for v in verdicts.values()):
                     raise ConsistencyError(f"scan and witness disagree on {coords}")
                 scan_checked += 1
             seen += stop - start
-    if decision == "witness" and refuted != total - 1:
+    if refuted != total - 1:
         raise ConsistencyError(f"refuted {refuted} classes, expected {total - 1}")
 
     return Codim1Report(n, q, total, counts, reps, decision, scan_checked)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mathieu_kit.algebra import poly_quotient_algebra
 from mathieu_kit.errors import TooLarge
 from mathieu_kit.experiments import (
     catalog,
@@ -11,6 +12,7 @@ from mathieu_kit.experiments import (
     run_suite,
     SUITE_NAMES,
 )
+from mathieu_kit.fields import GF, Poly
 from mathieu_kit.subspace import Sidedness
 
 
@@ -88,10 +90,17 @@ def test_lattice_of_dim_one_algebra():
 
 
 def test_lattice_guardrail():
-    with pytest.raises(TooLarge):
+    # priced by the subspace count, with the 212 subspaces of F_3^4 as the limit
+    with pytest.raises(TooLarge, match="needs 1120 evaluations, budget is 212"):
         enumerate_all_mathieu(catalog()["M2(F5)"].algebra, Sidedness.TWO_SIDED)
     with pytest.raises(TooLarge):
         enumerate_all_mathieu(catalog()["M3(F3)"].algebra, Sidedness.TWO_SIDED)
+    f2_5 = poly_quotient_algebra(Poly.from_ints(GF(2), [0] * 5 + [1]))
+    with pytest.raises(TooLarge, match="needs 374 evaluations, budget is 212"):
+        enumerate_all_mathieu(f2_5, Sidedness.TWO_SIDED)
+    # a small lattice over a larger prime is answered: F_5 has 2 subspaces
+    report = enumerate_all_mathieu(catalog()["F5"].algebra, Sidedness.TWO_SIDED)
+    assert report.total_subspaces == 2
 
 
 def test_run_suite_rejects_unknown_names():

@@ -77,12 +77,11 @@ MUL_ALGEBRAS = ALGEBRAS + [
 def test_batch_mul_matches_reference_products(alg):
     rng = random.Random(MUL_ALGEBRAS.index(alg))
     p = alg.field.order
-    table = _scan.np_table(alg)
     xs, ys = [], []
     for _ in range(50):
         xs.append([rng.randrange(p) for _ in range(alg.dim)])
         ys.append([rng.randrange(p) for _ in range(alg.dim)])
-    got = _scan.batch_mul(table, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), p)
+    got = _scan.batch_mul(alg, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
     for x, y, z in zip(xs, ys, got.tolist()):
         assert tuple(z) == alg._mul_coords(tuple(x), tuple(y))
 
@@ -91,13 +90,12 @@ def test_batch_mul_peak_memory_stays_within_a_few_blocks():
     # numpy reports its buffers to tracemalloc; a (B, d*d) intermediate
     # alone would be 42 MB here
     alg = matrix_algebra(3, F5)
-    table = _scan.np_table(alg)
     rows, d = 1 << 16, alg.dim
     rng = np.random.default_rng(0)
     x, y = rng.integers(0, 5, size=(2, rows, d))
     tracemalloc.start()
     try:
-        _scan.batch_mul(table, x, y, 5)
+        _scan.batch_mul(alg, x, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -123,7 +121,7 @@ def _all_idempotents(alg, max_scan=10**7):
 def test_constructed_idempotents_match_full_scan(n, q):
     alg = matrix_algebra(n, GF(q))
     full_basis = [alg._basis_coords(i) for i in range(alg.dim)]
-    scanned = _scan.idempotent_coords(alg, full_basis, max_scan=10**7)
+    scanned = _scan.idempotent_coords(alg, full_basis)
     built = _all_idempotents(alg)
     assert alg._idempotents.dtype == _scan.exact_dtype(q - 1) == np.int8
     assert built == sorted(scanned)
@@ -175,7 +173,7 @@ def test_idempotent_scan_matches_bruteforce(monkeypatch, alg):
         v = span(alg, [])
         while v.dim < r:
             v = v + span(alg, [[rng.randrange(p) for _ in range(d)]])
-        scanned = sorted(_scan.idempotent_coords(alg, v.basis, max_scan=10**7))
+        scanned = sorted(_scan.idempotent_coords(alg, v.basis))
         if p**r <= 256:
             slow = [x.coords for x in v.elements() if (x * x).coords == x.coords]
             assert scanned == sorted(slow)
@@ -315,7 +313,7 @@ def test_batch_rank_matches_sympy(p):
 
 
 KERNEL_FAULTS = {
-    "batch_mul": lambda f: lambda t2, x, y, p: (f(t2, x, y, p) + 1) % p,
+    "batch_mul": lambda f: lambda a, x, y: (f(a, x, y) + 1) % a.field.order,
     "batch_rank": lambda f: lambda stack, p: f(stack, p) + 1,
 }
 
@@ -522,14 +520,24 @@ def test_radical_refusals_come_before_any_membership_work(monkeypatch):
     zero = Subspace.zero(alg)
     monkeypatch.setattr(_scan, "membership_bitmap", _must_not_run)
     monkeypatch.setattr(_scan, "batch_mul", _must_not_run)
-    # 81 elements at 2d-1 = 7 powers each overspend a budget of 100
+    # 81 elements at 2d-1 = 7 powers each overspend a budget of 100, and
+    # the refusal comes before any element block is built
+    monkeypatch.setattr(_scan, "coeff_block", _must_not_run)
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=100)
-    # past the element budget, not even an element block is built
-    monkeypatch.setattr(_scan, "coeff_block", _must_not_run)
-    with pytest.raises(TooLarge, match="element scan"):
+    with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=80)
     assert alg._power_data is None
+
+
+def test_cached_power_tables_refuse_the_same_budget():
+    # F_131[t]/(t^2): 17,161 elements at 3 powers each is 51,483 evaluations
+    alg = poly_quotient_algebra(Poly.from_ints(GF(131), [0, 0, 1]))
+    zero = Subspace.zero(alg)
+    assert len(radical_enumerate(zero)) == 131
+    assert alg._power_data is not None
+    with pytest.raises(TooLarge, match="power scan .* needs 51483 evaluations, budget is 34322"):
+        radical_enumerate(zero, max_scan=34_322)
 
 
 def all_monic_polys(field, degree):

@@ -243,9 +243,9 @@ def _bump_entry_00(out, p):
 
 
 def _fault_on_second_call(fault):
-    calls = []
-
     def wrap(f):
+        calls = []  # one count per patched kernel, so each test starts afresh
+
         def faulty(*args):
             calls.append(args)
             out = f(*args)
@@ -316,6 +316,17 @@ def test_batch_witness_checks_catch_a_faulty_kernel(monkeypatch, fault):
     xs = _random_nonscalar_duals(2, 5, 200, seed=5)
     with pytest.raises(ConsistencyError, match=message.replace(" ", ".*")):
         _batch_witnesses(xs, 5)
+
+
+@pytest.mark.parametrize("fault", sorted(WITNESS_FAULTS))
+def test_scan_mode_census_runs_the_witness_checks(monkeypatch, fault):
+    # every class of M_2(F_3) fits the default budget, so each one is
+    # re-decided by the criterion, and each is still refuted by its
+    # built idempotents, whose checks catch the faulty kernel
+    kernel, make, message = WITNESS_FAULTS[fault]
+    monkeypatch.setattr(matrixlab, kernel, make(getattr(matrixlab, kernel)))
+    with pytest.raises(ConsistencyError, match=message.replace(" ", ".*")):
+        classify_codim1(2, 3)
 
 
 # -- classification --------------------------------------------------------------------------
