@@ -105,7 +105,9 @@ def commands() -> list[list[str]]:
     out += [["--json", "alg", "quasi-stable", "--algebra", spec]
             for spec in ("dsum:mat:2:3+mat:1:3", "polyq:3:0,0,0,1", "polyq:65537:0,0,1")]
     out.append(["--json", "alg", "stable", "--algebra", "opp:mat:2:2"])
-    out.append(["--json", "alg", "find-ms", "--algebra", "dsum:mat:1:3+mat:1:3"])
+    # M_3(F_5) has 488,281 lines; the search stops at the second one
+    out += [["--json", "alg", "find-ms", "--algebra", spec]
+            for spec in ("dsum:mat:1:3+mat:1:3", "mat:3:5")]
     out += [["--json", "mat", "witness", "--algebra", spec, "--elem", elem]
             for spec, elem in WITNESS_ELEMENTS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", ""]

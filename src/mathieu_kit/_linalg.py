@@ -83,25 +83,29 @@ def in_span(field: Field, constraints: Sequence[Row], vec: Sequence[Scalar]) -> 
     return all(sum(map(mul, row, vec)) == 0 for row in constraints)
 
 
-def nullspace(field: Field, rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[Row, ...]:
-    """Canonical basis of ``{x : M x = 0}`` for the matrix with the given rows.
+def nullspace(
+    field: Field, rows: Sequence[Sequence[Scalar]], ncols: int
+) -> tuple[tuple[Row, ...], tuple[Row, ...], tuple[int, ...]]:
+    """The solution space ``{x : M x = 0}`` of the matrix with the given rows.
 
-    The result is itself in RREF (one basis vector per free column of M,
-    re-reduced for canonicity).
+    Returns ``(constraints, basis, pivots)``: the RREF of M, which spans the
+    annihilator of the solution space and is its canonical list of
+    constraint rows; the canonical basis of the solution space (one vector
+    per free column of M, re-reduced to RREF); and that basis's pivot
+    columns.  Both eliminations are done once, here.
     """
-    basis, pivots = rref(field, rows)
+    constraints, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     out = []
     for fc in free_cols:
         v = [field.zero] * ncols
         v[fc] = field.one
-        for row, pc in zip(basis, pivots):
+        for row, pc in zip(constraints, pivots):
             # M x = 0 forces x[pc] = -sum over free columns of row[fc]*x[fc]
             v[pc] = field.neg(row[fc])
         out.append(v)
-    reduced, _ = rref(field, out)
-    return reduced
+    return (constraints, *rref(field, out))
 
 
 def matvec(field: Field, rows: Sequence[Row], vec: Sequence[Scalar]) -> Row:

@@ -220,13 +220,13 @@ def certify_radical_membership(
 
 
 def _idempotents_of(v: Subspace, max_scan: int) -> list[Coords]:
-    """All idempotent vectors of v, sorted by coordinates (cached on v).
+    """All idempotent vectors of v, sorted by coordinates.
 
-    See :func:`_scan.idempotents` for the budget check and the route.
+    See :func:`_scan.idempotents` for the budget check and the route.  The
+    algebra's own list is the only idempotent cache, and it is read only
+    after that check, so a budget refused once is refused every time.
     """
-    if v._idempotents is None:
-        v._idempotents = _scan.idempotents(v.ambient, v.basis, v.constraints(), max_scan)
-    return v._idempotents
+    return _scan.idempotents(v.ambient, v.basis, v.constraints(), max_scan)
 
 
 def _first_violation(
@@ -266,7 +266,7 @@ def decide_mathieu(
 def decide_all_variants(
     v: Subspace, max_scan: int = MAX_SCAN_DEFAULT
 ) -> dict[Sidedness, MathieuVerdict]:
-    """One idempotent search, all four verdicts."""
+    """All four verdicts, one :func:`decide_mathieu` call each."""
     return {variant: decide_mathieu(v, variant, max_scan) for variant in ALL_VARIANTS}
 
 
@@ -312,21 +312,29 @@ def oracle_mathieu(
 ) -> bool:
     """Brute-force check straight from the definition, no theory shortcuts.
 
-    For every element a with all powers inside v (tested over one full
-    cycle of the power sequence), every required basis translate of every
-    tail power must lie in v; eventual periodicity makes the tail check
-    finite and exact.
+    Walks the elements a of v (an element whose powers all lie in v lies in
+    v, since a^1 = a).  For every a with all powers inside v (tested over
+    one full cycle of the power sequence), every required basis translate
+    of every tail power must lie in v; eventual periodicity makes the tail
+    check finite and exact.
+
+    The price is charged before the first product: q^dim v walks, each of
+    at most q^d powers (the distinct powers of a are elements of A), and
+    each power with its d (left, right), 2d (pre-two-sided) or d + d^2
+    (two-sided) translate products, so q^dim v * q^d * (1 + t) products in
+    all, t that translate count.  Past ``max_scan`` it raises ``TooLarge``.
     """
     variant = Sidedness.parse(variant)
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("the brute-force oracle needs a finite field")
-    if a.size > max_scan:
-        raise TooLarge(a.size, max_scan, what=f"oracle scan of {a.label}")
-    basis = [a._basis_coords(i) for i in range(a.dim)]
-    for x in a.elements():
-        if not v.member_coords(x.coords):
-            continue
+    d = a.dim
+    t = {Sidedness.PRE_TWO_SIDED: 2 * d, Sidedness.TWO_SIDED: d + d * d}.get(variant, d)
+    price = v.size() * a.size * (1 + t)
+    if price > max_scan:
+        raise TooLarge(price, max_scan, what=f"oracle walk of {a.label}")
+    basis = a._basis
+    for x in v.elements():
         info = power_cycle(x)
         if not all(v.member_coords(pw) for pw in info.powers):
             continue

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _linalg, _scan
+from . import _scan
 from .algebra import Algebra, Element, is_quasi_idempotent, matrix_algebra
 from .errors import (
     ConsistencyError,
@@ -56,6 +56,7 @@ from .subspace import (
     ALL_VARIANTS,
     Sidedness,
     Subspace,
+    _solution_space,
     enumerate_subspaces,
     gaussian_binomial,
 )
@@ -94,14 +95,8 @@ def trace_orthogonal(x: Element) -> Subspace:
     n = _require_matrix(a)
     if x.is_zero:
         raise ZeroDual("the zero dual defines no hyperplane")
-    f = a.field
-    functional = [f.zero] * a.dim
-    for i in range(n):
-        for j in range(n):
-            functional[i * n + j] = x.coords[j * n + i]
-    rows = _linalg.nullspace(f, [functional], a.dim)
-    basis, pivots = _linalg.rref(f, rows)
-    return Subspace(a, basis, pivots)
+    functional = [x.coords[j * n + i] for i in range(n) for j in range(n)]
+    return _solution_space(a, [functional])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ all read that list.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -58,16 +59,22 @@ ALL_VARIANTS = tuple(Sidedness)
 
 
 class Subspace:
-    """Linear subspace in canonical reduced row-echelon form."""
+    """Linear subspace in canonical reduced row-echelon form.
 
-    __slots__ = ("ambient", "basis", "pivots", "_constraints", "_idempotents")
+    ``constraints``, when given, must be the canonical constraint rows of
+    the subspace (see :meth:`constraints`); otherwise they are computed on
+    first use.
+    """
 
-    def __init__(self, ambient: Algebra, basis: tuple, pivots: tuple):
+    __slots__ = ("ambient", "basis", "pivots", "_constraints")
+
+    def __init__(
+        self, ambient: Algebra, basis: tuple, pivots: tuple, constraints: Optional[tuple] = None
+    ):
         self.ambient = ambient
         self.basis = basis
         self.pivots = pivots
-        self._constraints = None
-        self._idempotents = None
+        self._constraints = constraints
 
     # -- constructors -----------------------------------------------------------
 
@@ -92,7 +99,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: Algebra) -> "Subspace":
-        return cls.span(ambient, [ambient._basis_coords(i) for i in range(ambient.dim)])
+        return cls(ambient, ambient._basis, tuple(range(ambient.dim)), ())
 
     # -- structure ------------------------------------------------------------------
 
@@ -144,9 +151,13 @@ class Subspace:
         return _linalg.in_span(self.ambient.field, self.constraints(), coords)
 
     def constraints(self) -> tuple:
-        """Rows N with ``x in V  iff  N x = 0`` (the annihilator of the row space)."""
+        """Rows N with ``x in V  iff  N x = 0`` (the annihilator of the row space).
+
+        The RREF basis of the annihilator: stored when the subspace was
+        solved for as the kernel of those rows, otherwise computed once.
+        """
         if self._constraints is None:
-            self._constraints = _linalg.nullspace(
+            _, self._constraints, _ = _linalg.nullspace(
                 self.ambient.field, self.basis, self.ambient.dim
             )
         return self._constraints
@@ -251,23 +262,31 @@ def _pull_back(field: Field, constraints, images) -> list[Coords]:
 
 
 def _solution_space(a: Algebra, rows) -> Subspace:
-    basis, pivots = _linalg.rref(a.field, _linalg.nullspace(a.field, rows, a.dim))
-    return Subspace(a, basis, pivots)
+    """``{x : M x = 0}`` for the given rows M, with M's RREF as its constraints."""
+    constraints, basis, pivots = _linalg.nullspace(a.field, rows, a.dim)
+    return Subspace(a, basis, pivots, constraints)
 
 
 def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
     """The maximum sided ideal contained in ``v``.
 
-    Solved as one linear system per variant: x qualifies when every required
-    basis translate of x stays inside ``v``.  The t-th translate is linear in
-    x, with the t-th translates of the basis vectors as its columns, so the
-    system is v's constraint rows pulled back along each translate map.  The
-    unit is in the basis span, so the solution set automatically sits inside
-    ``v`` itself.  For ``pre_two_sided`` the answer is the sum of the left
-    and right maxima, which need not be an ideal.
+    A one-sided maximum is solved as one linear system: x qualifies when
+    each of its d basis translates stays inside ``v``.  The t-th translate
+    is linear in x, with the t-th translates of the basis vectors as its
+    columns, so the system is v's constraint rows pulled back along each
+    translate map.  The unit is in the basis span, so the solution set
+    automatically sits inside ``v`` itself.
+
+    The two-sided maximum is two one-sided steps, the left maximum inside
+    the right maximum of ``v``: x lies in it exactly when b*x*c lies in
+    ``v`` for every pair of basis vectors b, c, which is the two-sided
+    condition.  For ``pre_two_sided`` the answer is the sum of the left and
+    right maxima, which need not be an ideal.
     """
     variant = Sidedness.parse(variant)
     A = v.ambient
+    if variant is Sidedness.TWO_SIDED:
+        return max_theta_ideal(max_theta_ideal(v, Sidedness.RIGHT), Sidedness.LEFT)
     if variant is Sidedness.PRE_TWO_SIDED:
         return max_theta_ideal(v, Sidedness.LEFT) + max_theta_ideal(v, Sidedness.RIGHT)
     constraints = v.constraints()
@@ -373,11 +392,15 @@ def gaussian_binomial(d: int, r: int, q: int) -> int:
 def enumerate_subspaces(
     a: Algebra, r: int, max_count: int = MAX_SUBSPACES_DEFAULT
 ) -> Iterator[Subspace]:
-    """All r-dimensional subspaces, exactly once each.
+    """All r-dimensional subspaces, exactly once each, as a lazy generator.
 
     Emitted in ascending lexicographic order of the flattened RREF basis
     matrix, which makes "the first subspace such that ..." deterministic and
-    reproducible.  Refuses (``TooLarge``) when the Gaussian-binomial count
+    reproducible.  Each pivot pattern's RREF matrices, built in
+    lexicographic order of their free entries, are already in that order,
+    so the streams of all patterns are merged (``heapq.merge``) and a
+    subspace is built only when it is reached.  Refuses (``TooLarge``) at
+    call time, before anything is built, when the Gaussian-binomial count
     exceeds ``max_count``.
     """
     F = a.field
@@ -391,8 +414,7 @@ def enumerate_subspaces(
     if count > max_count:
         raise TooLarge(count, max_count, what=f"subspace enumeration over {a.label}")
 
-    matrices = []
-    for pivots in itertools.combinations(range(d), r):
+    def with_pivots(pivots: tuple[int, ...]) -> Iterator[Subspace]:
         pivot_set = set(pivots)
         free_positions = [
             (i, j)
@@ -406,9 +428,11 @@ def enumerate_subspaces(
                 rows[i][p] = F.one
             for (i, j), val in zip(free_positions, values):
                 rows[i][j] = F.coerce(val)
-            matrices.append((tuple(tuple(row) for row in rows), tuple(pivots)))
-    matrices.sort(key=lambda item: item[0])
-    return (Subspace(a, basis, pivots) for basis, pivots in matrices)
+            yield Subspace(a, tuple(tuple(row) for row in rows), pivots)
+
+    return heapq.merge(
+        *map(with_pivots, itertools.combinations(range(d), r)), key=lambda v: v.basis
+    )
 
 
 def all_subspaces(

@@ -540,6 +540,17 @@ def test_cached_power_tables_refuse_the_same_budget():
         radical_enumerate(zero, max_scan=34_322)
 
 
+def test_decided_subspaces_refuse_the_same_idempotent_budget():
+    # the 9 vectors of span{E11, E12} are past a budget of 1, before and
+    # after a default-budget decision on the same subspace
+    v = span(matrix_algebra(2, F3), [[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(TooLarge, match="needs 9 evaluations, budget is 1"):
+        decide_mathieu(v, Sidedness.LEFT, max_scan=1)
+    assert not decide_mathieu(v, Sidedness.LEFT).is_mathieu
+    with pytest.raises(TooLarge, match="needs 9 evaluations, budget is 1"):
+        decide_mathieu(v, Sidedness.LEFT, max_scan=1)
+
+
 def all_monic_polys(field, degree):
     q = field.order
     for coeffs in itertools.product(range(q), repeat=degree):

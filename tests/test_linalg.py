@@ -55,8 +55,10 @@ def test_nullspace_is_exact_kernel():
             rows = rng.randrange(0, 4)
             cols = rng.randrange(1, 6)
             mat = random_matrix(rng, rows, cols, entry)
-            basis = nullspace(field, mat, cols)
+            constraints, basis, pivots = nullspace(field, mat, cols)
             reduced, _ = rref(field, mat)
+            assert constraints == reduced
+            assert (basis, pivots) == rref(field, basis)  # already canonical
             assert len(basis) == cols - len(reduced)  # rank-nullity
             for vec in basis:
                 for row in mat:
@@ -74,7 +76,7 @@ def test_reduce_vector_detects_membership():
     for _ in range(30):
         mat = random_matrix(rng, 2, 4, lambda r: r.randrange(5))
         basis, pivots = rref(F5, mat)
-        constraints = nullspace(F5, basis, 4)
+        _, constraints, _ = nullspace(F5, basis, 4)
         inside = [0, 0, 0, 0]
         for row in basis:
             s = rng.randrange(5)

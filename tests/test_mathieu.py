@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mathieu_kit.algebra import (
+    Algebra,
     classify_element,
     direct_sum,
     field_algebra,
@@ -260,6 +261,24 @@ def test_oracle_spec_points():
         unit_line = span(alg, [alg.unit])
         for variant in ALL_VARIANTS:
             assert not oracle_mathieu(unit_line, variant)
+
+
+def test_oracle_is_charged_for_its_walks_before_any_product(monkeypatch):
+    # F_1009 has 1009 elements, but each one walks up to 1008 powers: the
+    # price is 1009 walks of at most 1009 powers, each with its 1 left
+    # translate, and it is refused before the first product
+    a = field_algebra(GF(1009))
+    products = []
+    mul_coords = Algebra._mul_coords
+
+    def counted(self, x, y):
+        products.append(1)
+        return mul_coords(self, x, y)
+
+    monkeypatch.setattr(Algebra, "_mul_coords", counted)
+    with pytest.raises(TooLarge, match="needs 2036162 evaluations, budget is 1009"):
+        oracle_mathieu(Subspace.full(a), Sidedness.LEFT, max_scan=1009)
+    assert products == []
 
 
 def test_oracle_equals_decision_on_small_algebras():

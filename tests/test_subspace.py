@@ -1,13 +1,16 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from mathieu_kit._linalg import reduce_vector
+from mathieu_kit._linalg import nullspace, reduce_vector, rref
 from mathieu_kit.algebra import AlgebraHom, matrix_algebra, opposite, poly_quotient_algebra
 from mathieu_kit.errors import AlgebraMismatch, InfiniteField, NotAnIdeal, TooLarge
+from mathieu_kit.experiments import catalog
 from mathieu_kit.fields import GF, QQ, Poly
+from mathieu_kit.matrixlab import trace_orthogonal
 from mathieu_kit.subspace import (
     ALL_VARIANTS,
     Sidedness,
@@ -135,6 +138,31 @@ def test_constraints_characterize_membership():
     assert outside_seen > 0
 
 
+def test_stored_constraints_equal_recomputed():
+    # subspaces solved for as kernels store the RREF of their system as
+    # constraint rows; a wrong stored row would corrupt every membership test
+    for name in ["M2(F3)", "opp(M2(F2))", "F2[t]/t3", "F3+F3", "M3(F2)"]:
+        a = catalog()[name].algebra
+        rng = random.Random(name)
+        f, d = a.field, a.dim
+        for _ in range(6):
+            v, w = (
+                span(a, [[rng.randrange(f.order) for _ in range(d)] for _ in range(rng.randrange(d))])
+                for _ in range(2)
+            )
+            ideal = max_theta_ideal(v, Sidedness.TWO_SIDED)
+            quotient, proj = quotient_algebra(a, Subspace.zero(a) if ideal.is_full else ideal)
+            line = span(quotient, [[rng.randrange(f.order) for _ in range(quotient.dim)]])
+            solved = [Subspace.full(a), intersect(v, w), preimage(proj, line)]
+            solved += [max_theta_ideal(v, variant) for variant in ALL_VARIANTS]
+            if a.matrix_size is not None:
+                solved.append(trace_orthogonal(a.element(w.basis[0] if w.basis else a.unit)))
+            for s in solved:
+                stored = s.constraints()
+                assert stored == nullspace(f, s.basis, d)[1]
+                assert all(s.member_coords(row) for row in s.basis)
+
+
 # -- sided ideals -----------------------------------------------------------------
 
 
@@ -260,23 +288,22 @@ def test_quotient_rejects_non_ideal():
 # -- enumeration -----------------------------------------------------------------------
 
 
-def brute_count(d, r, q):
-    """Independent oracle: count r-dim subspaces by collecting row spans."""
+def brute_bases(d, r, q):
+    """Independent oracle: the RREF bases of all r-dim subspaces, collected
+    from the row spans of every r vectors."""
     f = GF(q)
     seen = set()
     vectors = list(itertools.product(range(q), repeat=d))
     for rows in itertools.combinations(vectors, r):
-        from mathieu_kit._linalg import rref
-
         basis, _ = rref(f, rows)
         if len(basis) == r:
             seen.add(basis)
-    return len(seen)
+    return seen
 
 
 def test_gaussian_binomial_against_brute_force():
     for d, r, q in [(2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 2, 2), (2, 1, 3), (3, 2, 3)]:
-        assert gaussian_binomial(d, r, q) == brute_count(d, r, q)
+        assert gaussian_binomial(d, r, q) == len(brute_bases(d, r, q))
 
 
 def test_enumerate_subspaces_counts_and_order():
@@ -300,12 +327,26 @@ def test_enumerate_subspaces_unique_and_complete():
         assert flat == sorted(flat)
 
 
+@pytest.mark.parametrize(
+    "d, r, q", [(3, 0, 2), (3, 1, 2), (4, 2, 2), (3, 3, 2), (3, 2, 3), (2, 1, 5), (2, 2, 5)]
+)
+def test_enumerate_subspaces_is_the_sorted_rref_list(d, r, q):
+    # the merged per-pivot streams against the sorted brute-force list
+    f = GF(q)
+    lazy = enumerate_subspaces(poly_quotient_algebra(Poly.from_ints(f, [0] * d + [1])), r)
+    assert isinstance(lazy, types.GeneratorType)
+    subs = list(lazy)
+    assert [v.basis for v in subs] == sorted(brute_bases(d, r, q))
+    assert all(rref(f, v.basis) == (v.basis, v.pivots) for v in subs)
+
+
 def test_enumerate_guardrail_and_infinite_field():
+    # both refusals come at call time, before anything is built
     a = matrix_algebra(2, F3)
     with pytest.raises(TooLarge):
-        list(enumerate_subspaces(a, 2, max_count=10))
+        enumerate_subspaces(a, 2, max_count=10)
     with pytest.raises(InfiniteField):
-        list(enumerate_subspaces(matrix_algebra(2, QQ), 1))
+        enumerate_subspaces(matrix_algebra(2, QQ), 1)
 
 
 def test_subspace_element_enumeration():
