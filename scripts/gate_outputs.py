@@ -93,6 +93,21 @@ README_COMMANDS = (
     ["suite", "run", "codim1"],
 )
 
+# exact sums over Q and at a prime whose products pass 2^62
+SCALAR_COMMANDS = (
+    ["--json", "elem", "minpoly", "--algebra", "mat:3:0", "--elem", "1,2,0,0,1,0,3,0,2"],
+    ["--json", "elem", "classify", "--algebra", "mat:3:0", "--elem", "0,1,0,0,0,1,0,0,0"],
+    ["--json", "elem", "minpoly", "--algebra", "polyq:0:1,0,-1/2,1", "--elem", "0,1,1/3"],
+    ["--json", "space", "radical-member", "--algebra", "mat:2:0", "--basis", "0,1,0,0;1,0,0,-1",
+     "--elem", "0,1,0,0"],
+    ["--json", "space", "certify", "--algebra", "mat:2:0", "--basis", "0,1,0,0;1,0,0,-1",
+     "--elem", "0,1,0,0", "--theta", "left"],
+    ["--json", "mat", "dual", "--algebra", "mat:2:0", "--basis", "1,0,0,2;0,1,0,0;0,0,1,0"],
+    ["--json", "elem", "cycle", "--algebra", "mat:2:7", "--elem", "1,2,3,4"],
+    ["--json", "elem", "minpoly", "--algebra", "polyq:2147483647:0,0,1",
+     "--elem", "2147483646,5"],
+)
+
 
 def commands() -> list[list[str]]:
     out = [["--json", "suite", "run", name, "--seed", "1234"] for name in experiments.SUITE_NAMES]
@@ -127,7 +142,7 @@ def commands() -> list[list[str]]:
             for spec, elem in THETA_ELEMENTS for theta in VARIANTS]
     out.append(["--json", "space", "certify", "--algebra", "polyq:3:0,0,0,1",
                 "--basis", "0,1,0;0,0,1", "--theta", "left", "--elem", "0,2,1"])
-    out += [list(argv) for argv in README_COMMANDS]
+    out += [list(argv) for argv in README_COMMANDS + SCALAR_COMMANDS]
     return out
 
 

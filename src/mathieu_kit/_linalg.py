@@ -9,6 +9,11 @@ Membership is tested one way only: a subspace is the solution set of its
 constraint rows N (:func:`nullspace` of its basis), and ``x`` lies in it
 exactly when N x = 0 (:func:`in_span`).  :func:`reduce_vector` is the
 elimination residual that quotient maps project with.
+
+One body serves F_p and Q alike: every dot product and row operation is
+formed exactly with plain ``+`` and ``*`` and passed once through the
+field's reduction map :meth:`~mathieu_kit.fields.Field.reduce`, so nothing
+here asks which field it is over.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Row, ...
     work = [list(r) for r in rows]
     if not work:
         return (), ()
+    reduce = field.reduce
     ncols = len(work[0])
     pivots: list[int] = []
     r = 0
@@ -39,12 +45,12 @@ def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[tuple[Row, ...
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         inv = field.inv(work[r][col])
-        if inv != field.one:
-            work[r] = [field.mul(inv, x) for x in work[r]]
+        if inv != 1:
+            work[r] = [reduce(inv * x) for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][col] != 0:
                 c = work[i][col]
-                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], work[r])]
+                work[i] = [reduce(x - c * y) for x, y in zip(work[i], work[r])]
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -62,11 +68,12 @@ def reduce_vector(
 
     The residual is zero exactly when ``vec`` lies in the row space.
     """
+    reduce = field.reduce
     v = list(vec)
     for row, col in zip(basis, pivots):
         c = v[col]
         if c != 0:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+            v = [reduce(x - c * y) for x, y in zip(v, row)]
     return tuple(v)
 
 
@@ -74,13 +81,11 @@ def in_span(field: Field, constraints: Sequence[Row], vec: Sequence[Scalar]) -> 
     """Whether N vec = 0 for the constraint rows N of a subspace.
 
     ``constraints`` spans the annihilator of the subspace (its
-    :func:`nullspace`), so this is membership in the subspace.  Dot products
-    are reduced mod p over F_p and exact over the rationals.
+    :func:`nullspace`), so this is membership in the subspace.  Each dot
+    product is summed exactly and reduced once, over F_p and Q alike.
     """
-    p = field.characteristic
-    if p:
-        return all(sum(map(mul, row, vec)) % p == 0 for row in constraints)
-    return all(sum(map(mul, row, vec)) == 0 for row in constraints)
+    reduce = field.reduce
+    return all(reduce(sum(map(mul, row, vec))) == 0 for row in constraints)
 
 
 def nullspace(
@@ -109,11 +114,5 @@ def nullspace(
 
 
 def matvec(field: Field, rows: Sequence[Row], vec: Sequence[Scalar]) -> Row:
-    out = []
-    for row in rows:
-        acc = field.zero
-        for a, x in zip(row, vec):
-            if a != 0 and x != 0:
-                acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return tuple(out)
+    reduce = field.reduce
+    return tuple(reduce(sum(map(mul, row, vec))) for row in rows)

@@ -207,8 +207,7 @@ class Algebra:
         return self._sparse
 
     def _mul_coords(self, x: Coords, y: Coords) -> Coords:
-        F = self.field
-        out = [F.zero] * self.dim
+        out = [0] * self.dim
         sparse = self._sparse_table()
         for i, xi in enumerate(x):
             if xi == 0:
@@ -217,10 +216,10 @@ class Algebra:
             for j, yj in enumerate(y):
                 if yj == 0:
                     continue
-                xy = F.mul(xi, yj)
+                xy = xi * yj
                 for k, c in row[j]:
-                    out[k] = F.add(out[k], F.mul(xy, c))
-        return tuple(out)
+                    out[k] += xy * c
+        return tuple(map(self.field.reduce, out))
 
 
 def make_algebra(field: Field, table, unit, label: str = "") -> Algebra:
@@ -327,6 +326,7 @@ def minimal_polynomial(a: Element) -> MinPolyData:
     """
     A = a.algebra
     F = A.field
+    reduce = F.reduce
     rows: list[tuple[list, int, list]] = []  # (vector, pivot, combination)
     cur = list(A.unit)
     m = 0
@@ -336,18 +336,18 @@ def minimal_polynomial(a: Element) -> MinPolyData:
         for rvec, rpiv, rcombo in rows:
             c = vec[rpiv]
             if c != 0:
-                vec = [F.sub(x, F.mul(c, y)) for x, y in zip(vec, rvec)]
+                vec = [reduce(x - c * y) for x, y in zip(vec, rvec)]
                 for idx, y in enumerate(rcombo):
-                    combo[idx] = F.sub(combo[idx], F.mul(c, y))
+                    combo[idx] = reduce(combo[idx] - c * y)
         if all(x == 0 for x in vec):
             poly = Poly(F, combo)
             k, h = poly_split_at_zero(poly)
             return MinPolyData(poly, k, h)
         piv = next(idx for idx, x in enumerate(vec) if x != 0)
         inv = F.inv(vec[piv])
-        if inv != F.one:
-            vec = [F.mul(inv, x) for x in vec]
-            combo = [F.mul(inv, x) for x in combo]
+        if inv != 1:
+            vec = [reduce(inv * x) for x in vec]
+            combo = [reduce(inv * x) for x in combo]
         rows.append((vec, piv, combo))
         m += 1
         cur = A._mul_coords(tuple(cur), a.coords)

@@ -35,6 +35,7 @@ from .mathieu import (
     _cycle_radical_member,
     _idempotents_of,
     _nontrivial_idempotents,
+    decide_all_variants,
     decide_mathieu,
     find_nontrivial_mathieu,
     is_mathieu_commutative,
@@ -348,8 +349,7 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
             for v in subspaces:
                 if v.is_full or not v.contains_unit():
                     continue
-                for variant in ALL_VARIANTS:
-                    verdict = decide_mathieu(v, variant, max_scan)
+                for verdict in decide_all_variants(v, max_scan).values():
                     assert not verdict.is_mathieu, f"unit-bearing {v.basis} passed"
 
         rec.run("unit_in_proper_subspace_refutes", entry.name, unit_blocks)
@@ -426,10 +426,10 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
             for m in all_subspaces(alg):
                 if not m.contains(ideal):
                     continue
-                pushed = image(proj, m)
+                ups = decide_all_variants(m, max_scan)
+                downs = decide_all_variants(image(proj, m), max_scan)
                 for variant in ALL_VARIANTS:
-                    up = decide_mathieu(m, variant, max_scan).is_mathieu
-                    down = decide_mathieu(pushed, variant, max_scan).is_mathieu
+                    up, down = ups[variant].is_mathieu, downs[variant].is_mathieu
                     assert up == down, f"{m.basis}: {up} vs {down} ({variant.value})"
 
         rec.run("quotient_transfer", name, transfer)
@@ -441,15 +441,15 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
             a = catalog()[name].algebra
             op = opposite(a)
             for v in all_subspaces(a):
-                w = Subspace.span(op, v.basis)
+                lhs_all = decide_all_variants(v, max_scan)
+                rhs_all = decide_all_variants(Subspace.span(op, v.basis), max_scan)
                 for this, that in [
                     (Sidedness.LEFT, Sidedness.RIGHT),
                     (Sidedness.RIGHT, Sidedness.LEFT),
                     (Sidedness.TWO_SIDED, Sidedness.TWO_SIDED),
                     (Sidedness.PRE_TWO_SIDED, Sidedness.PRE_TWO_SIDED),
                 ]:
-                    lhs = decide_mathieu(v, this, max_scan).is_mathieu
-                    rhs = decide_mathieu(w, that, max_scan).is_mathieu
+                    lhs, rhs = lhs_all[this].is_mathieu, rhs_all[that].is_mathieu
                     assert lhs == rhs, f"{v.basis}: {this.value} vs {that.value}"
 
         rec.run("left_right_duality", name, duality)
@@ -513,8 +513,8 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
 
         def agreement(a=entry.algebra):
             for v in all_subspaces(a):
-                for variant in ALL_VARIANTS:
-                    d = decide_mathieu(v, variant, max_scan).is_mathieu
+                for variant, verdict in decide_all_variants(v, max_scan).items():
+                    d = verdict.is_mathieu
                     o = oracle_mathieu(v, variant, max_scan)
                     assert d == o, f"{v.basis} {variant.value}: decide={d} oracle={o}"
 
@@ -529,8 +529,8 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
                 for _ in range(rng.randrange(5))
             ]
             v = span(a, rows)
-            for variant in ALL_VARIANTS:
-                d = decide_mathieu(v, variant, max_scan).is_mathieu
+            for variant, verdict in decide_all_variants(v, max_scan).items():
+                d = verdict.is_mathieu
                 o = oracle_mathieu(v, variant, max_scan)
                 assert d == o, f"{v.basis} {variant.value}: decide={d} oracle={o}"
 
@@ -581,12 +581,10 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
         def no_ideal_criterion(a=entry.algebra):
             zero = tuple(a.field.zero for _ in range(a.dim))
             for v in all_subspaces(a):
+                free = all(e == zero for e in _idempotents_of(v, max_scan))
                 for variant in ALL_VARIANTS:
                     if not max_theta_ideal(v, variant).is_zero:
                         continue
-                    free = all(
-                        e == zero for e in _idempotents_of(v, max_scan)
-                    )
                     verdict = decide_mathieu(v, variant, max_scan).is_mathieu
                     assert free == verdict, f"{v.basis} {variant.value}"
 

@@ -8,6 +8,13 @@ carries the characteristic and implements arithmetic on these raw values;
 there is no per-element wrapper object, so vectors of scalars are ordinary
 tuples and exhaustive loops stay cheap.
 
+Arithmetic tells F_p from Q in one place, the field's one reduction map
+:meth:`Field.reduce`: x mod p over F_p, ``Fraction(x)`` over Q.  A sum of
+products is accumulated exactly with plain ``+`` and ``*`` on Python ints or
+Fractions and reduced once per result coordinate, the rule the numpy kernels
+in ``_scan`` follow too; the single-operation methods (``add``, ``mul``, ...)
+are one call of it each.
+
 Polynomials are dense ascending coefficient tuples with no trailing zeros.
 The zero polynomial has an empty coefficient tuple and degree -1.
 
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     BothZero,
@@ -79,16 +86,25 @@ class Field:
 
     # -- element construction --------------------------------------------------
 
+    def reduce(self, x) -> Scalar:
+        """The field's one reduction map: x mod p over F_p, ``Fraction(x)`` over Q.
+
+        ``x`` is any exact Python int or Fraction (a Fraction only over Q), so
+        a sum of products can be formed with plain ``+`` and ``*`` and
+        reduced once.
+        """
+        return x % self.characteristic if self.characteristic else Fraction(x)
+
     @property
     def zero(self) -> Scalar:
-        return 0 if self.is_finite else Fraction(0)
+        return self.reduce(0)
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.is_finite else Fraction(1)
+        return self.reduce(1)
 
     def from_int(self, n: int) -> Scalar:
-        return n % self.characteristic if self.is_finite else Fraction(n)
+        return self.reduce(n)
 
     def coerce(self, value) -> Scalar:
         """Validate/convert ``value`` into a scalar of this field."""
@@ -114,16 +130,16 @@ class Field:
     # -- arithmetic -------------------------------------------------------------
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
-        return (x + y) % self.characteristic if self.is_finite else x + y
+        return self.reduce(x + y)
 
     def sub(self, x: Scalar, y: Scalar) -> Scalar:
-        return (x - y) % self.characteristic if self.is_finite else x - y
+        return self.reduce(x - y)
 
     def mul(self, x: Scalar, y: Scalar) -> Scalar:
-        return (x * y) % self.characteristic if self.is_finite else x * y
+        return self.reduce(x * y)
 
     def neg(self, x: Scalar) -> Scalar:
-        return (-x) % self.characteristic if self.is_finite else -x
+        return self.reduce(-x)
 
     def inv(self, x: Scalar) -> Scalar:
         if x == 0:
@@ -196,7 +212,7 @@ class Poly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: Sequence = ()):
+    def __init__(self, field: Field, coeffs: Iterable = ()):
         cs = [field.coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -296,13 +312,13 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly.zero(self.field)
         F = self.field
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+                out[i + j] += a * b
+        return Poly(F, map(F.reduce, out))
 
     def scale(self, s: Scalar) -> "Poly":
         s = self.field.coerce(s)
@@ -333,14 +349,15 @@ class Poly:
             return Poly.zero(F), self
         quo = [F.zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
+            # no later step writes rem[i + degree], so it is reduced here once
+            top = F.reduce(rem[i + other.degree])
             if top == 0:
                 continue
-            c = F.mul(top, lead_inv)
+            c = F.reduce(top * lead_inv)
             quo[i] = c
             for j, b in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(c, b))
-        return Poly(F, quo), Poly(F, rem)
+                rem[i + j] -= c * b
+        return Poly(F, quo), Poly(F, map(F.reduce, rem))
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -350,11 +367,11 @@ class Poly:
 
     def __call__(self, x: Scalar) -> Scalar:
         """Evaluate at a scalar by Horner's rule."""
-        F = self.field
-        acc = F.zero
+        x = self.field.coerce(x)
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, F.coerce(x)), c)
-        return acc
+            acc = acc * x + c
+        return self.field.reduce(acc)
 
     # -- serialization --------------------------------------------------------------
 

@@ -229,15 +229,6 @@ def _idempotents_of(v: Subspace, max_scan: int) -> list[Coords]:
     return _scan.idempotents(v.ambient, v.basis, v.constraints(), max_scan)
 
 
-def _first_violation(
-    v: Subspace, e_coords: Coords, variant: Sidedness
-) -> Optional[Witness]:
-    for b, c, prod in translates(v.ambient, e_coords, variant):
-        if not v.member_coords(prod):
-            return Witness(e_coords, b, c, prod)
-    return None
-
-
 def decide_mathieu(
     v: Subspace, variant: Sidedness, max_scan: int = MAX_SCAN_DEFAULT
 ) -> MathieuVerdict:
@@ -251,23 +242,36 @@ def decide_mathieu(
     (idempotent coordinates, left basis index, right basis index).
     """
     variant = Sidedness.parse(variant)
-    if not v.ambient.field.is_finite:
-        raise InfiniteFieldNoDecision(
-            "no full decision over the rationals; use line_is_mathieu, "
-            "radical_member or verify_witness"
-        )
-    for e_coords in _idempotents_of(v, max_scan):
-        witness = _first_violation(v, e_coords, variant)
-        if witness is not None:
-            return MathieuVerdict(False, variant.value, "idempotent_criterion", witness)
-    return MathieuVerdict(True, variant.value, "idempotent_criterion")
+    return _decide(v, (variant,), max_scan)[variant]
 
 
 def decide_all_variants(
     v: Subspace, max_scan: int = MAX_SCAN_DEFAULT
 ) -> dict[Sidedness, MathieuVerdict]:
-    """All four verdicts, one :func:`decide_mathieu` call each."""
-    return {variant: decide_mathieu(v, variant, max_scan) for variant in ALL_VARIANTS}
+    """All four verdicts, each as :func:`decide_mathieu` gives it, from one
+    idempotent search and its one budget check."""
+    return _decide(v, ALL_VARIANTS, max_scan)
+
+
+def _decide(v: Subspace, variants, max_scan: int) -> dict[Sidedness, MathieuVerdict]:
+    """One idempotent search; per variant the first violation, in order of
+    (idempotent coordinates, left basis index, right basis index)."""
+    if not v.ambient.field.is_finite:
+        raise InfiniteFieldNoDecision(
+            "no full decision over the rationals; use line_is_mathieu, "
+            "radical_member or verify_witness"
+        )
+    idempotents = _idempotents_of(v, max_scan)
+    verdicts = {}
+    for variant in variants:
+        witness = next((
+            Witness(e, b, c, prod) for e in idempotents
+            for b, c, prod in translates(v.ambient, e, variant) if not v.member_coords(prod)
+        ), None)
+        verdicts[variant] = MathieuVerdict(
+            witness is None, variant.value, "idempotent_criterion", witness
+        )
+    return verdicts
 
 
 def verify_witness(v: Subspace, variant: Sidedness, witness: Witness) -> bool:

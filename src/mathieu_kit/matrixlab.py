@@ -81,12 +81,9 @@ def trace_of_product(x: Element, y: Element) -> Scalar:
     """Tr(XY) for two matrix-algebra elements; the nonsingular pairing."""
     a = x.algebra
     n = _require_matrix(a)
-    f = a.field
-    acc = f.zero
-    for i in range(n):
-        for j in range(n):
-            acc = f.add(acc, f.mul(x.coords[i * n + j], y.coords[j * n + i]))
-    return acc
+    return a.field.reduce(
+        sum(x.coords[i * n + j] * y.coords[j * n + i] for i in range(n) for j in range(n))
+    )
 
 
 def trace_orthogonal(x: Element) -> Subspace:

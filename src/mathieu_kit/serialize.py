@@ -3,7 +3,10 @@
 Scalars serialize as strings: decimal residues for F_p, ``"num/den"`` in
 lowest terms with positive denominator for the rationals.  Integers are
 accepted anywhere a scalar string is, for hand-written inputs.  Either way an
-F_p residue must lie in 0..p-1; nothing is reduced mod p.
+F_p residue must lie in 0..p-1; nothing is reduced mod p.  A document of the
+wrong shape (a float or a boolean where an integer belongs, a scalar where a
+list or an object belongs) is a ``ValueError`` naming the expected shape;
+nothing is truncated.
 
 Algebra documents are either the full structure-constant form::
 
@@ -46,10 +49,18 @@ def field_to_dict(f: Field) -> dict:
     return {"p": f.characteristic}
 
 
+def _expect(value, kind, shape: str):
+    """``value`` if it is a ``kind`` and not a bool, else a ValueError naming
+    the expected ``shape``; nothing is converted or truncated."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"expected {shape}, got {value!r}")
+    return value
+
+
 def field_from_dict(doc) -> Field:
     if not isinstance(doc, dict) or "p" not in doc:
         raise ValueError("field document must be {'p': characteristic}")
-    p = int(doc["p"])
+    p = int(_expect(doc["p"], (int, str), "an integer characteristic p"))
     return QQ if p == 0 else GF(p)
 
 
@@ -62,7 +73,7 @@ def scalar_from(f: Field, item):
 
 
 def vector_from(f: Field, items: Sequence) -> tuple:
-    return tuple(scalar_from(f, it) for it in items)
+    return tuple(scalar_from(f, it) for it in _expect(items, (list, tuple), "a list of scalars"))
 
 
 def vector_to_list(f: Field, coords) -> list[str]:
@@ -86,21 +97,26 @@ def algebra_to_dict(a: Algebra) -> dict:
 
 
 def algebra_from_dict(doc: dict) -> Algebra:
+    _expect(doc, dict, "an algebra document (a JSON object)")
     if "matrix" in doc:
         f = field_from_dict(doc.get("field", {"p": 0}))
-        return matrix_algebra(int(doc["matrix"]["n"]), f)
+        n = _expect(doc["matrix"], dict, '{"n": size} under "matrix"')["n"]
+        return matrix_algebra(int(_expect(n, (int, str), "an integer matrix size n")), f)
     if "poly_quotient" in doc:
         f = field_from_dict(doc.get("field", {"p": 0}))
-        modulus = Poly(f, vector_from(f, doc["poly_quotient"]["modulus"]))
-        return poly_quotient_algebra(modulus)
+        spec = _expect(doc["poly_quotient"], dict, '{"modulus": [...]} under "poly_quotient"')
+        return poly_quotient_algebra(Poly(f, vector_from(f, spec["modulus"])))
     if "direct_sum" in doc:
-        left, right = doc["direct_sum"]
-        return direct_sum(algebra_from_dict(left), algebra_from_dict(right))
+        parts = _expect(doc["direct_sum"], (list, tuple), "a list of two algebra documents")
+        if len(parts) != 2:
+            raise ValueError(f"direct_sum takes two algebra documents, got {len(parts)}")
+        return direct_sum(algebra_from_dict(parts[0]), algebra_from_dict(parts[1]))
     if "opposite" in doc:
         return opposite(algebra_from_dict(doc["opposite"]))
     f = field_from_dict(doc["field"])
     table = [
-        [vector_from(f, vec) for vec in row] for row in doc["table"]
+        [vector_from(f, vec) for vec in _expect(row, (list, tuple), "a table row of vectors")]
+        for row in _expect(doc["table"], (list, tuple), "a table (a list of rows)")
     ]
     unit = vector_from(f, doc["unit"])
     return make_algebra(f, table, unit, label=doc.get("label", ""))
@@ -164,7 +180,7 @@ def subspace_to_dict(v: Subspace) -> dict:
 
 
 def subspace_from_dict(a: Algebra, doc) -> Subspace:
-    rows = doc["basis"] if isinstance(doc, dict) else doc
+    rows = _expect(doc["basis"] if isinstance(doc, dict) else doc, (list, tuple), "a basis")
     return span(a, [vector_from(a.field, row) for row in rows])
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from enum import Enum
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from . import _linalg
@@ -194,13 +195,10 @@ class Subspace:
         F = self.ambient.field
         if not F.is_finite:
             raise InfiniteField("cannot enumerate a subspace over the rationals")
-        d = self.ambient.dim
+        reduce = F.reduce
+        columns = [[row[k] for row in self.basis] for k in range(self.ambient.dim)]
         for coeffs in itertools.product(range(F.order), repeat=self.dim):
-            acc = [F.zero] * d
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, row)]
-            yield tuple(acc)
+            yield tuple(reduce(sum(map(mul, coeffs, col))) for col in columns)
 
     def elements(self) -> Iterator[Element]:
         for coords in self.coord_vectors():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mathieu_kit.cli import main
 
 
@@ -217,6 +219,44 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert "zero denominator" in err
+
+
+MALFORMED_ALGEBRAS = (
+    {"direct_sum": [1, 2]},
+    [1, 2],
+    {"opposite": None},
+    {"field": {"p": 3}, "table": 5, "unit": ["1"]},
+    {"field": {"p": 3}, "table": [[5]], "unit": ["1"]},
+    {"matrix": {"n": None}, "field": {"p": 3}},
+    {"matrix": {"n": 2}, "field": {"p": [3]}},
+    {"matrix": 2},
+    {"poly_quotient": {"modulus": 7}, "field": {"p": 3}},
+    # floats and booleans are refused, not truncated to M_2(F_3) and M_1
+    {"matrix": {"n": 2.9}, "field": {"p": 3.7}},
+    {"matrix": {"n": True}, "field": {"p": 3}},
+)
+
+
+BASIS = ["space", "radical-member", "--algebra", "mat:2:3", "--elem", "0,0,0,0", "--basis"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [pytest.param(["algebra", verb, "--algebra"], doc, id=f"{verb}:{json.dumps(doc)}")
+     for verb in ("info", "validate") for doc in MALFORMED_ALGEBRAS]
+    + [
+        pytest.param(BASIS, {"basis": 5}, id="basis:5"),
+        pytest.param(BASIS, {"basis": [5]}, id="basis:[5]"),
+        pytest.param(["elem", "classify", "--algebra", "mat:2:3", "--elem"], {"coords": 5},
+                     id="elem:5"),
+    ],
+)
+def test_malformed_documents_are_usage_errors(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_env_var_mirrors_max_scan(capsys, monkeypatch):

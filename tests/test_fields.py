@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import islice, product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathieu_kit._linalg import in_span, matvec, nullspace
+from mathieu_kit.algebra import matrix_algebra
 from mathieu_kit.errors import BothZero, DivisionByZero, FieldMismatch, ZeroPolynomial
 from mathieu_kit.fields import (
     GF,
@@ -15,6 +20,8 @@ from mathieu_kit.fields import (
     poly_gcd,
     poly_split_at_zero,
 )
+from mathieu_kit.matrixlab import trace_of_product
+from mathieu_kit.subspace import span
 
 F2 = GF(2)
 F5 = GF(5)
@@ -180,3 +187,88 @@ def test_poly_eval_horner():
     assert f(2) == (1 + 4 + 12) % 5
     g = Poly(QQ, [Fraction(1, 2), Fraction(1)])
     assert g(Fraction(3)) == Fraction(7, 2)
+
+
+P31 = 2**31 - 1  # products of two residues pass 2^62
+
+
+def _scalars(field, rng, count):
+    if field.is_finite:
+        p = field.characteristic
+        return [rng.choice([0, 1, p - 1, p - 2, rng.randrange(p)]) for _ in range(count)]
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
+
+
+def _assert_reduced(field, values):
+    # a stray unreduced int or NotImplemented would hide behind Fraction(0) == 0
+    for x in values:
+        if field.is_finite:
+            assert type(x) is int and 0 <= x < field.characteristic, x
+        else:
+            assert type(x) is Fraction, x
+
+
+@pytest.mark.parametrize("field", [GF(P31), QQ], ids=repr)
+def test_sums_of_products_are_exact_and_reduced(field):
+    """Every pure-Python sum of products against plain nested loops."""
+    p = field.characteristic
+    norm = (lambda w: w % p) if p else (lambda w: w)
+    rng = random.Random(P31)
+    alg = matrix_algebra(3, field)
+    for _ in range(25):
+        x, y = _scalars(field, rng, 9), _scalars(field, rng, 9)
+        prod = alg._mul_coords(tuple(x), tuple(y))
+        assert prod == tuple(
+            norm(sum(x[3 * i + k] * y[3 * k + j] for k in range(3)))
+            for i in range(3) for j in range(3)
+        )
+        trace = trace_of_product(alg.element(x), alg.element(y))
+        assert trace == norm(sum(x[3 * i + j] * y[3 * j + i] for i in range(3) for j in range(3)))
+        rows = [_scalars(field, rng, 9) for _ in range(3)]
+        image = matvec(field, rows, x)
+        assert image == tuple(norm(sum(map(mul, row, x))) for row in rows)
+        zero = alg._mul_coords(tuple(x), alg.zero().coords)  # no term reaches any coordinate
+        assert zero == (0,) * 9
+        _assert_reduced(field, prod + zero + (trace,) + image)
+
+        constraints, basis, _ = nullspace(field, rows, 9)
+        coeffs = _scalars(field, rng, len(basis))
+        member = [norm(sum(c * b[k] for c, b in zip(coeffs, basis))) for k in range(9)]
+        assert in_span(field, constraints, member)
+        off = [norm(m + 1) for m in member]
+        assert in_span(field, constraints, off) == all(
+            norm(sum(map(mul, row, off))) == 0 for row in constraints
+        )
+
+        f, g = Poly(field, x[:5]), Poly(field, y[:4])
+        want = [0] * 8
+        for i, a in enumerate(x[:5]):
+            for j, b in enumerate(y[:4]):
+                want[i + j] += a * b
+        assert f * g == Poly(field, [norm(w) for w in want])
+        _assert_reduced(field, (f * g).coeffs)
+        if not g.is_zero:
+            quo, rem = divmod(f, g)
+            assert quo * g + rem == f and rem.degree < g.degree
+            _assert_reduced(field, quo.coeffs + rem.coeffs)
+        value = f(x[5])
+        assert value == norm(sum(c * x[5] ** i for i, c in enumerate(f.coeffs)))
+        _assert_reduced(field, [value])
+
+
+def test_coord_vectors_sum_exactly():
+    # itertools.product holds range(p) as a tuple, so the largest prime this
+    # can walk is far below 2^31 - 1
+    field = GF(65521)
+    p = field.characteristic
+    rng = random.Random(65521)
+    alg = matrix_algebra(3, field)
+    v = span(alg, [_scalars(field, rng, 9) for _ in range(2)])
+    # every 101st of the coefficient pairs (0, c) and (1, c)
+    got = list(islice(v.coord_vectors(), 0, 2 * p, 101))
+    want = [
+        tuple(sum(c * b[k] for c, b in zip(coeffs, v.basis)) % p for k in range(9))
+        for coeffs in islice(product(range(p), repeat=v.dim), 0, 2 * p, 101)
+    ]
+    assert got == want
+    _assert_reduced(field, [c for vec in got for c in vec])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mathieu_kit import _scan
 from mathieu_kit.algebra import (
     Algebra,
     classify_element,
@@ -498,11 +499,28 @@ def test_witness_rejects_tampering():
         verify_witness(v, Sidedness.LEFT, Witness(e, (0, 0, 4, 0), None, product))
 
 
-def test_decide_all_variants_shares_scan():
-    v = trace_zero_plane(matrix_algebra(2, F3))
-    verdicts = decide_all_variants(v)
-    assert all(verdict.is_mathieu for verdict in verdicts.values())
-    assert set(verdicts) == set(ALL_VARIANTS)
+def test_decide_all_variants_shares_scan(monkeypatch):
+    alg = matrix_algebra(2, F3)
+    calls = []
+    search = _scan.idempotents
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    # the trace-zero plane passes in every variant; the top row, a right
+    # ideal, passes only on the right and is refuted by a witness otherwise
+    top_row = span(alg, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    for v, passes in [(trace_zero_plane(alg), set(ALL_VARIANTS)), (top_row, {Sidedness.RIGHT})]:
+        singles = {variant: decide_mathieu(v, variant) for variant in ALL_VARIANTS}
+        calls.clear()
+        monkeypatch.setattr(_scan, "idempotents", counted)
+        verdicts = decide_all_variants(v)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert list(verdicts) == list(ALL_VARIANTS)
+        assert verdicts == singles
+        assert {variant for variant, verdict in verdicts.items() if verdict.is_mathieu} == passes
 
 
 def test_sided_ideals_are_mathieu_subspaces():
