@@ -111,6 +111,9 @@ SCALAR_COMMANDS = (
 
 def commands() -> list[list[str]]:
     out = [["--json", "suite", "run", name, "--seed", "1234"] for name in experiments.SUITE_NAMES]
+    # a second seed draws other samples of the seeded checks
+    out += [["--json", "suite", "run", name, "--seed", "99"]
+            for name in ("radical_laws", "idempotent_criterion")]
     out.append(["--json", "mat", "codim1", "--n", "3", "--q", "5"])
     # scan-mode censuses: every class's verdict comes from the idempotent search
     out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("2", "7"), ("3", "2"))]

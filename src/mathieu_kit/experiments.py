@@ -6,6 +6,13 @@ of the checks shortcut through the statement they are checking.  Reports are
 deterministic given the seed: randomized subspace sampling uses an explicit
 ``random.Random`` and every randomized check records the seed in its
 instance string.
+
+A suite that sweeps every subspace of an algebra decides each one once per
+run: one verdict table per algebra, built inside the first check that asks
+for it and read by every later one (see :func:`_verdict_table`).  The table
+lives only as long as the suite call.  A refusal (``TooLarge``) is not kept,
+so each check that needs a refused table records the refusal itself and the
+other checks still run.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
@@ -272,10 +279,23 @@ class _Recorder:
         )
 
 
-def _mathieu_subspaces(a: Algebra, variant: Sidedness, max_scan: int) -> list[Subspace]:
-    return [
-        v for v in all_subspaces(a) if decide_mathieu(v, variant, max_scan).is_mathieu
-    ]
+def _verdict_table(max_scan: int) -> Callable[[Algebra], dict]:
+    """A fresh table for one suite run: ``table(a)`` maps each subspace of
+    ``a``, in ``all_subspaces`` order, to its four verdicts.
+
+    It is built on first use.  A refusal raises and is not cached, so every
+    check that asks for the table records the refusal itself.
+    """
+
+    @cache
+    def table(a: Algebra) -> dict:
+        return {v: decide_all_variants(v, max_scan) for v in all_subspaces(a)}
+
+    return table
+
+
+def _mathieu_in(verdicts: dict, variant: Sidedness) -> list[Subspace]:
+    return [v for v, by_variant in verdicts.items() if by_variant[variant].is_mathieu]
 
 
 def _radical_of_set(a: Algebra, members: set) -> set:
@@ -300,26 +320,21 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
     rec = _Recorder("radical_laws")
     rng = random.Random(seed)
     small = _small_f23_entries()
+    table = _verdict_table(max_scan)
 
     for entry in small:
         a = entry.algebra
-        subspaces = list(all_subspaces(a))
-        mathieu = [
-            v
-            for v in subspaces
-            if decide_mathieu(v, Sidedness.TWO_SIDED, max_scan).is_mathieu
-        ]
 
-        def radical_idempotence(a=a, mathieu=mathieu):
-            for m in mathieu:
+        def radical_idempotence(a=a):
+            for m in _mathieu_in(table(a), Sidedness.TWO_SIDED):
                 rad = {x.coords for x in radical_enumerate(m, max_scan)}
                 again = _radical_of_set(a, rad)
                 assert again == rad, f"radical not idempotent on {m.basis}"
 
         rec.run("radical_of_radical_fixed", entry.name, radical_idempotence)
 
-        def radical_vs_max_ideal(a=a, mathieu=mathieu):
-            for m in mathieu:
+        def radical_vs_max_ideal(a=a):
+            for m in _mathieu_in(table(a), Sidedness.TWO_SIDED):
                 lhs = {x.coords for x in radical_enumerate(m, max_scan)}
                 ideal = max_theta_ideal(m, Sidedness.TWO_SIDED)
                 rhs = {x.coords for x in radical_enumerate(ideal, max_scan)}
@@ -327,17 +342,18 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
 
         rec.run("radical_matches_max_ideal", entry.name, radical_vs_max_ideal)
 
-        def sandwich(a=a, mathieu=mathieu, subspaces=subspaces):
+        def sandwich(a=a):
             # everything between a Mathieu subspace and its maximum ideal is
             # again Mathieu, with the same radical
+            verdicts = table(a)
             for variant in (Sidedness.TWO_SIDED, Sidedness.LEFT):
-                for m in _mathieu_subspaces(a, variant, max_scan):
+                for m in _mathieu_in(verdicts, variant):
                     ideal = max_theta_ideal(m, variant)
                     rad_ideal = {x.coords for x in radical_enumerate(ideal, max_scan)}
-                    for v in subspaces:
+                    for v, by_variant in verdicts.items():
                         if not (m.contains(v) and v.contains(ideal)):
                             continue
-                        assert decide_mathieu(v, variant, max_scan).is_mathieu, (
+                        assert by_variant[variant].is_mathieu, (
                             f"{v.basis} sandwiched in {m.basis} failed"
                         )
                         rad_v = {x.coords for x in radical_enumerate(v, max_scan)}
@@ -345,26 +361,27 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
 
         rec.run("sandwich_between_max_ideal_and_mathieu", entry.name, sandwich)
 
-        def unit_blocks(a=a, subspaces=subspaces):
-            for v in subspaces:
+        def unit_blocks(a=a):
+            for v, by_variant in table(a).items():
                 if v.is_full or not v.contains_unit():
                     continue
-                for verdict in decide_all_variants(v, max_scan).values():
+                for verdict in by_variant.values():
                     assert not verdict.is_mathieu, f"unit-bearing {v.basis} passed"
 
         rec.run("unit_in_proper_subspace_refutes", entry.name, unit_blocks)
 
-        def intersections(a=a, max_scan=max_scan):
+        def intersections(a=a):
+            verdicts = table(a)
             for variant in ALL_VARIANTS:
-                family = _mathieu_subspaces(a, variant, max_scan)
+                family = _mathieu_in(verdicts, variant)
                 pairs = [
                     (x, y) for i, x in enumerate(family) for y in family[i + 1 :]
                 ]
                 if len(pairs) > 400:
                     pairs = rng.sample(pairs, 400)
                 for x, y in pairs:
-                    meet = x.intersect(y)
-                    assert decide_mathieu(meet, variant, max_scan).is_mathieu, (
+                    meet = verdicts.get(x.intersect(y))
+                    assert meet is not None and meet[variant].is_mathieu, (
                         f"intersection of {x.basis} and {y.basis} failed ({variant.value})"
                     )
 
@@ -401,11 +418,12 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
     for name, hom in homs:
 
         def pullbacks(hom=hom):
-            for m in all_subspaces(hom.codomain):
+            upstairs = table(hom.domain)
+            for m, by_variant in table(hom.codomain).items():
                 for variant in ALL_VARIANTS:
-                    if decide_mathieu(m, variant, max_scan).is_mathieu:
-                        back = preimage(hom, m)
-                        assert decide_mathieu(back, variant, max_scan).is_mathieu, (
+                    if by_variant[variant].is_mathieu:
+                        back = upstairs.get(preimage(hom, m))
+                        assert back is not None and back[variant].is_mathieu, (
                             f"preimage of {m.basis} failed ({variant.value})"
                         )
 
@@ -423,10 +441,9 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
         def transfer(alg=alg, ideal_rows=ideal_rows):
             ideal = span(alg, ideal_rows)
             quotient, proj = quotient_algebra(alg, ideal)
-            for m in all_subspaces(alg):
+            for m, ups in table(alg).items():
                 if not m.contains(ideal):
                     continue
-                ups = decide_all_variants(m, max_scan)
                 downs = decide_all_variants(image(proj, m), max_scan)
                 for variant in ALL_VARIANTS:
                     up, down = ups[variant].is_mathieu, downs[variant].is_mathieu
@@ -440,9 +457,9 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
         def duality(name=name):
             a = catalog()[name].algebra
             op = opposite(a)
-            for v in all_subspaces(a):
-                lhs_all = decide_all_variants(v, max_scan)
-                rhs_all = decide_all_variants(Subspace.span(op, v.basis), max_scan)
+            opposites = table(op)
+            for v, lhs_all in table(a).items():
+                rhs_all = opposites[Subspace.span(op, v.basis)]
                 for this, that in [
                     (Sidedness.LEFT, Sidedness.RIGHT),
                     (Sidedness.RIGHT, Sidedness.LEFT),
@@ -460,9 +477,9 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
             continue
 
         def commutative_rule(a=entry.algebra):
-            for v in all_subspaces(a):
+            for v, by_variant in table(a).items():
                 lhs = is_mathieu_commutative(v, max_scan)
-                rhs = decide_mathieu(v, Sidedness.TWO_SIDED, max_scan).is_mathieu
+                rhs = by_variant[Sidedness.TWO_SIDED].is_mathieu
                 assert lhs == rhs, f"{v.basis}: {lhs} vs {rhs}"
 
         rec.run("commutative_radical_rule", entry.name, commutative_rule)
@@ -506,14 +523,15 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
 def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
     rec = _Recorder("idempotent_criterion")
     cat = catalog()
+    table = _verdict_table(max_scan)
 
     # decision agreement with the definition-level oracle: exhaustive over
     # every subspace of every dim <= 4 catalog algebra over F_2/F_3
     for entry in _small_f23_entries():
 
         def agreement(a=entry.algebra):
-            for v in all_subspaces(a):
-                for variant, verdict in decide_all_variants(v, max_scan).items():
+            for v, by_variant in table(a).items():
+                for variant, verdict in by_variant.items():
                     d = verdict.is_mathieu
                     o = oracle_mathieu(v, variant, max_scan)
                     assert d == o, f"{v.basis} {variant.value}: decide={d} oracle={o}"
@@ -580,12 +598,12 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
 
         def no_ideal_criterion(a=entry.algebra):
             zero = tuple(a.field.zero for _ in range(a.dim))
-            for v in all_subspaces(a):
+            for v, by_variant in table(a).items():
                 free = all(e == zero for e in _idempotents_of(v, max_scan))
                 for variant in ALL_VARIANTS:
                     if not max_theta_ideal(v, variant).is_zero:
                         continue
-                    verdict = decide_mathieu(v, variant, max_scan).is_mathieu
+                    verdict = by_variant[variant].is_mathieu
                     assert free == verdict, f"{v.basis} {variant.value}"
 
         rec.run("zero_max_ideal_criterion", entry.name, no_ideal_criterion)
@@ -600,14 +618,15 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
                 for x in a.elements()
                 if classify_element(x).nilpotent
             }
-            for m in _mathieu_subspaces(a, Sidedness.TWO_SIDED, max_scan):
+            verdicts = table(a)
+            for m in _mathieu_in(verdicts, Sidedness.TWO_SIDED):
                 if m.is_full:
                     continue
                 rad = {x.coords for x in radical_enumerate(m, max_scan)}
                 assert rad == nil, f"{m.basis}: radical is not the nilpotent cone"
-                for v in all_subspaces(a):
+                for v, by_variant in verdicts.items():
                     if m.contains(v):
-                        assert decide_mathieu(v, Sidedness.TWO_SIDED, max_scan).is_mathieu
+                        assert by_variant[Sidedness.TWO_SIDED].is_mathieu
 
         rec.run("simple_algebra_radicals", name, simple_radicals)
 

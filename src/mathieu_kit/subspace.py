@@ -11,9 +11,10 @@ index set for both ideals and Mathieu subspaces; ``pre_two_sided`` of an
 element means the sum of the left and the right ideal it generates, which for
 a noncommutative algebra need not be an ideal of any kind.  Which basis
 translates of x a variant asks about is decided in one place,
-:func:`translates`; the generated ideal, the ideal check, the maximum ideal
-inside a subspace and the refuting idempotents of :mod:`mathieu_kit.mathieu`
-all read that list.
+:func:`translates`; the generated ideal, the ideal check and the refuting
+idempotents of :mod:`mathieu_kit.mathieu` all read that list.  The maximum
+ideal inside a subspace needs only the translates of basis vectors, which
+are the structure constants themselves, and reads them from the table.
 """
 
 from __future__ import annotations
@@ -270,10 +271,11 @@ def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
 
     A one-sided maximum is solved as one linear system: x qualifies when
     each of its d basis translates stays inside ``v``.  The t-th translate
-    is linear in x, with the t-th translates of the basis vectors as its
-    columns, so the system is v's constraint rows pulled back along each
-    translate map.  The unit is in the basis span, so the solution set
-    automatically sits inside ``v`` itself.
+    is linear in x, and its columns, the products of e_t with the basis
+    vectors, are structure constants: row t of the table (left, e_t*e_j)
+    or column t (right, e_j*e_t).  The system is v's constraint rows pulled
+    back along each translate map.  The unit is in the basis span, so the
+    solution set automatically sits inside ``v`` itself.
 
     The two-sided maximum is two one-sided steps, the left maximum inside
     the right maximum of ``v``: x lies in it exactly when b*x*c lies in
@@ -290,12 +292,8 @@ def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
     constraints = v.constraints()
     if not constraints:
         return Subspace.full(A)
-    per_basis = ([prod for _, _, prod in translates(A, e, variant)] for e in A._basis)
-    stacked = [
-        row
-        for images in zip(*per_basis)
-        for row in _pull_back(A.field, constraints, images)
-    ]
+    maps = A.table if variant is Sidedness.LEFT else zip(*A.table)
+    stacked = [row for images in maps for row in _pull_back(A.field, constraints, images)]
     return _solution_space(A, stacked)
 
 
@@ -360,8 +358,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, AlgebraHom]:
     for ai in range(m):
         row = []
         for bi in range(m):
-            prod = a._mul_coords(a._basis_coords(complement[ai]), a._basis_coords(complement[bi]))
-            row.append(project(prod))
+            row.append(project(a.table[complement[ai]][complement[bi]]))
         table.append(tuple(row))
     unit = project(a.unit)
     label = f"{a.label}/ideal(dim={ideal.dim})"

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
+from mathieu_kit import experiments
 from mathieu_kit.algebra import poly_quotient_algebra
+from mathieu_kit.cli import main
 from mathieu_kit.errors import TooLarge
 from mathieu_kit.experiments import (
     catalog,
@@ -13,7 +16,7 @@ from mathieu_kit.experiments import (
     SUITE_NAMES,
 )
 from mathieu_kit.fields import GF, Poly
-from mathieu_kit.subspace import Sidedness
+from mathieu_kit.subspace import Sidedness, all_subspaces
 
 
 REQUIRED_ENTRIES = {
@@ -131,3 +134,35 @@ def test_check_results_serialize():
     assert all(
         {"suite", "check", "instance", "pass", "millis"} <= set(d) for d in docs
     )
+
+
+def test_radical_laws_records_refusals(capsys):
+    # F9 and the 16-element algebras are past a budget of 8: each check that
+    # needs them fails with the refusal, and the others still run
+    report = run_suite("radical_laws", max_scan=8)
+    failed = report.failures()
+    assert failed and any(c.passed for c in report.checks)
+    assert all(str(c.witness).startswith("TooLarge: ") for c in failed)
+    assert "radical_of_radical_fixed" in {c.check for c in failed}
+    assert main(["--json", "--max-scan", "8", "suite", "run", "radical_laws"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(report.checks)
+
+
+def test_each_swept_subspace_is_decided_once(monkeypatch):
+    decided = Counter()
+
+    def counting(decide):
+        def wrapper(v, *args, **kwargs):
+            decided[v.ambient.label, v.basis] += 1
+            return decide(v, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("decide_all_variants", "decide_mathieu"):
+        monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
+    assert run_suite("idempotent_criterion").passed
+    swept = [e for e in catalog_over({2, 3}).values() if e.algebra.dim <= 4]
+    assert len(swept) == 12
+    expected = {(e.name, v.basis) for e in swept for v in all_subspaces(e.algebra)}
+    assert {key: decided[key] for key in expected} == dict.fromkeys(expected, 1)
