@@ -114,6 +114,10 @@ def commands() -> list[list[str]]:
     # a second seed draws other samples of the seeded checks
     out += [["--json", "suite", "run", name, "--seed", "99"]
             for name in ("radical_laws", "idempotent_criterion")]
+    # tight budgets: the oracle refuses on M3(F2) and M2(F3), naming the
+    # price of the first variant in ALL_VARIANTS order that is over budget
+    out += [["--json", "--max-scan", budget, "suite", "run", "idempotent_criterion",
+             "--seed", "1234"] for budget in ("20000", "100000")]
     out.append(["--json", "mat", "codim1", "--n", "3", "--q", "5"])
     # scan-mode censuses: every class's verdict comes from the idempotent search
     out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("2", "7"), ("3", "2"))]

@@ -49,6 +49,7 @@ from .mathieu import (
     is_quasi_stable,
     is_stable,
     line_is_mathieu,
+    oracle_all_variants,
     oracle_mathieu,
     radical_enumerate,
 )
@@ -62,6 +63,7 @@ from .subspace import (
     image,
     is_theta_ideal,
     max_theta_ideal,
+    max_theta_ideals,
     preimage,
     quotient_algebra,
     span,
@@ -531,9 +533,9 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
 
         def agreement(a=entry.algebra):
             for v, by_variant in table(a).items():
+                oracle = oracle_all_variants(v, max_scan)
                 for variant, verdict in by_variant.items():
-                    d = verdict.is_mathieu
-                    o = oracle_mathieu(v, variant, max_scan)
+                    d, o = verdict.is_mathieu, oracle[variant]
                     assert d == o, f"{v.basis} {variant.value}: decide={d} oracle={o}"
 
         rec.run("oracle_agreement", entry.name, agreement)
@@ -547,9 +549,9 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
                 for _ in range(rng.randrange(5))
             ]
             v = span(a, rows)
-            for variant, verdict in decide_all_variants(v, max_scan).items():
-                d = verdict.is_mathieu
-                o = oracle_mathieu(v, variant, max_scan)
+            verdicts, oracle = decide_all_variants(v, max_scan), oracle_all_variants(v, max_scan)
+            for variant, verdict in verdicts.items():
+                d, o = verdict.is_mathieu, oracle[variant]
                 assert d == o, f"{v.basis} {variant.value}: decide={d} oracle={o}"
 
     rec.run(
@@ -600,8 +602,8 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
             zero = tuple(a.field.zero for _ in range(a.dim))
             for v, by_variant in table(a).items():
                 free = all(e == zero for e in _idempotents_of(v, max_scan))
-                for variant in ALL_VARIANTS:
-                    if not max_theta_ideal(v, variant).is_zero:
+                for variant, ideal in max_theta_ideals(v).items():
+                    if not ideal.is_zero:
                         continue
                     verdict = by_variant[variant].is_mathieu
                     assert free == verdict, f"{v.basis} {variant.value}"
@@ -681,9 +683,8 @@ def _suite_lines(seed: int, max_scan: int) -> SuiteReport:
             a = matrix_algebra(n, GF(q))
             for line in enumerate_subspaces(a, 1):
                 gen = Element(a, line.basis[0])
-                for variant in ALL_VARIANTS:
+                for variant, brute in oracle_all_variants(line, max_scan).items():
                     rule = line_is_mathieu(gen, variant)
-                    brute = oracle_mathieu(line, variant, max_scan)
                     assert rule == brute, f"{line.basis} {variant.value}"
 
         rec.run("line_oracle_agreement", f"n={n},q={q}", oracle_per_line)

@@ -19,6 +19,11 @@ everything here is decided exactly:
   the same sorted list.
 * ``oracle_mathieu`` is the deliberately naive definition-level check, kept
   free of the theory above so the two can be compared on everything small.
+  It lists the elements of M once and reads membership from that set, not
+  from M's constraint rows, and ``oracle_all_variants`` answers all four
+  variants from one such walk, each element's power cycle computed once.
+  Each requested variant is priced in turn, in ``ALL_VARIANTS`` order,
+  before M is listed; the first one over budget is refused at its price.
 * ``radical_member`` decides membership in the radical through a finite
   power window derived from the minimal polynomial: with minpoly t^k h,
   h(0) != 0 and e = deg h >= 1, the tail powers satisfy a linear recurrence
@@ -316,48 +321,65 @@ def oracle_mathieu(
 ) -> bool:
     """Brute-force check straight from the definition, no theory shortcuts.
 
-    Walks the elements a of v (an element whose powers all lie in v lies in
-    v, since a^1 = a).  For every a with all powers inside v (tested over
-    one full cycle of the power sequence), every required basis translate
-    of every tail power must lie in v; eventual periodicity makes the tail
-    check finite and exact.
+    Lists the elements of v once, as a set; membership in v is a lookup in
+    that set, never v's constraint rows.  Then walks the elements a of v
+    (an element whose powers all lie in v lies in v, since a^1 = a).  For
+    every a with all powers inside v (tested over one full cycle of the
+    power sequence), every required basis translate of every tail power
+    must lie in v; eventual periodicity makes the tail check finite and
+    exact.
 
-    The price is charged before the first product: q^dim v walks, each of
-    at most q^d powers (the distinct powers of a are elements of A), and
-    each power with its d (left, right), 2d (pre-two-sided) or d + d^2
-    (two-sided) translate products, so q^dim v * q^d * (1 + t) products in
-    all, t that translate count.  Past ``max_scan`` it raises ``TooLarge``.
+    The price is charged before the first product and before v is listed:
+    q^dim v walks, each of at most q^d powers (the distinct powers of a are
+    elements of A), and each power with its d (left, right), 2d
+    (pre-two-sided) or d + d^2 (two-sided) translate products, so
+    q^dim v * q^d * (1 + t) products in all, t that translate count.  Past
+    ``max_scan`` it raises ``TooLarge``.
     """
     variant = Sidedness.parse(variant)
+    return _oracle(v, (variant,), max_scan)[variant]
+
+
+def oracle_all_variants(
+    v: Subspace, max_scan: int = MAX_SCAN_DEFAULT
+) -> dict[Sidedness, bool]:
+    """All four answers, each as :func:`oracle_mathieu` gives it, from one
+    walk of v.  Each variant is priced in turn, in ``ALL_VARIANTS`` order,
+    and the first one past ``max_scan`` is refused with its own price."""
+    return _oracle(v, ALL_VARIANTS, max_scan)
+
+
+def _oracle(v: Subspace, variants, max_scan: int) -> dict[Sidedness, bool]:
+    """One walk of v: each element's power cycle once, its left products
+    b*t shared by the left and two-sided checks, and pre-two-sided read as
+    left and right together."""
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("the brute-force oracle needs a finite field")
     d = a.dim
-    t = {Sidedness.PRE_TWO_SIDED: 2 * d, Sidedness.TWO_SIDED: d + d * d}.get(variant, d)
-    price = v.size() * a.size * (1 + t)
-    if price > max_scan:
-        raise TooLarge(price, max_scan, what=f"oracle walk of {a.label}")
-    basis = a._basis
-    for x in v.elements():
-        info = power_cycle(x)
-        if not all(v.member_coords(pw) for pw in info.powers):
+    for variant in variants:
+        t = {Sidedness.PRE_TWO_SIDED: 2 * d, Sidedness.TWO_SIDED: d + d * d}.get(variant, d)
+        price = v.size() * a.size * (1 + t)
+        if price > max_scan:
+            raise TooLarge(price, max_scan, what=f"oracle walk of {a.label}")
+    left, right, two = Sidedness.LEFT, Sidedness.RIGHT, Sidedness.TWO_SIDED
+    pre = Sidedness.PRE_TWO_SIDED in variants
+    holds = {s: s in variants or pre and s is not two for s in (left, right, two)}
+    members = set(v.coord_vectors())
+    basis, mul = a._basis, a._mul_coords
+    for x in members:
+        if not any(holds.values()):
+            break
+        info = power_cycle(Element(a, x))
+        if not members.issuperset(info.powers):
             continue
         tail = info.powers[info.preperiod - 1 :]
-        if variant in (Sidedness.LEFT, Sidedness.PRE_TWO_SIDED):
-            for b in basis:
-                if not all(v.member_coords(a._mul_coords(b, t)) for t in tail):
-                    return False
-        if variant in (Sidedness.RIGHT, Sidedness.PRE_TWO_SIDED):
-            for c in basis:
-                if not all(v.member_coords(a._mul_coords(t, c)) for t in tail):
-                    return False
-        if variant is Sidedness.TWO_SIDED:
-            for b in basis:
-                bt = [a._mul_coords(b, t) for t in tail]
-                for c in basis:
-                    if not all(v.member_coords(a._mul_coords(t, c)) for t in bt):
-                        return False
-    return True
+        bt = [mul(b, t) for b in basis for t in tail] if holds[left] or holds[two] else ()
+        holds[left] = holds[left] and members.issuperset(bt)
+        holds[right] = holds[right] and members.issuperset(mul(t, c) for t in tail for c in basis)
+        holds[two] = holds[two] and members.issuperset(mul(y, c) for y in bt for c in basis)
+    holds[Sidedness.PRE_TWO_SIDED] = holds[left] and holds[right]
+    return {variant: holds[variant] for variant in variants}
 
 
 # -- special decision paths -------------------------------------------------------------

@@ -297,6 +297,15 @@ def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
     return _solution_space(A, stacked)
 
 
+def max_theta_ideals(v: Subspace) -> dict[Sidedness, Subspace]:
+    """All four maxima, each as :func:`max_theta_ideal` gives it, from the
+    left and right maxima of ``v`` solved once each: two-sided is the left
+    maximum inside the right one, pre-two-sided their sum."""
+    left, right = max_theta_ideal(v, Sidedness.LEFT), max_theta_ideal(v, Sidedness.RIGHT)
+    two_sided = max_theta_ideal(right, Sidedness.LEFT)
+    return dict(zip(ALL_VARIANTS, (left, right, left + right, two_sided)))
+
+
 def is_theta_ideal(v: Subspace, variant: Sidedness) -> bool:
     """Absorption check on the one-sided translates of the basis rows.
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mathieu_kit import _scan
+from mathieu_kit import _linalg, _scan, mathieu
 from mathieu_kit.algebra import (
     Algebra,
     classify_element,
@@ -32,6 +32,7 @@ from mathieu_kit.mathieu import (
     is_quasi_stable,
     is_stable,
     line_is_mathieu,
+    oracle_all_variants,
     oracle_mathieu,
     radical_enumerate,
     radical_member,
@@ -269,6 +270,14 @@ def test_oracle_is_charged_for_its_walks_before_any_product(monkeypatch):
     # price is 1009 walks of at most 1009 powers, each with its 1 left
     # translate, and it is refused before the first product
     a = field_algebra(GF(1009))
+    # the upper triangular matrices of M_2(F_2): 8 walks of at most 16
+    # powers, each with 4 left or right, 8 pre-two-sided or 20 two-sided
+    # translates, so 640 evaluations for left and right, 1152 and 2688
+    m2 = matrix_algebra(2, F2)
+    v = span(m2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    assert oracle_mathieu(v, Sidedness.LEFT, max_scan=640) == decide_mathieu(
+        v, Sidedness.LEFT
+    ).is_mathieu
     products = []
     mul_coords = Algebra._mul_coords
 
@@ -276,10 +285,51 @@ def test_oracle_is_charged_for_its_walks_before_any_product(monkeypatch):
         products.append(1)
         return mul_coords(self, x, y)
 
+    def listed(self):
+        products.append("coord_vectors")
+        return iter(())
+
     monkeypatch.setattr(Algebra, "_mul_coords", counted)
+    monkeypatch.setattr(Subspace, "coord_vectors", listed)
     with pytest.raises(TooLarge, match="needs 2036162 evaluations, budget is 1009"):
         oracle_mathieu(Subspace.full(a), Sidedness.LEFT, max_scan=1009)
+    # every variant is priced in ALL_VARIANTS order before v is listed: the
+    # first one over budget names the refusal, not the largest one
+    with pytest.raises(TooLarge, match="needs 1152 evaluations, budget is 640"):
+        oracle_all_variants(v, max_scan=640)
+    with pytest.raises(TooLarge, match="needs 2688 evaluations, budget is 1152"):
+        oracle_all_variants(v, max_scan=1152)
+    with pytest.raises(TooLarge, match="needs 2688 evaluations, budget is 640"):
+        oracle_mathieu(v, Sidedness.TWO_SIDED, max_scan=640)
     assert products == []
+
+
+def test_oracle_reads_membership_from_the_listed_elements(monkeypatch):
+    # one walk answers all four variants without the constraint rows that
+    # the idempotent decision tests membership with, and computes each
+    # element's power cycle at most once
+    cases = []
+    for alg in [matrix_algebra(2, F2), truncated(2, 3)]:
+        cases += [(v, decide_all_variants(v)) for v in all_subspaces(alg)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle tested membership through constraint rows")
+
+    monkeypatch.setattr(Subspace, "member_coords", refuse)
+    monkeypatch.setattr(_linalg, "in_span", refuse)
+    cycles = []
+    power_cycle = mathieu.power_cycle
+
+    def counted(x):
+        cycles.append(x)
+        return power_cycle(x)
+
+    monkeypatch.setattr(mathieu, "power_cycle", counted)
+    for v, verdicts in cases:
+        cycles.clear()
+        oracle = oracle_all_variants(v)
+        assert oracle == {var: verdict.is_mathieu for var, verdict in verdicts.items()}, v.basis
+        assert len(cycles) <= v.size(), (v.basis, len(cycles))
 
 
 def test_oracle_equals_decision_on_small_algebras():

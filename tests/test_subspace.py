@@ -8,7 +8,8 @@ import pytest
 from mathieu_kit._linalg import nullspace, reduce_vector, rref
 from mathieu_kit.algebra import AlgebraHom, matrix_algebra, opposite, poly_quotient_algebra
 from mathieu_kit.errors import AlgebraMismatch, InfiniteField, NotAnIdeal, TooLarge
-from mathieu_kit.experiments import catalog
+from mathieu_kit import subspace
+from mathieu_kit.experiments import _small_f23_entries, catalog
 from mathieu_kit.fields import GF, QQ, Poly
 from mathieu_kit.matrixlab import trace_orthogonal
 from mathieu_kit.subspace import (
@@ -22,6 +23,7 @@ from mathieu_kit.subspace import (
     intersect,
     is_theta_ideal,
     max_theta_ideal,
+    max_theta_ideals,
     preimage,
     quotient_algebra,
     span,
@@ -231,6 +233,28 @@ def test_max_theta_ideal_is_maximal_ideal_inside():
                     gen = theta_ideal(x, variant)
                     if v.contains(gen):
                         assert ideal.contains(gen)
+
+
+def test_max_theta_ideals_solve_each_one_sided_maximum_once(monkeypatch):
+    # left and right once each, then the left maximum inside the right one;
+    # asking max_theta_ideal for the four variants one by one solves six
+    solve = subspace._solution_space
+    calls = []
+
+    def counted(a, rows):
+        calls.append(rows)
+        return solve(a, rows)
+
+    for entry in _small_f23_entries():
+        for v in all_subspaces(entry.algebra):
+            monkeypatch.setattr(subspace, "_solution_space", counted)
+            calls.clear()
+            ideals = max_theta_ideals(v)
+            assert len(calls) == (3 if v.constraints() else 0), (entry.name, v.basis)
+            monkeypatch.undo()
+            assert list(ideals) == list(ALL_VARIANTS)
+            for variant in ALL_VARIANTS:
+                assert ideals[variant] == max_theta_ideal(v, variant), (entry.name, v.basis)
 
 
 def test_max_theta_ideal_pre_two_sided_is_sum():
