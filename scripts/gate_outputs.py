@@ -118,6 +118,11 @@ def commands() -> list[list[str]]:
     # price of the first variant in ALL_VARIANTS order that is over budget
     out += [["--json", "--max-scan", budget, "suite", "run", "idempotent_criterion",
              "--seed", "1234"] for budget in ("20000", "100000")]
+    # budgets that refuse idempotent scans, power scans and oracle walks: each
+    # check records the refusal of the first fact it needs that is over budget
+    out += [["--json", "--max-scan", budget, "suite", "run", name, "--seed", "1234"]
+            for name, budget in (("radical_laws", "8"), ("radical_laws", "100"),
+                                 ("closure_laws", "8"), ("idempotent_criterion", "8"))]
     out.append(["--json", "mat", "codim1", "--n", "3", "--q", "5"])
     # scan-mode censuses: every class's verdict comes from the idempotent search
     out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("2", "7"), ("3", "2"))]

@@ -7,12 +7,14 @@ deterministic given the seed: randomized subspace sampling uses an explicit
 ``random.Random`` and every randomized check records the seed in its
 instance string.
 
-A suite that sweeps every subspace of an algebra decides each one once per
-run: one verdict table per algebra, built inside the first check that asks
-for it and read by every later one (see :func:`_verdict_table`).  The table
-lives only as long as the suite call.  A refusal (``TooLarge``) is not kept,
-so each check that needs a refused table records the refusal itself and the
-other checks still run.
+A suite that sweeps every subspace of an algebra derives each fact about a
+subspace once per run, into one fact table (see :func:`_fact_table`): its
+idempotents, from one search; its four verdicts, read from those
+idempotents; its maximum sided ideals; and its radical.  A fact is derived
+inside the first check that asks for it and read by every later one, and
+the table lives only as long as the suite call.  A refusal (``TooLarge``)
+is not kept, so each check records the refusal of the first fact it needs
+that is over budget, and the other checks still run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
@@ -42,7 +45,7 @@ from .mathieu import (
     _cycle_radical_member,
     _idempotents_of,
     _nontrivial_idempotents,
-    decide_all_variants,
+    _verdicts,
     decide_mathieu,
     find_nontrivial_mathieu,
     is_mathieu_commutative,
@@ -281,19 +284,33 @@ class _Recorder:
         )
 
 
-def _verdict_table(max_scan: int) -> Callable[[Algebra], dict]:
-    """A fresh table for one suite run: ``table(a)`` maps each subspace of
-    ``a``, in ``all_subspaces`` order, to its four verdicts.
+def _fact_table(max_scan: int) -> SimpleNamespace:
+    """A fresh fact table for one suite run.  Each fact about a subspace v
+    is derived once, on first use, and kept for the run:
 
-    It is built on first use.  A refusal raises and is not cached, so every
-    check that asks for the table records the refusal itself.
+    * ``idempotents(v)``: its sorted idempotents, from one search;
+    * ``verdicts(v)``: its four verdicts, read from those idempotents;
+    * ``maxima(v)``: its four maximum sided ideals, each one-sided maximum
+      solved once for the run (the two-sided one of v is the left one of
+      v's right maximum, itself a subspace the run may sweep);
+    * ``radical(v)``: its radical, as ``radical_enumerate``'s ordered
+      coordinate list.
+
+    ``table(a)`` maps each subspace of ``a``, in ``all_subspaces`` order, to
+    its verdicts.  A refusal (``TooLarge``) raises and is not kept, so each
+    check records the refusal of the first fact it needs that is over
+    budget, and the other checks still run.
     """
-
-    @cache
-    def table(a: Algebra) -> dict:
-        return {v: decide_all_variants(v, max_scan) for v in all_subspaces(a)}
-
-    return table
+    idempotents = cache(lambda v: _idempotents_of(v, max_scan))
+    verdicts = cache(lambda v: _verdicts(v, idempotents(v), ALL_VARIANTS))
+    one_sided = cache(lambda v, side: max_theta_ideal(v, side))
+    return SimpleNamespace(
+        idempotents=idempotents,
+        verdicts=verdicts,
+        maxima=cache(lambda v: max_theta_ideals(v, one_sided)),
+        radical=cache(lambda v: [x.coords for x in radical_enumerate(v, max_scan)]),
+        table=cache(lambda a: {v: verdicts(v) for v in all_subspaces(a)}),
+    )
 
 
 def _mathieu_in(verdicts: dict, variant: Sidedness) -> list[Subspace]:
@@ -322,25 +339,24 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
     rec = _Recorder("radical_laws")
     rng = random.Random(seed)
     small = _small_f23_entries()
-    table = _verdict_table(max_scan)
+    facts = _fact_table(max_scan)
+    table, radical = facts.table, facts.radical
 
     for entry in small:
         a = entry.algebra
 
         def radical_idempotence(a=a):
             for m in _mathieu_in(table(a), Sidedness.TWO_SIDED):
-                rad = {x.coords for x in radical_enumerate(m, max_scan)}
-                again = _radical_of_set(a, rad)
-                assert again == rad, f"radical not idempotent on {m.basis}"
+                rad = set(radical(m))
+                assert _radical_of_set(a, rad) == rad, f"radical not idempotent on {m.basis}"
 
         rec.run("radical_of_radical_fixed", entry.name, radical_idempotence)
 
         def radical_vs_max_ideal(a=a):
             for m in _mathieu_in(table(a), Sidedness.TWO_SIDED):
-                lhs = {x.coords for x in radical_enumerate(m, max_scan)}
-                ideal = max_theta_ideal(m, Sidedness.TWO_SIDED)
-                rhs = {x.coords for x in radical_enumerate(ideal, max_scan)}
-                assert lhs == rhs, f"radical differs from max-ideal radical on {m.basis}"
+                assert radical(m) == radical(facts.maxima(m)[Sidedness.TWO_SIDED]), (
+                    f"radical differs from max-ideal radical on {m.basis}"
+                )
 
         rec.run("radical_matches_max_ideal", entry.name, radical_vs_max_ideal)
 
@@ -350,16 +366,15 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
             verdicts = table(a)
             for variant in (Sidedness.TWO_SIDED, Sidedness.LEFT):
                 for m in _mathieu_in(verdicts, variant):
-                    ideal = max_theta_ideal(m, variant)
-                    rad_ideal = {x.coords for x in radical_enumerate(ideal, max_scan)}
+                    ideal = facts.maxima(m)[variant]
+                    rad_ideal = radical(ideal)
                     for v, by_variant in verdicts.items():
                         if not (m.contains(v) and v.contains(ideal)):
                             continue
                         assert by_variant[variant].is_mathieu, (
                             f"{v.basis} sandwiched in {m.basis} failed"
                         )
-                        rad_v = {x.coords for x in radical_enumerate(v, max_scan)}
-                        assert rad_v == rad_ideal, f"{v.basis}: radical moved"
+                        assert radical(v) == rad_ideal, f"{v.basis}: radical moved"
 
         rec.run("sandwich_between_max_ideal_and_mathieu", entry.name, sandwich)
 
@@ -446,7 +461,7 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
             for m, ups in table(alg).items():
                 if not m.contains(ideal):
                     continue
-                downs = decide_all_variants(image(proj, m), max_scan)
+                downs = facts.verdicts(image(proj, m))
                 for variant in ALL_VARIANTS:
                     up, down = ups[variant].is_mathieu, downs[variant].is_mathieu
                     assert up == down, f"{m.basis}: {up} vs {down} ({variant.value})"
@@ -497,9 +512,8 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
         for entry in f23:
             if entry.algebra.dim <= 3:
                 for v in all_subspaces(entry.algebra):
-                    got = [x.coords for x in radical_enumerate(v, max_scan)]
                     members = set(v.coord_vectors())
-                    assert got == sorted(_radical_of_set(entry.algebra, members))
+                    assert radical(v) == sorted(_radical_of_set(entry.algebra, members))
 
     rec.run("window_equals_cycle_exhaustive", "dim<=3 catalog algebras", window_small)
 
@@ -525,7 +539,8 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
 def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
     rec = _Recorder("idempotent_criterion")
     cat = catalog()
-    table = _verdict_table(max_scan)
+    facts = _fact_table(max_scan)
+    table, radical = facts.table, facts.radical
 
     # decision agreement with the definition-level oracle: exhaustive over
     # every subspace of every dim <= 4 catalog algebra over F_2/F_3
@@ -549,7 +564,7 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
                 for _ in range(rng.randrange(5))
             ]
             v = span(a, rows)
-            verdicts, oracle = decide_all_variants(v, max_scan), oracle_all_variants(v, max_scan)
+            verdicts, oracle = facts.verdicts(v), oracle_all_variants(v, max_scan)
             for variant, verdict in verdicts.items():
                 d, o = verdict.is_mathieu, oracle[variant]
                 assert d == o, f"{v.basis} {variant.value}: decide={d} oracle={o}"
@@ -562,14 +577,9 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
     for name in ["F2+F2", "F2[t]/t3", "F4", "M2(F2)", "F3+F3"]:
 
         def tame_radical(a=cat[name].algebra):
-            zero = tuple(a.field.zero for _ in range(a.dim))
             for v in all_subspaces(a):
-                nontrivial = [
-                    e
-                    for e in _idempotents_of(v, max_scan)
-                    if e != zero and e != a.unit
-                ]
-                rad = radical_enumerate(v, max_scan)
+                nontrivial = [e for e in facts.idempotents(v) if any(e) and e != a.unit]
+                rad = [Element(a, x) for x in radical(v)]
                 tame = all(
                     classify_element(x).nilpotent or classify_element(x).invertible
                     for x in rad
@@ -599,10 +609,9 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
     for entry in _small_f23_entries():
 
         def no_ideal_criterion(a=entry.algebra):
-            zero = tuple(a.field.zero for _ in range(a.dim))
             for v, by_variant in table(a).items():
-                free = all(e == zero for e in _idempotents_of(v, max_scan))
-                for variant, ideal in max_theta_ideals(v).items():
+                free = all(not any(e) for e in facts.idempotents(v))
+                for variant, ideal in facts.maxima(v).items():
                     if not ideal.is_zero:
                         continue
                     verdict = by_variant[variant].is_mathieu
@@ -624,8 +633,7 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
             for m in _mathieu_in(verdicts, Sidedness.TWO_SIDED):
                 if m.is_full:
                     continue
-                rad = {x.coords for x in radical_enumerate(m, max_scan)}
-                assert rad == nil, f"{m.basis}: radical is not the nilpotent cone"
+                assert set(radical(m)) == nil, f"{m.basis}: radical is not the nilpotent cone"
                 for v, by_variant in verdicts.items():
                     if m.contains(v):
                         assert by_variant[Sidedness.TWO_SIDED].is_mathieu
@@ -830,10 +838,14 @@ def enumerate_all_mathieu(
     generators.
     """
     variant = Sidedness.parse(variant)
+    return _lattice(a, variant, lambda v: {variant: decide_mathieu(v, variant, max_scan)})
+
+
+def _lattice(a: Algebra, variant: Sidedness, verdicts: Callable) -> LatticeReport:
+    """The sweep of :func:`enumerate_all_mathieu`, reading the verdict on
+    each subspace v from ``verdicts(v)``, a map from variants to verdicts."""
     subspaces = list(all_subspaces(a, max_count=212))
-    mathieu = [
-        v for v in subspaces if decide_mathieu(v, variant, max_scan).is_mathieu
-    ]
+    mathieu = [v for v in subspaces if verdicts(v)[variant].is_mathieu]
     nontrivial = [v for v in mathieu if 0 < v.dim < a.dim]
     maximal = [
         v
@@ -867,17 +879,18 @@ def enumerate_all_mathieu(
 
 def _suite_closure_laws(seed: int, max_scan: int) -> SuiteReport:
     rec = _Recorder("closure_laws")
+    verdicts = _fact_table(max_scan).verdicts
     for entry in _small_f23_entries():
         a = entry.algebra
         for variant in ALL_VARIANTS:
 
             def extremes(a=a, variant=variant):
-                return enumerate_all_mathieu(a, variant, max_scan).to_dict()
+                return _lattice(a, variant, verdicts).to_dict()
 
             rec.run("lattice_extremes", f"{entry.name}/{variant.value}", extremes)
 
     def maximal_census(a=catalog()["M2(F2)"].algebra):
-        report = enumerate_all_mathieu(a, Sidedness.TWO_SIDED, max_scan)
+        report = _lattice(a, Sidedness.TWO_SIDED, verdicts)
         trace_zero = span(a, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
         off_plane = [
             w

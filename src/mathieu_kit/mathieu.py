@@ -227,10 +227,16 @@ def certify_radical_membership(
 def _idempotents_of(v: Subspace, max_scan: int) -> list[Coords]:
     """All idempotent vectors of v, sorted by coordinates.
 
-    See :func:`_scan.idempotents` for the budget check and the route.  The
-    algebra's own list is the only idempotent cache, and it is read only
-    after that check, so a budget refused once is refused every time.
+    Over the rationals it refuses before any search.  See
+    :func:`_scan.idempotents` for the budget check and the route.  The
+    algebra's own list is read only after that check, so a budget refused
+    once is refused every time.
     """
+    if not v.ambient.field.is_finite:
+        raise InfiniteFieldNoDecision(
+            "no full decision over the rationals; use line_is_mathieu, "
+            "radical_member or verify_witness"
+        )
     return _scan.idempotents(v.ambient, v.basis, v.constraints(), max_scan)
 
 
@@ -247,7 +253,7 @@ def decide_mathieu(
     (idempotent coordinates, left basis index, right basis index).
     """
     variant = Sidedness.parse(variant)
-    return _decide(v, (variant,), max_scan)[variant]
+    return _verdicts(v, _idempotents_of(v, max_scan), (variant,))[variant]
 
 
 def decide_all_variants(
@@ -255,18 +261,13 @@ def decide_all_variants(
 ) -> dict[Sidedness, MathieuVerdict]:
     """All four verdicts, each as :func:`decide_mathieu` gives it, from one
     idempotent search and its one budget check."""
-    return _decide(v, ALL_VARIANTS, max_scan)
+    return _verdicts(v, _idempotents_of(v, max_scan), ALL_VARIANTS)
 
 
-def _decide(v: Subspace, variants, max_scan: int) -> dict[Sidedness, MathieuVerdict]:
-    """One idempotent search; per variant the first violation, in order of
-    (idempotent coordinates, left basis index, right basis index)."""
-    if not v.ambient.field.is_finite:
-        raise InfiniteFieldNoDecision(
-            "no full decision over the rationals; use line_is_mathieu, "
-            "radical_member or verify_witness"
-        )
-    idempotents = _idempotents_of(v, max_scan)
+def _verdicts(v: Subspace, idempotents, variants) -> dict[Sidedness, MathieuVerdict]:
+    """Per variant the verdict on v from its sorted ``idempotents``: the first
+    violation, in order of (idempotent coordinates, left basis index, right
+    basis index), or none."""
     verdicts = {}
     for variant in variants:
         witness = next((

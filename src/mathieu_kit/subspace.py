@@ -23,7 +23,7 @@ import heapq
 import itertools
 from enum import Enum
 from operator import mul
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import _linalg
 from .algebra import Algebra, AlgebraHom, Coords, Element
@@ -297,12 +297,15 @@ def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
     return _solution_space(A, stacked)
 
 
-def max_theta_ideals(v: Subspace) -> dict[Sidedness, Subspace]:
+def max_theta_ideals(v: Subspace, solve: Optional[Callable] = None) -> dict[Sidedness, Subspace]:
     """All four maxima, each as :func:`max_theta_ideal` gives it, from the
     left and right maxima of ``v`` solved once each: two-sided is the left
-    maximum inside the right one, pre-two-sided their sum."""
-    left, right = max_theta_ideal(v, Sidedness.LEFT), max_theta_ideal(v, Sidedness.RIGHT)
-    two_sided = max_theta_ideal(right, Sidedness.LEFT)
+    maximum inside the right one, pre-two-sided their sum.  ``solve(w,
+    side)`` gives each one-sided maximum, :func:`max_theta_ideal` unless a
+    caller that keeps them passes its own."""
+    solve = solve or max_theta_ideal
+    left, right = solve(v, Sidedness.LEFT), solve(v, Sidedness.RIGHT)
+    two_sided = solve(right, Sidedness.LEFT)
     return dict(zip(ALL_VARIANTS, (left, right, left + right, two_sided)))
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from mathieu_kit import experiments
+from mathieu_kit import _scan, experiments, subspace
 from mathieu_kit.algebra import poly_quotient_algebra
 from mathieu_kit.cli import main
 from mathieu_kit.errors import TooLarge
@@ -149,20 +149,50 @@ def test_radical_laws_records_refusals(capsys):
     assert len(lines) == len(report.checks)
 
 
-def test_each_swept_subspace_is_decided_once(monkeypatch):
-    decided = Counter()
+@pytest.mark.parametrize("suite", ["idempotent_criterion", "radical_laws", "closure_laws"])
+def test_each_swept_subspace_is_decided_once(monkeypatch, suite):
+    catalog()  # built first: its own idempotent searches are not the run's
+    searched = Counter()
+    search = _scan.idempotents
 
-    def counting(decide):
-        def wrapper(v, *args, **kwargs):
-            decided[v.ambient.label, v.basis] += 1
-            return decide(v, *args, **kwargs)
+    def counting(a, basis_rows, *args):
+        searched[a.label, tuple(basis_rows)] += 1
+        return search(a, basis_rows, *args)
 
-        return wrapper
-
-    for name in ("decide_all_variants", "decide_mathieu"):
-        monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
-    assert run_suite("idempotent_criterion").passed
+    monkeypatch.setattr(_scan, "idempotents", counting)
+    assert run_suite(suite).passed
     swept = [e for e in catalog_over({2, 3}).values() if e.algebra.dim <= 4]
     assert len(swept) == 12
     expected = {(e.name, v.basis) for e in swept for v in all_subspaces(e.algebra)}
-    assert {key: decided[key] for key in expected} == dict.fromkeys(expected, 1)
+    assert {key: searched[key] for key in expected} == dict.fromkeys(expected, 1)
+
+
+def test_radical_laws_derives_each_radical_and_maximum_once(monkeypatch):
+    # window_equals_cycle_random is left out: its random subspaces are its
+    # input, and their radicals are not kept
+    radicals, maxima = Counter(), Counter()
+    check = []
+    record, enumerate_radical = experiments._Recorder.run, experiments.radical_enumerate
+    solve = subspace.max_theta_ideal
+
+    def run(self, name, instance, fn):
+        check[:] = [name]
+        return record(self, name, instance, fn)
+
+    def counting_radical(v, *args):
+        if check != ["window_equals_cycle_random"]:
+            radicals[v.ambient.label, v.basis] += 1
+        return enumerate_radical(v, *args)
+
+    def counting_max(v, variant):
+        if variant in (Sidedness.LEFT, Sidedness.RIGHT):
+            maxima[v.ambient.label, v.basis, variant] += 1
+        return solve(v, variant)
+
+    monkeypatch.setattr(experiments._Recorder, "run", run)
+    monkeypatch.setattr(experiments, "radical_enumerate", counting_radical)
+    for module in (subspace, experiments):
+        monkeypatch.setattr(module, "max_theta_ideal", counting_max)
+    assert run_suite("radical_laws").passed
+    assert radicals and set(radicals.values()) == {1}
+    assert maxima and set(maxima.values()) == {1}
