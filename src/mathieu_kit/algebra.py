@@ -36,6 +36,9 @@ from .fields import Field, Poly, Scalar, poly_ext_gcd, poly_split_at_zero
 
 Coords = tuple[Scalar, ...]
 
+#: Products an algebra keeps in its memo; past it they are computed, not kept.
+PRODUCT_MEMO_CAP = 1 << 14
+
 
 class Algebra:
     """Associative unital algebra with a distinguished basis."""
@@ -52,6 +55,7 @@ class Algebra:
         "_matrix_size",
         "_power_data",
         "_idempotents",
+        "_products",
     )
 
     def __init__(self, field: Field, table, unit, label: str = "", check: bool = True):
@@ -84,6 +88,7 @@ class Algebra:
         self._matrix_size: Optional[int] = -1  # -1 = not yet detected
         self._power_data = None
         self._idempotents = None
+        self._products: dict[tuple[Coords, Coords], Coords] = {}
         if check:
             self._verify()
 
@@ -207,6 +212,15 @@ class Algebra:
         return self._sparse
 
     def _mul_coords(self, x: Coords, y: Coords) -> Coords:
+        """x*y from the structure constants, each coordinate summed exactly
+        and reduced once; a coordinate whose sum is 0 is ``field.zero``.
+
+        The product is kept in the algebra's memo, keyed by (x, y), while it
+        holds fewer than ``PRODUCT_MEMO_CAP`` products, and read back from it.
+        """
+        prod = self._products.get((x, y))
+        if prod is not None:
+            return prod
         out = [0] * self.dim
         sparse = self._sparse_table()
         for i, xi in enumerate(x):
@@ -219,7 +233,11 @@ class Algebra:
                 xy = xi * yj
                 for k, c in row[j]:
                     out[k] += xy * c
-        return tuple(map(self.field.reduce, out))
+        reduce, zero = self.field.reduce, self.field.zero
+        prod = tuple([reduce(s) if s else zero for s in out])
+        if len(self._products) < PRODUCT_MEMO_CAP:
+            self._products[x, y] = prod
+        return prod
 
 
 def make_algebra(field: Field, table, unit, label: str = "") -> Algebra:

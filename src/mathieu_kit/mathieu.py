@@ -44,6 +44,7 @@ replaying a claimed refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -268,11 +269,12 @@ def _verdicts(v: Subspace, idempotents, variants) -> dict[Sidedness, MathieuVerd
     """Per variant the verdict on v from its sorted ``idempotents``: the first
     violation, in order of (idempotent coordinates, left basis index, right
     basis index), or none."""
+    member = cache(v.member_coords)  # one test per distinct translate, for every variant
     verdicts = {}
     for variant in variants:
         witness = next((
             Witness(e, b, c, prod) for e in idempotents
-            for b, c, prod in translates(v.ambient, e, variant) if not v.member_coords(prod)
+            for b, c, prod in translates(v.ambient, e, variant) if not member(prod)
         ), None)
         verdicts[variant] = MathieuVerdict(
             witness is None, variant.value, "idempotent_criterion", witness
@@ -391,15 +393,20 @@ def is_mathieu_commutative(
 ) -> bool:
     """Commutative criterion: v is Mathieu iff its radical is an ideal.
 
-    The radical is enumerated as a set.  It lies in its own span, so it is
-    a subspace exactly when that span has as many elements; the span is
-    then an ideal when it absorbs products with the basis (one side
-    suffices, the algebra being commutative).
+    The radical is enumerated, then tested by :func:`_radical_is_ideal`.
     """
     a = v.ambient
     if not a.is_commutative:
         raise NotCommutative(f"{a.label} is not commutative")
-    rad = {x.coords for x in radical_enumerate(v, max_scan)}
+    return _radical_is_ideal(a, {x.coords for x in radical_enumerate(v, max_scan)})
+
+
+def _radical_is_ideal(a: Algebra, rad: set) -> bool:
+    """Whether the set ``rad`` of coordinate tuples is an ideal of the
+    commutative algebra ``a``.  The set lies in its own span, so it is a
+    subspace exactly when that span has as many elements; the span is then
+    an ideal when it absorbs products with the basis (one side suffices,
+    the algebra being commutative)."""
     closure = Subspace.span(a, rad)
     return closure.size() == len(rad) and is_theta_ideal(closure, Sidedness.LEFT)
 

@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mathieu_kit.algebra import (
+    PRODUCT_MEMO_CAP,
+    Algebra,
     AlgebraHom,
     build_p_of_a,
     classify_element,
@@ -34,6 +37,7 @@ from mathieu_kit.errors import (
     NotAHomomorphism,
     NotMonic,
 )
+from mathieu_kit.experiments import catalog, run_suite
 from mathieu_kit.fields import GF, QQ, Poly
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -396,3 +400,66 @@ def test_hom_validation():
         AlgebraHom(f4, f4, [[1, 1], [0, 0]])  # not multiplicative
     with pytest.raises(NotAHomomorphism):
         AlgebraHom(f4, f4, [[0, 1], [1, 0]])  # unit not preserved
+
+
+# -- the product memo ---------------------------------------------------------------------------------
+
+
+def _matrix_product(field, n, x, y):
+    return tuple(
+        field.reduce(sum(x[n * i + k] * y[n * k + j] for k in range(n)))
+        for i in range(n) for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=repr)
+def test_products_read_from_the_memo_equal_fresh_ones(field):
+    rng = random.Random(7)
+
+    def scalar():  # zeros often, so that some output coordinates get no term
+        if rng.random() < 0.4:
+            return field.zero
+        return rng.randrange(5) if field.is_finite else Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+
+    warm = matrix_algebra(3, field)
+    pairs = [tuple(tuple(scalar() for _ in range(9)) for _ in range(2)) for _ in range(40)]
+    first = [warm._mul_coords(x, y) for x, y in pairs]
+    assert len(warm._products) == len(set(pairs))
+    for (x, y), prod in zip(pairs, first):
+        assert warm._mul_coords(x, y) is prod  # read back, not recomputed
+        fresh = matrix_algebra(3, field)
+        assert prod == fresh._mul_coords(x, y) == _matrix_product(field, 3, x, y)
+        assert all(type(c) is (int if field.is_finite else Fraction) for c in prod), prod
+        assert (warm.element(x) * warm.element(y)).coords is prod
+
+
+def test_product_memo_stops_at_its_cap():
+    f13 = GF(13)
+    a = matrix_algebra(2, f13)
+    y = (1, 2, 3, 4)
+    xs = [x.coords for x in itertools.islice(a.elements(), PRODUCT_MEMO_CAP + 50)]
+    for x in xs:
+        a._mul_coords(x, y)
+    assert len(a._products) == PRODUCT_MEMO_CAP
+    assert (xs[-1], y) not in a._products
+    # past the cap, products are computed and not kept
+    for x in xs[-50:] + xs[:50]:
+        assert a._mul_coords(x, y) == _matrix_product(f13, 2, x, y)
+    assert len(a._products) == PRODUCT_MEMO_CAP
+
+
+def test_idempotent_criterion_computes_each_product_once(monkeypatch):
+    for entry in catalog().values():
+        entry.algebra._products.clear()
+    computed, algebras = Counter(), {}
+    mul = Algebra._mul_coords
+
+    def counting(self, x, y):
+        if (x, y) not in self._products:
+            algebras[id(self)] = self  # kept alive, so the id stays its own
+            computed[id(self), x, y] += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(Algebra, "_mul_coords", counting)
+    assert run_suite("idempotent_criterion").passed
+    assert computed and set(computed.values()) == {1}

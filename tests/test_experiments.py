@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from mathieu_kit import _scan, experiments, subspace
+from mathieu_kit import _scan, experiments, mathieu, subspace
 from mathieu_kit.algebra import poly_quotient_algebra
 from mathieu_kit.cli import main
 from mathieu_kit.errors import TooLarge
@@ -169,7 +169,8 @@ def test_each_swept_subspace_is_decided_once(monkeypatch, suite):
 
 def test_radical_laws_derives_each_radical_and_maximum_once(monkeypatch):
     # window_equals_cycle_random is left out: its random subspaces are its
-    # input, and their radicals are not kept
+    # input, and their radicals are not kept; commutative_radical_rule reads
+    # the radicals the run enumerated instead of enumerating them again
     radicals, maxima = Counter(), Counter()
     check = []
     record, enumerate_radical = experiments._Recorder.run, experiments.radical_enumerate
@@ -190,9 +191,15 @@ def test_radical_laws_derives_each_radical_and_maximum_once(monkeypatch):
         return solve(v, variant)
 
     monkeypatch.setattr(experiments._Recorder, "run", run)
-    monkeypatch.setattr(experiments, "radical_enumerate", counting_radical)
+    for module in (mathieu, experiments):
+        monkeypatch.setattr(module, "radical_enumerate", counting_radical)
     for module in (subspace, experiments):
         monkeypatch.setattr(module, "max_theta_ideal", counting_max)
     assert run_suite("radical_laws").passed
     assert radicals and set(radicals.values()) == {1}
+    commutative = [
+        e.algebra for e in catalog_over({2, 3}).values()
+        if e.algebra.dim <= 4 and "commutative" in e.tags
+    ]
+    assert {(a.label, v.basis) for a in commutative for v in all_subspaces(a)} <= set(radicals)
     assert maxima and set(maxima.values()) == {1}

@@ -229,7 +229,9 @@ def test_sums_of_products_are_exact_and_reduced(field):
         assert image == tuple(norm(sum(map(mul, row, x))) for row in rows)
         zero = alg._mul_coords(tuple(x), alg.zero().coords)  # no term reaches any coordinate
         assert zero == (0,) * 9
-        _assert_reduced(field, prod + zero + (trace,) + image)
+        sparse = alg._mul_coords(alg._basis_coords(1), tuple(y))  # E_12 y reaches row 0 only
+        assert sparse == tuple(y[3:6]) + (0,) * 6
+        _assert_reduced(field, prod + zero + sparse + (trace,) + image)
 
         constraints, basis, _ = nullspace(field, rows, 9)
         coeffs = _scalars(field, rng, len(basis))
