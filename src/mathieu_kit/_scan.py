@@ -10,8 +10,9 @@ so M_3(F_5) runs in int8, and reduces them with :func:`reduce_mod`.
 
 The kernels are plumbing for the decision procedures; the pure-Python
 element arithmetic in :mod:`mathieu_kit.algebra` is the reference they are
-tested against, and every power chunk is spot-checked against it when it
-is built.
+tested against.  When a power chunk is built, every product in it is
+checked by a bilinear sketch that shares no loop with :func:`batch_mul`,
+and three of its elements are replayed with the reference arithmetic.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, minimal_polynomial
+from .algebra import Algebra
 from .errors import ConsistencyError, InfiniteField, TooLarge
 from .subspace import gaussian_binomial
 
@@ -49,6 +50,9 @@ STREAM_BLOCK = 1 << 14
 
 #: Algebras at most this big get their power data cached on the instance.
 POWER_CACHE_LIMIT = 200_000
+
+#: Seed of the bilinear sketch's rows (see :func:`_check_sketch`).
+SKETCH_SEED = 19
 
 
 def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
@@ -257,76 +261,85 @@ class PowerChunk:
     element's lexicographic index (the row of that element in
     :func:`coeff_block`'s enumeration of the algebra).  A test on elements,
     computed once per element of the algebra, is read for every stored
-    power by indexing with ``rows``.
-
-    ``k`` / ``hdeg`` split the minimal polynomial as t^k * h with h(0) != 0,
-    read from Krylov ranks: dim a^j F[a] = deg - min(j, k) and k <= d, so
-    with R(j) = rank(a^j .. a^(j+d-1)) mod p, ``hdeg`` = R(d) and
-    ``k`` = R(0) - R(d).
+    power by indexing with ``rows``.  ``rows`` is read-only: it was checked
+    when built (see :func:`build_power_chunk`), and nothing rewrites it.
     """
 
     start: int  # global index of the first element of the chunk
     count: int
     rows: np.ndarray  # (count * (2d-1),) element indices in exact_dtype(size - 1)
-    k: np.ndarray  # (count,) int64
-    hdeg: np.ndarray  # (count,) int64
-
-
-def batch_rank(stack: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of every (r, c) block of a (B, r, c) stack.
-
-    Fraction-free elimination, one column at a time across the whole stack:
-    each block takes its first unused row with a nonzero entry in the column
-    as pivot and clears that column from its other unused rows.  Rows are
-    only ever scaled by nonzero residues, so no inverse is needed, and a
-    cleared column is dropped from the working array.
-    """
-    m = reduce_mod(np.array(stack, dtype=np.int64), p)  # a copy: reduced in place
-    used = np.zeros(m.shape[:2], dtype=bool)
-    blocks = np.arange(len(m))
-    for _ in range(m.shape[2]):
-        column = m[:, :, 0]
-        candidates = (column != 0) & ~used
-        found = candidates.any(axis=1)
-        pivot = candidates.argmax(axis=1)
-        used[blocks[found], pivot[found]] = True
-        factor = np.where(used, 0, column)  # all zero where nothing was found
-        pivot_row = m[blocks, pivot, 1:]
-        m = m[:, :, 1:] * np.where(found, column[blocks, pivot], 1)[:, None, None]
-        m -= factor[:, :, None] * pivot_row[:, None, :]
-        reduce_mod(m, p)
-    return used.sum(axis=1)
 
 
 def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
-    """Power data for elements start..stop (global lexicographic indices)."""
+    """Power data for elements start..stop (global lexicographic indices).
+
+    Every product is checked by :func:`_check_sketch` before the powers
+    are encoded as element indices, and three elements are replayed by
+    :func:`_replay_sample` after; either raises ``ConsistencyError``
+    before the chunk is returned, let alone cached.
+    """
     p = a.field.order
     d = a.dim
-    count = stop - start
     horizon = 2 * d - 1
-    base = coeff_block(p, d, start, stop)
-    stack = np.empty((count, horizon, d), dtype=np.int64)  # a^1 .. a^(2d-1)
-    stack[:, 0] = base
+    stack = np.empty((stop - start, horizon, d), dtype=np.int64)  # a^1 .. a^(2d-1)
+    stack[:, 0] = coeff_block(p, d, start, stop)
     for m in range(1, horizon):
-        stack[:, m] = batch_mul(a, stack[:, m - 1], base)
+        stack[:, m] = batch_mul(a, stack[:, m - 1], stack[:, 0])
+    _check_sketch(a, stack)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    rows = (stack @ radix).astype(exact_dtype(a.size - 1)).reshape(-1)
-    unit = np.broadcast_to(np.array(a.unit, dtype=np.int64), (count, 1, d))
-    rank_low = batch_rank(np.concatenate([unit, stack[:, : d - 1]], axis=1), p)
-    hdeg = batch_rank(stack[:, d - 1 :], p)
-    chunk = PowerChunk(start, count, rows, rank_low - hdeg, hdeg)
+    rows = (stack.reshape(-1, d) @ radix).astype(exact_dtype(a.size - 1))
+    rows.flags.writeable = False
+    chunk = PowerChunk(start, stop - start, rows)
     _replay_sample(a, chunk)
     return chunk
+
+
+def _check_sketch(a: Algebra, stack: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless every product in ``stack`` passes a
+    bilinear sketch.
+
+    ``stack`` holds a^1 .. a^(2d-1) of a block of elements a as residues.
+    For a sketch row r, r.(xy) = x^T M_r y with M_r = sum_k r_k C_k, C_k
+    the matrix of k-th coordinates of the structure constants, read from
+    the dense ``a.table`` and not from the sparse table that
+    :func:`batch_mul` loops over.  So every stored a^m = a^(m-1) a must
+    satisfy r.a^m = (a^(m-1))^T (M_r a) mod p: one (B, d) (d, d) product
+    per row, then one row-wise dot per stored power.
+
+    There are two rows, fixed for each (p, d): all ones, so an error whose
+    coordinates do not sum to 0 (any error in one coordinate) is caught,
+    and one drawn from SKETCH_SEED.  A corrupt power escapes only if its
+    error is orthogonal to both.  The check reads the products, not their
+    encoding as element indices, which :func:`_replay_sample` spot-checks.
+
+    Exactness: the entries of ``stack``, r, C_k, M_r and M_r a are residues
+    below p (each reduced before it is used again), so every sum is below
+    d (p-1)^2, the bound of :func:`membership_bitmap`; int64 holds it while
+    d (p-1)^2 < 2^63.
+    """
+    p, d = a.field.order, a.dim
+    sketch = np.ones((2, d), dtype=np.int64)
+    sketch[1] = np.random.default_rng(SKETCH_SEED).integers(0, p, size=d)
+    forms = reduce_mod(np.array(a.table, dtype=np.int64) @ sketch.T, p)  # M_r = forms[..., r]
+    # (M_r a)_i = sum_j a_j M_r[i, j], for both rows in one (B, d) (d, 2d) product
+    right = reduce_mod(stack[:, 0] @ forms.transpose(1, 0, 2).reshape(d, -1), p)
+    want = np.matmul(stack[:, :-1], right.reshape(-1, d, 2))
+    bad = reduce_mod(stack[:, 1:] @ sketch.T - want, p).any(axis=(1, 2))
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"power kernel fails the bilinear sketch on {tuple(stack[b, 0].tolist())} "
+            f"in {a.label}"
+        )
 
 
 def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     """Recompute three elements of a new chunk with the reference arithmetic.
 
-    The chunk's first and last elements and the one with the largest k go
-    through ``minimal_polynomial`` and repeated ``Element`` products, which
-    share no code with the array kernels.  Any difference in (k, deg h) or
-    the stored powers, decoded from their element indices, raises
-    ``ConsistencyError``.
+    The chunk's first, middle and last elements go through repeated
+    ``Element`` products, which share no code with the array kernels.  Any
+    difference from their stored powers, decoded from their element
+    indices, raises ``ConsistencyError``.
     """
     p, d = a.field.order, a.dim
     horizon = 2 * d - 1
@@ -334,16 +347,13 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     def decode(index):
         return [index // p ** (d - 1 - i) % p for i in range(d)]
 
-    for b in sorted({0, chunk.count - 1, int(np.argmax(chunk.k))}):
+    for b in sorted({0, chunk.count // 2, chunk.count - 1}):
         x = a.element(decode(chunk.start + b))
-        minpoly = minimal_polynomial(x)
         powers = [x]
         while len(powers) < horizon:
             powers.append(powers[-1] * x)
-        want = (minpoly.k, minpoly.h.degree, [list(y.coords) for y in powers])
         stored = chunk.rows[b * horizon : (b + 1) * horizon].tolist()
-        got = (int(chunk.k[b]), int(chunk.hdeg[b]), [decode(index) for index in stored])
-        if got != want:
+        if [decode(index) for index in stored] != [list(y.coords) for y in powers]:
             raise ConsistencyError(
                 f"power kernel and reference arithmetic disagree on {x.coords} "
                 f"in {a.label}"

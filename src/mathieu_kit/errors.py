@@ -157,7 +157,7 @@ class ConsistencyError(MathieuKitError, RuntimeError):
     """Two independent routes to the same fact disagreed.
 
     Raised by operations that recompute their own answer a second way
-    (for example the fixed power window a^d .. a^(2d-1) against the
-    minimal-polynomial window in a radical enumeration).  Reaching this is
+    (for example a power product in a new power table against a bilinear
+    sketch read from the dense structure constants).  Reaching this is
     always a bug, never a property of the input.
     """

@@ -32,8 +32,9 @@ everything here is decided exactly:
   directions.  Nilpotent elements always qualify.  Since k + e <= d = dim A,
   the fixed window a^d, ..., a^(2d-1) decides it for every element at once,
   nilpotent ones included, with no minimal polynomial at all.
-  ``radical_enumerate`` reads both windows from one table of the powers
-  a^1, ..., a^(2d-1) and refuses to return on any disagreement.
+  ``radical_enumerate`` reads that window from one table of the powers
+  a^1, ..., a^(2d-1), each product of which was checked by a bilinear
+  sketch when the table was built (see ``_scan.build_power_chunk``).
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -153,20 +154,17 @@ def radical_enumerate(
     """The exact radical of ``v`` as a list of elements, by full enumeration.
 
     Membership in ``v`` (N x = 0) is tested once per element of the algebra,
-    once the power scan has accepted the budget, and read for every stored
-    power a^1 .. a^(2d-1) through its element index.  Every element's
-    verdict is computed twice: through the fixed window a^d .. a^(2d-1) and
-    through the minimal-polynomial window (see the module docstring).  Any
-    disagreement raises :class:`ConsistencyError` (it would mean a bug, not
-    a property of the input).  Elements come back in lexicographic
-    coordinate order.
+    once the power scan has accepted the budget, and read for the stored
+    powers a^d .. a^(2d-1) of every element through their element indices:
+    the element is in the radical when all of them lie in ``v`` (see the
+    module docstring).  Elements come back in lexicographic coordinate
+    order.
     """
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("radical enumeration needs a finite field")
     p, d, size = a.field.order, a.dim, a.size
     constraints = v.constraints()
-    exponents = np.arange(1, 2 * d)  # column j of a chunk holds a^(j+1)
     in_a = None
     out: list[Element] = []
     for chunk in _scan.power_chunks(a, max_scan):
@@ -179,19 +177,10 @@ def radical_enumerate(
                 )
                 for s in range(0, size, _scan.DEFAULT_BLOCK)
             ])
-        in_v = in_a[chunk.rows].reshape(chunk.count, 2 * d - 1)
-        fixed = in_v[:, d - 1 :].all(axis=1)
-        first = np.maximum(chunk.k, 1)[:, None]
-        window = (exponents >= first) & (exponents < first + chunk.hdeg[:, None])
-        minpoly = (in_v | ~window).all(axis=1)
+        window = chunk.rows.reshape(chunk.count, 2 * d - 1)[:, d - 1 :]  # a^d .. a^(2d-1)
+        inside = in_a[window].all(axis=1)
         elements = _scan.coeff_block(p, d, chunk.start, chunk.start + chunk.count)
-        if not np.array_equal(fixed, minpoly):
-            b = int(np.nonzero(fixed != minpoly)[0][0])
-            raise ConsistencyError(
-                f"fixed power window and minimal-polynomial window disagree on "
-                f"{tuple(elements[b].tolist())} in {a.label}"
-            )
-        out += [Element(a, tuple(coords)) for coords in elements[fixed].tolist()]
+        out += [Element(a, tuple(coords)) for coords in elements[inside].tolist()]
     return out
 
 

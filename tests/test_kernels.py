@@ -267,9 +267,7 @@ def _check_power_data(alg, indices):
         chunk = next(c for c in chunks if c.start <= index < c.start + c.count)
         b = index - chunk.start
         x = alg.element(element_coords(alg, index))
-        data = minimal_polynomial(x)
-        k, hdeg = data.k, data.h.degree
-        assert (k, hdeg) == (int(chunk.k[b]), int(chunk.hdeg[b]))
+        k = minimal_polynomial(x).k
         # the fixed window a^d .. a^(2d-1) lies on the tail cycle
         assert power_cycle(x).preperiod <= max(k, 1) <= alg.dim
         powers = [x]  # powers[m - 1] = x^m
@@ -290,31 +288,8 @@ def test_power_chunks_match_elem_power_and_cycles():
         _check_power_data(alg, sorted(rng.sample(range(alg.size), 200)))
 
 
-@pytest.mark.parametrize("p", [2, 5, 131, 65537])
-def test_batch_rank_matches_sympy(p):
-    from sympy import GF as SymGF
-    from sympy.polys.matrices import DomainMatrix
-
-    domain = SymGF(p)
-    rng = np.random.default_rng(p)
-    for shape in [(30, 4, 4), (30, 3, 5), (30, 5, 3), (10, 1, 1)]:
-        stack = rng.integers(0, p, size=shape)
-        stack[0] = 0  # zero block
-        stack[1] = np.outer(stack[1, :, 0], stack[1, 0]) % p  # rank <= 1
-        stack[2, -1] = (stack[2, 0] + 2 * stack[2, 1 % shape[1]]) % p  # dependent row
-        got = _scan.batch_rank(stack, p)
-        want = [
-            DomainMatrix(
-                [[domain(int(v)) for v in row] for row in block], block.shape, domain
-            ).rank()
-            for block in stack
-        ]
-        assert got.tolist() == want
-
-
 KERNEL_FAULTS = {
     "batch_mul": lambda f: lambda a, x, y: (f(a, x, y) + 1) % a.field.order,
-    "batch_rank": lambda f: lambda stack, p: f(stack, p) + 1,
 }
 
 
@@ -323,6 +298,25 @@ def test_build_replay_catches_a_faulty_kernel(monkeypatch, kernel):
     monkeypatch.setattr(_scan, kernel, KERNEL_FAULTS[kernel](getattr(_scan, kernel)))
     alg = matrix_algebra(2, F3)
     with pytest.raises(ConsistencyError):
+        list(_scan.power_chunks(alg, max_scan=10**7))
+    assert alg._power_data is None
+
+
+@pytest.mark.parametrize("row", [7, 40, 55])
+def test_power_build_catches_a_fault_in_one_row(monkeypatch, row):
+    # 1 added to coordinate 0 of one element's every product: without a
+    # check on every element, M_2(F_3)'s radicals go silently wrong on 44,
+    # 30 and 22 of its 212 subspaces
+    batch_mul = _scan.batch_mul
+
+    def faulty(a, x, y):
+        out = batch_mul(a, x, y)
+        out[row, 0] = (out[row, 0] + 1) % a.field.order
+        return out
+
+    monkeypatch.setattr(_scan, "batch_mul", faulty)
+    alg = matrix_algebra(2, F3)
+    with pytest.raises(ConsistencyError, match="bilinear sketch"):
         list(_scan.power_chunks(alg, max_scan=10**7))
     assert alg._power_data is None
 
@@ -397,11 +391,9 @@ def test_streamed_power_chunks_match_cached(monkeypatch):
     alg = matrix_algebra(2, F5)
     streamed = list(_scan.power_chunks(alg, max_scan=10**7))
     assert alg._power_data is None
-    for name in ("k", "hdeg", "rows"):
-        assert np.array_equal(
-            np.concatenate([getattr(c, name) for c in cached]),
-            np.concatenate([getattr(c, name) for c in streamed]),
-        )
+    assert np.array_equal(
+        np.concatenate([c.rows for c in cached]), np.concatenate([c.rows for c in streamed])
+    )
 
 
 STORAGE = pytest.mark.parametrize("streamed", [False, True], ids=["cached", "streamed"])
@@ -485,30 +477,16 @@ def test_radical_enumerate_matches_the_definition_on_samples(monkeypatch, stream
 UNIT = 1 * 3**3 + 1
 
 
-def _corrupt_fixed_window(chunk):
-    # the unit's powers a^4 .. a^7 now read as the zero element
-    chunk.rows[UNIT * 7 + 3 : (UNIT + 1) * 7] = 0
-
-
-def _corrupt_minpoly_window(chunk):
-    # the unit now reads as nilpotent, with an empty window
-    chunk.hdeg[UNIT] = 0
-
-
-@pytest.mark.parametrize(
-    "fault", [_corrupt_fixed_window, _corrupt_minpoly_window], ids=["key", "window"]
-)
-def test_radical_enumerate_catches_corrupt_power_data(fault):
+def test_cached_power_rows_refuse_writes():
+    # a table checked when built cannot be corrupted after: reading the
+    # unit's a^4 .. a^7 as the zero element is refused when it is written
     alg = matrix_algebra(2, F3)
     zero = Subspace.zero(alg)
     nilpotent = radical_enumerate(zero)
     assert len(nilpotent) == 9  # 3^(n^2 - n) nilpotent matrices
-    fault(alg._power_data[0])
-    with pytest.raises(
-        ConsistencyError,
-        match=r"fixed power window and minimal-polynomial window disagree on \(1, 0, 0, 1\)",
-    ):
-        radical_enumerate(zero)
+    with pytest.raises(ValueError, match="read-only"):
+        alg._power_data[0].rows[UNIT * 7 + 3 : (UNIT + 1) * 7] = 0
+    assert radical_enumerate(zero) == nilpotent
 
 
 def _must_not_run(*args, **kwargs):
