@@ -141,6 +141,8 @@ def commands() -> list[list[str]]:
             for spec in RADICAL_ALGEBRAS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", basis]
             for spec, basis in RADICAL_SUBSPACES]
+    # M_2(F_23) has 279,841 elements, a power table of 65,536-power blocks
+    out.append(["--json", "space", "radical-enum", "--algebra", "mat:2:23", "--basis", ""])
     # 81 elements at 2d-1 = 7 powers each are past the budget: refused, exit 2
     out.append(["--json", "--max-scan", "100", "space", "radical-enum", "--algebra", "mat:2:3",
                 "--basis", ""])

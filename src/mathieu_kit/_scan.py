@@ -17,10 +17,11 @@ and three of its elements are replayed with the reference arithmetic.
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
 witness selection everywhere in the package.  An element's position in that
-order is its index; power chunks store every element's powers
-a^1 .. a^(2d-1), d the dimension, each as the index of its element, so a
-radical query tests membership once per element of the algebra and reads it
-for each stored power by indexing.
+order is its index.  An algebra's power table is built once, in blocks of
+at most DEFAULT_BLOCK powers, and cached on it: for every element it keeps
+the window a^d .. a^(2d-1), d the dimension, each power as the index of its
+element, so a radical query tests membership once per element of the
+algebra and reads it for each stored power by indexing.
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
 with one rule for every algebra: check V's q^dim V vectors against the
@@ -44,12 +45,9 @@ from .subspace import gaussian_binomial
 
 DEFAULT_BLOCK = 1 << 16
 
-#: Chunk size for algebras too big to cache: each streamed chunk is dropped
-#: once consumed, so smaller chunks bound the memory held.
-STREAM_BLOCK = 1 << 14
-
-#: Algebras at most this big get their power data cached on the instance.
-POWER_CACHE_LIMIT = 200_000
+#: Algebras at most this big have their constructed idempotents checked
+#: against a scan of every element as well (see :func:`_check_idempotents`).
+IDEMPOTENT_RESCAN_LIMIT = 200_000
 
 #: Seed of the bilinear sketch's rows (see :func:`_check_sketch`).
 SKETCH_SEED = 19
@@ -230,8 +228,8 @@ def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
 
     Every row squares to itself (batched matmul, one block at a time), the
     sorted rows are distinct, and there are :func:`matrix_idempotent_count`
-    of them.  An algebra of at most POWER_CACHE_LIMIT elements is also
-    scanned in full, a route that shares nothing with the construction, and
+    of them.  An algebra of at most IDEMPOTENT_RESCAN_LIMIT elements is
+    also scanned in full, a route that shares nothing with the construction, and
     must give the same rows.
     """
     n, p = a.matrix_size, a.field.order
@@ -246,7 +244,7 @@ def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
         raise ConsistencyError(
             f"constructed {len(rows)} idempotents of {a.label}, expected {want}"
         )
-    if a.size <= POWER_CACHE_LIMIT:
+    if a.size <= IDEMPOTENT_RESCAN_LIMIT:
         scanned = idempotent_coords(a, a._basis)
         if rows.tolist() != [list(e) for e in scanned]:
             raise ConsistencyError(f"constructed and scanned idempotents of {a.label} differ")
@@ -254,29 +252,30 @@ def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
 
 @dataclass
 class PowerChunk:
-    """Powers a^1 .. a^(2d-1) of one contiguous block of algebra elements.
+    """Powers a^d .. a^(2d-1) of one contiguous block of algebra elements.
 
-    ``rows`` holds them element-major, 2d-1 entries per element (row b's
-    powers are ``rows[b * (2d-1) : (b + 1) * (2d-1)]``), each as its
-    element's lexicographic index (the row of that element in
-    :func:`coeff_block`'s enumeration of the algebra).  A test on elements,
-    computed once per element of the algebra, is read for every stored
-    power by indexing with ``rows``.  ``rows`` is read-only: it was checked
-    when built (see :func:`build_power_chunk`), and nothing rewrites it.
+    ``rows`` holds them element-major, d entries per element (row b's
+    window is ``rows[b * d : (b + 1) * d]``), each as its element's
+    lexicographic index (the row of that element in :func:`coeff_block`'s
+    enumeration of the algebra).  A test on elements, computed once per
+    element of the algebra, is read for every stored power by indexing with
+    ``rows``.  ``rows`` is read-only: it was checked when built (see
+    :func:`build_power_chunk`), and nothing rewrites it.
     """
 
     start: int  # global index of the first element of the chunk
     count: int
-    rows: np.ndarray  # (count * (2d-1),) element indices in exact_dtype(size - 1)
+    rows: np.ndarray  # (count * d,) element indices in exact_dtype(size - 1)
 
 
 def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
-    """Power data for elements start..stop (global lexicographic indices).
+    """Power window for elements start..stop (global lexicographic indices).
 
-    Every product is checked by :func:`_check_sketch` before the powers
-    are encoded as element indices, and three elements are replayed by
-    :func:`_replay_sample` after; either raises ``ConsistencyError``
-    before the chunk is returned, let alone cached.
+    All of a^1 .. a^(2d-1) are computed, (stop - start) (2d-1) d residues,
+    and every product is checked by :func:`_check_sketch` before the window
+    a^d .. a^(2d-1) is encoded as element indices; three elements are
+    replayed by :func:`_replay_sample` after.  Either raises
+    ``ConsistencyError`` before the chunk is returned, let alone cached.
     """
     p = a.field.order
     d = a.dim
@@ -287,7 +286,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
         stack[:, m] = batch_mul(a, stack[:, m - 1], stack[:, 0])
     _check_sketch(a, stack)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    rows = (stack.reshape(-1, d) @ radix).astype(exact_dtype(a.size - 1))
+    rows = (stack[:, d - 1 :].reshape(-1, d) @ radix).astype(exact_dtype(a.size - 1))
     rows.flags.writeable = False
     chunk = PowerChunk(start, stop - start, rows)
     _replay_sample(a, chunk)
@@ -338,11 +337,10 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
 
     The chunk's first, middle and last elements go through repeated
     ``Element`` products, which share no code with the array kernels.  Any
-    difference from their stored powers, decoded from their element
-    indices, raises ``ConsistencyError``.
+    difference from their stored window a^d .. a^(2d-1), decoded from its
+    element indices, raises ``ConsistencyError``.
     """
     p, d = a.field.order, a.dim
-    horizon = 2 * d - 1
 
     def decode(index):
         return [index // p ** (d - 1 - i) % p for i in range(d)]
@@ -350,10 +348,10 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     for b in sorted({0, chunk.count // 2, chunk.count - 1}):
         x = a.element(decode(chunk.start + b))
         powers = [x]
-        while len(powers) < horizon:
+        while len(powers) < 2 * d - 1:
             powers.append(powers[-1] * x)
-        stored = chunk.rows[b * horizon : (b + 1) * horizon].tolist()
-        if [decode(index) for index in stored] != [list(y.coords) for y in powers]:
+        stored = chunk.rows[b * d : (b + 1) * d].tolist()
+        if [decode(index) for index in stored] != [list(y.coords) for y in powers[d - 1 :]]:
             raise ConsistencyError(
                 f"power kernel and reference arithmetic disagree on {x.coords} "
                 f"in {a.label}"
@@ -361,33 +359,27 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
 
 
 def power_chunks(a: Algebra, max_scan: int):
-    """Yield PowerChunk records covering the whole algebra.
+    """Yield the PowerChunk records of ``a``'s power table, in index order.
 
     The job is priced once, first: size * (2d-1) power evaluations past
     ``max_scan`` raise ``TooLarge`` before the cache is read or anything is
     allocated, so a cached and an uncached algebra refuse the same budget.
-    Small algebras (at most POWER_CACHE_LIMIT elements) are cached on the
-    instance after their last chunk is built, and later calls replay the
-    cache; larger ones are streamed in smaller chunks.
+    The table is built once, in blocks of DEFAULT_BLOCK // (2d-1) elements
+    (at most DEFAULT_BLOCK powers each), and cached on ``a``; it holds
+    size * d indices, fewer than the budget it was priced at.
     """
     if not a.field.is_finite:
         raise InfiniteField("power scans need a finite field")
-    size = a.size
-    needed = size * (2 * a.dim - 1)
+    size, horizon = a.size, 2 * a.dim - 1
+    needed = size * horizon
     if needed > max_scan:
         raise TooLarge(needed, max_scan, what=f"power scan of {a.label}")
-    if a._power_data is not None:
-        yield from a._power_data
-        return
-    cache = [] if size <= POWER_CACHE_LIMIT else None
-    step = STREAM_BLOCK if cache is None else DEFAULT_BLOCK
-    for s in range(0, size, step):
-        chunk = build_power_chunk(a, s, min(s + step, size))
-        if cache is not None:
-            cache.append(chunk)
-        yield chunk
-    if cache is not None:
-        a._power_data = cache
+    if a._power_data is None:
+        step = DEFAULT_BLOCK // horizon
+        a._power_data = [
+            build_power_chunk(a, s, min(s + step, size)) for s in range(0, size, step)
+        ]
+    yield from a._power_data
 
 
 def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:

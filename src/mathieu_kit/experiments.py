@@ -19,6 +19,7 @@ that is over budget, and the other checks still run.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field as dc_field
@@ -30,6 +31,7 @@ from .algebra import (
     Algebra,
     AlgebraHom,
     Element,
+    MinPolyData,
     classify_element,
     direct_sum,
     field_algebra,
@@ -287,7 +289,7 @@ class _Recorder:
 
 def _fact_table(max_scan: int) -> SimpleNamespace:
     """A fresh fact table for one suite run.  Each fact about a subspace v
-    is derived once, on first use, and kept for the run:
+    or an element x is derived once, on first use, and kept for the run:
 
     * ``idempotents(v)``: its sorted idempotents, from one search;
     * ``verdicts(v)``: its four verdicts, read from those idempotents;
@@ -295,7 +297,8 @@ def _fact_table(max_scan: int) -> SimpleNamespace:
       solved once for the run (the two-sided one of v is the left one of
       v's right maximum, itself a subspace the run may sweep);
     * ``radical(v)``: its radical, as ``radical_enumerate``'s ordered
-      coordinate list.
+      coordinate list;
+    * ``minimal_polynomial(x)``: the minimal polynomial of an element x.
 
     ``table(a)`` maps each subspace of ``a``, in ``all_subspaces`` order, to
     its verdicts.  A refusal (``TooLarge``) raises and is not kept, so each
@@ -310,6 +313,7 @@ def _fact_table(max_scan: int) -> SimpleNamespace:
         verdicts=verdicts,
         maxima=cache(lambda v: max_theta_ideals(v, one_sided)),
         radical=cache(lambda v: [x.coords for x in radical_enumerate(v, max_scan)]),
+        minimal_polynomial=cache(minimal_polynomial),
         table=cache(lambda a: {v: verdicts(v) for v in all_subspaces(a)}),
     )
 
@@ -325,10 +329,9 @@ def _radical_of_set(a: Algebra, members: set) -> set:
     }
 
 
-def _nilpotent_or_invertible(x: Element) -> bool:
-    """Read from x's one minimal polynomial t^k h: invertible when k = 0,
-    nilpotent when deg h = 0."""
-    data = minimal_polynomial(x)
+def _nilpotent_or_invertible(data: MinPolyData) -> bool:
+    """Read from an element's minimal polynomial t^k h: invertible when
+    k = 0, nilpotent when deg h = 0."""
     return data.k == 0 or data.h.degree == 0
 
 
@@ -511,8 +514,9 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
 
     # radical_enumerate decides every element by the fixed window
     # a^d .. a^(2d-1) of a power table whose every product is checked when
-    # it is built; on the small algebras it is compared with the
-    # hash-detected power cycle
+    # it is built; it is compared with the hash-detected power cycle on
+    # every element of the small algebras, and on a seeded sample of
+    # returned and drawn elements of random subspaces
     rng_window = random.Random(seed)
     f23 = list(catalog_over({2, 3}).values())
 
@@ -526,14 +530,15 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
     rec.run("window_equals_cycle_exhaustive", "dim<=3 catalog algebras", window_small)
 
     def window_random():
-        count = 0
-        while count < 200:
-            for entry in f23:
-                v = random_subspace(entry.algebra, rng_window)
-                radical_enumerate(v, max_scan)
-                count += 1
-                if count >= 200:
-                    break
+        for entry in itertools.islice(itertools.cycle(f23), 200):  # the algebras in turn
+            a = entry.algebra
+            v = random_subspace(a, rng_window)
+            got = radical_enumerate(v, max_scan)
+            inside = {x.coords for x in got}
+            drawn = [[rng_window.randrange(a.field.order) for _ in range(a.dim)] for _ in range(4)]
+            for x in rng_window.sample(got, min(4, len(got))) + [a.element(c) for c in drawn]:
+                want = _cycle_radical_member(v.member_coords, x)
+                assert (x.coords in inside) == want, f"{a.label} {v.basis}: {x.coords}"
 
     rec.run(
         "window_equals_cycle_random",
@@ -548,7 +553,7 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
     rec = _Recorder("idempotent_criterion")
     cat = catalog()
     facts = _fact_table(max_scan)
-    table, radical = facts.table, facts.radical
+    table, radical, minpoly = facts.table, facts.radical, facts.minimal_polynomial
 
     # decision agreement with the definition-level oracle: exhaustive over
     # every subspace of every dim <= 4 catalog algebra over F_2/F_3
@@ -588,7 +593,7 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
             for v in all_subspaces(a):
                 nontrivial = [e for e in facts.idempotents(v) if any(e) and e != a.unit]
                 rad = [Element(a, x) for x in radical(v)]
-                tame = all(_nilpotent_or_invertible(x) for x in rad)
+                tame = all(_nilpotent_or_invertible(minpoly(x)) for x in rad)
                 assert tame == (not nontrivial), (
                     f"{v.basis}: tame={tame}, idempotents={nontrivial}"
                 )
@@ -602,7 +607,7 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
 
         def dichotomy(entry=entry):
             a = entry.algebra
-            all_tame = all(_nilpotent_or_invertible(x) for x in a.elements())
+            all_tame = all(_nilpotent_or_invertible(minpoly(x)) for x in a.elements())
             assert all_tame == ("local" in entry.tags), entry.name
 
         rec.run("local_dichotomy", entry.name, dichotomy)
@@ -627,11 +632,8 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
     for name in ["M2(F2)", "M2(F3)", "opp(M2(F2))"]:
 
         def simple_radicals(a=cat[name].algebra):
-            nil = {
-                x.coords
-                for x in a.elements()
-                if classify_element(x).nilpotent
-            }
+            # nilpotent: minimal polynomial t^k, deg h = 0
+            nil = {x.coords for x in a.elements() if minpoly(x).h.degree == 0}
             verdicts, two = table(a), Sidedness.TWO_SIDED
             failing = [v for v, by_variant in verdicts.items() if not by_variant[two].is_mathieu]
             for m in _mathieu_in(verdicts, two):

@@ -32,9 +32,10 @@ everything here is decided exactly:
   directions.  Nilpotent elements always qualify.  Since k + e <= d = dim A,
   the fixed window a^d, ..., a^(2d-1) decides it for every element at once,
   nilpotent ones included, with no minimal polynomial at all.
-  ``radical_enumerate`` reads that window from one table of the powers
-  a^1, ..., a^(2d-1), each product of which was checked by a bilinear
-  sketch when the table was built (see ``_scan.build_power_chunk``).
+  ``radical_enumerate`` reads that window from the algebra's one cached
+  power table, which stores a^d, ..., a^(2d-1) for every element; each
+  product of a^1, ..., a^(2d-1) was checked by a bilinear sketch when the
+  table was built (see ``_scan.build_power_chunk``).
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -153,32 +154,28 @@ def radical_enumerate(
 ) -> list[Element]:
     """The exact radical of ``v`` as a list of elements, by full enumeration.
 
-    Membership in ``v`` (N x = 0) is tested once per element of the algebra,
-    once the power scan has accepted the budget, and read for the stored
-    powers a^d .. a^(2d-1) of every element through their element indices:
-    the element is in the radical when all of them lie in ``v`` (see the
-    module docstring).  Elements come back in lexicographic coordinate
-    order.
+    The algebra's power table is priced, and built or read from its cache,
+    first.  Then membership in ``v`` (N x = 0) is tested once per element
+    of the algebra and read for the stored window a^d .. a^(2d-1) of every
+    element through its element indices: the element is in the radical
+    when all of them lie in ``v`` (see the module docstring).  Elements
+    come back in lexicographic coordinate order.
     """
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("radical enumeration needs a finite field")
     p, d, size = a.field.order, a.dim, a.size
+    chunks = list(_scan.power_chunks(a, max_scan))
     constraints = v.constraints()
-    in_a = None
+    in_a = np.concatenate([
+        _scan.membership_bitmap(
+            _scan.coeff_block(p, d, s, min(s + _scan.DEFAULT_BLOCK, size)), constraints, p
+        )
+        for s in range(0, size, _scan.DEFAULT_BLOCK)
+    ])
     out: list[Element] = []
-    for chunk in _scan.power_chunks(a, max_scan):
-        if in_a is None:  # built only once power_chunks has accepted the budget
-            in_a = np.concatenate([
-                _scan.membership_bitmap(
-                    _scan.coeff_block(p, d, s, min(s + _scan.DEFAULT_BLOCK, size)),
-                    constraints,
-                    p,
-                )
-                for s in range(0, size, _scan.DEFAULT_BLOCK)
-            ])
-        window = chunk.rows.reshape(chunk.count, 2 * d - 1)[:, d - 1 :]  # a^d .. a^(2d-1)
-        inside = in_a[window].all(axis=1)
+    for chunk in chunks:
+        inside = in_a[chunk.rows].reshape(chunk.count, d).all(axis=1)
         elements = _scan.coeff_block(p, d, chunk.start, chunk.start + chunk.count)
         out += [Element(a, tuple(coords)) for coords in elements[inside].tolist()]
     return out

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from mathieu_kit import _scan, experiments, mathieu, subspace
+from mathieu_kit import _scan, algebra, cli, experiments, mathieu, subspace
 from mathieu_kit.algebra import poly_quotient_algebra
 from mathieu_kit.cli import main
 from mathieu_kit.errors import TooLarge
@@ -203,3 +203,35 @@ def test_radical_laws_derives_each_radical_and_maximum_once(monkeypatch):
     ]
     assert {(a.label, v.basis) for a in commutative for v in all_subspaces(a)} <= set(radicals)
     assert maxima and set(maxima.values()) == {1}
+
+
+def test_idempotent_criterion_computes_each_minimal_polynomial_once(monkeypatch):
+    # idempotent_free_iff_tame_radical, local_dichotomy and
+    # simple_algebra_radicals read the run's one minimal polynomial per
+    # element, however many radicals hold it
+    catalog()  # built first: its own verification is not the run's
+    calls = Counter()
+    compute = algebra.minimal_polynomial
+
+    def counting(x):
+        calls[x.algebra.label, x.coords] += 1
+        return compute(x)
+
+    for module in (algebra, cli, experiments, mathieu):
+        monkeypatch.setattr(module, "minimal_polynomial", counting)
+    assert run_suite("idempotent_criterion", seed=11).passed
+    assert len(calls) == 154 and set(calls.values()) == {1}
+
+
+def test_window_equals_cycle_random_catches_a_dropped_element(monkeypatch):
+    # an enumeration that drops the last element of every radical in the
+    # algebras of dimension 4 and more
+    enumerate_radical = experiments.radical_enumerate
+
+    def dropping(v, *args):
+        got = enumerate_radical(v, *args)
+        return got[:-1] if v.ambient.dim >= 4 else got
+
+    monkeypatch.setattr(experiments, "radical_enumerate", dropping)
+    failed = {c.check for c in run_suite("radical_laws", seed=11).failures()}
+    assert "window_equals_cycle_random" in failed

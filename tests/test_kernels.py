@@ -205,7 +205,7 @@ IDEMPOTENT_FAULTS = {"wrong_entry": _wrong_entry, "dropped_row": lambda rows: ro
 @pytest.mark.parametrize("fault", sorted(IDEMPOTENT_FAULTS))
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 5)])
 def test_idempotent_build_catches_a_faulty_construction(monkeypatch, fault, n, q):
-    # M_3(F_5) is above POWER_CACHE_LIMIT, so only the build's structural
+    # M_3(F_5) is above IDEMPOTENT_RESCAN_LIMIT, so only the build's structural
     # checks stand between the fault and the verdicts
     construct = _scan.construct_matrix_idempotents
     monkeypatch.setattr(
@@ -262,7 +262,8 @@ def element_coords(alg, index):
 def _check_power_data(alg, indices):
     """Chunk data of the given elements against the pure-Python reference."""
     chunks = list(_scan.power_chunks(alg, max_scan=10**7))
-    horizon = 2 * alg.dim - 1
+    d = alg.dim
+    horizon = 2 * d - 1
     for index in indices:
         chunk = next(c for c in chunks if c.start <= index < c.start + c.count)
         b = index - chunk.start
@@ -274,8 +275,8 @@ def _check_power_data(alg, indices):
         while len(powers) < horizon:
             powers.append(powers[-1] * x)
         assert powers[-1] == elem_power(x, horizon)
-        stored = chunk.rows[b * horizon : (b + 1) * horizon]
-        assert [element_coords(alg, i) for i in stored] == [y.coords for y in powers]
+        stored = chunk.rows[b * d : (b + 1) * d]  # a^d .. a^(2d-1)
+        assert [element_coords(alg, i) for i in stored] == [y.coords for y in powers[d - 1 :]]
 
 
 def test_power_chunks_match_elem_power_and_cycles():
@@ -325,7 +326,7 @@ SLOW_CYCLE_CHILD = """
 import resource, sys
 cap = 1536 << 20
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-from mathieu_kit.algebra import field_algebra, poly_quotient_algebra
+from mathieu_kit.algebra import field_algebra, matrix_algebra, poly_quotient_algebra
 from mathieu_kit.errors import TooLarge
 from mathieu_kit.fields import GF, Poly
 from mathieu_kit.mathieu import radical_enumerate
@@ -359,6 +360,15 @@ def test_slow_power_cycles_are_refused_before_allocating(algebra):
     # entries is refused before any power is computed.  The child's address
     # space is capped
     radical, refuse_at = SLOW_CYCLES[algebra]
+    lines = _zero_radical_in_child(algebra, refuse_at)
+    if refuse_at is not None:
+        assert lines.pop(0).startswith("TooLarge power scan of"), lines
+    assert ast.literal_eval(lines[0]) == radical
+    assert int(lines[1].split()[1]) < 1 << 20  # KiB: under 1 GiB
+
+
+def _zero_radical_in_child(algebra, refuse_at=None):
+    """The stdout lines of SLOW_CYCLE_CHILD run on ``algebra``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -366,11 +376,17 @@ def test_slow_power_cycles_are_refused_before_allocating(algebra):
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    if refuse_at is not None:
-        assert lines.pop(0).startswith("TooLarge power scan of"), done.stdout
-    assert ast.literal_eval(lines[0]) == radical
-    assert int(lines[1].split()[1]) < 1 << 20  # KiB: under 1 GiB
+    return done.stdout.splitlines()
+
+
+def test_power_table_blocks_bound_the_peak_memory():
+    # M_4(F_2): 65,536 elements at 2d-1 = 31 powers of d = 16 residues each,
+    # built 2,114 elements at a time; its nilpotent cone has 2^(n^2 - n) =
+    # 4,096 elements
+    lines = _zero_radical_in_child("matrix_algebra(4, GF(2))")
+    radical = ast.literal_eval(lines[0])
+    assert len(radical) == 4096 and radical == sorted(set(radical))
+    assert int(lines[1].split()[1]) < 200 << 10  # KiB: under 200 MiB
 
 
 @pytest.mark.parametrize("p", [127, 131, 257])
@@ -385,27 +401,22 @@ def test_power_chunks_hold_residues_of_large_primes(p):
     assert [x.coords for x in radical_enumerate(zero)] == [(0,)]
 
 
-def test_streamed_power_chunks_match_cached(monkeypatch):
-    cached = list(_scan.power_chunks(matrix_algebra(2, F5), max_scan=10**7))
-    monkeypatch.setattr(_scan, "POWER_CACHE_LIMIT", 0)
-    alg = matrix_algebra(2, F5)
-    streamed = list(_scan.power_chunks(alg, max_scan=10**7))
-    assert alg._power_data is None
-    assert np.array_equal(
-        np.concatenate([c.rows for c in cached]), np.concatenate([c.rows for c in streamed])
-    )
+def test_power_chunks_hold_at_most_a_block_of_powers():
+    # M_3(F_3): 19,683 elements at 2d-1 = 17 powers, in blocks of 3,855
+    alg = matrix_algebra(3, F3)
+    chunks = list(_scan.power_chunks(alg, max_scan=10**7))
+    assert len(chunks) == 6
+    assert all(c.count * 17 <= _scan.DEFAULT_BLOCK for c in chunks)
+    assert [c.start for c in chunks] == [sum(c.count for c in chunks[:i]) for i in range(6)]
+    assert sum(c.count for c in chunks) == alg.size
+    assert all(len(c.rows) == c.count * alg.dim for c in chunks)
+    _check_power_data(alg, [0, 3854, 3855, 9000, alg.size - 1])
 
 
-STORAGE = pytest.mark.parametrize("streamed", [False, True], ids=["cached", "streamed"])
-
-
-@STORAGE
-def test_radical_enumerate_matches_the_definition(monkeypatch, streamed):
+def test_radical_enumerate_matches_the_definition():
     # every subspace of every catalog algebra over F_2 or F_3 of dimension
     # at most 3, against the pure-Python window definition and the
     # hash-detected power cycle
-    if streamed:
-        monkeypatch.setattr(_scan, "POWER_CACHE_LIMIT", 0)
     algebras = [e.algebra for e in catalog_over({2, 3}).values() if e.algebra.dim <= 3]
     assert len(algebras) == 9
     for shared in algebras:
@@ -420,7 +431,7 @@ def test_radical_enumerate_matches_the_definition(monkeypatch, streamed):
                     if _cycle_radical_member(v.member_coords, x)
                 ]
                 assert got == cycle, (alg.label, v.basis)
-        assert (alg._power_data is None) == streamed
+        assert alg._power_data is not None
 
 
 # name: (algebra factory, basis of a subalgebra or ideal, whose radical holds
@@ -440,12 +451,9 @@ RADICAL_SAMPLES = {
 }
 
 
-@STORAGE
 @pytest.mark.parametrize("name", sorted(RADICAL_SAMPLES))
-def test_radical_enumerate_matches_the_definition_on_samples(monkeypatch, streamed, name):
+def test_radical_enumerate_matches_the_definition_on_samples(name):
     make, structured = RADICAL_SAMPLES[name]
-    if streamed:
-        monkeypatch.setattr(_scan, "POWER_CACHE_LIMIT", 0)
     alg = make()
     p, d = alg.field.order, alg.dim
     rng = random.Random(sorted(RADICAL_SAMPLES).index(name))
@@ -465,15 +473,12 @@ def test_radical_enumerate_matches_the_definition_on_samples(monkeypatch, stream
         for _ in range(25):
             x = alg.element(element_coords(alg, rng.randrange(alg.size)))
             assert radical_member(v, x) == (x.coords in inside), (name, v.basis, x.coords)
-    if streamed:
-        assert alg._power_data is None
-    else:
-        keys = np.int32 if alg.size > 1 << 15 else np.int16
-        assert [c.rows.dtype for c in alg._power_data] == [keys]
+    keys = np.int32 if alg.size > 1 << 15 else np.int16
+    assert {c.rows.dtype for c in alg._power_data} == {np.dtype(keys)}
 
 
-#: the index of (1, 0, 0, 1), the unit of M_2(F_3), which stores 2d-1 = 7
-#: powers per element, a^d .. a^(2d-1) in the last four
+#: the index of (1, 0, 0, 1), the unit of M_2(F_3), which stores d = 4
+#: powers per element, a^d .. a^(2d-1)
 UNIT = 1 * 3**3 + 1
 
 
@@ -485,7 +490,7 @@ def test_cached_power_rows_refuse_writes():
     nilpotent = radical_enumerate(zero)
     assert len(nilpotent) == 9  # 3^(n^2 - n) nilpotent matrices
     with pytest.raises(ValueError, match="read-only"):
-        alg._power_data[0].rows[UNIT * 7 + 3 : (UNIT + 1) * 7] = 0
+        alg._power_data[0].rows[UNIT * 4 : (UNIT + 1) * 4] = 0
     assert radical_enumerate(zero) == nilpotent
 
 
