@@ -17,9 +17,13 @@ and three of its elements are replayed with the reference arithmetic.
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
 witness selection everywhere in the package.  An element's position in that
-order is its index.  An algebra's power table is built once, in blocks of
-at most DEFAULT_BLOCK powers, and cached on it: for every element it keeps
-the window a^d .. a^(2d-1), d the dimension, each power as the index of its
+order is its index.  Every kernel here holds a block of B coordinate
+vectors in one layout, a (d, B) array with one row per coordinate
+(C-contiguous int64 from :func:`coeff_block` to the power table), so work
+on a coordinate is one pass over a row and no kernel copies its operands
+into another layout.  An algebra's power table is built once, in blocks of at
+most DEFAULT_BLOCK powers, and cached on it: for every element it keeps the
+window a^d .. a^(2d-1), d the dimension, each power as the index of its
 element, so a radical query tests membership once per element of the
 algebra and reads it for each stored power by indexing.
 
@@ -54,11 +58,11 @@ SKETCH_SEED = 19
 
 
 def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop of the lexicographic enumeration of {0..q-1}^r.
+    """Vectors start..stop of the lexicographic enumeration of {0..q-1}^r.
 
-    The digits are peeled off least significant first into an (r, B) array,
-    each as idx - (idx // q) * q (see :func:`reduce_mod`); the result is its
-    (B, r) transposed view.
+    The digits are peeled off least significant first into the rows of the
+    C-contiguous (r, B) result, each as idx - (idx // q) * q (see
+    :func:`reduce_mod`): column b is the vector at index start + b.
     """
     idx = np.arange(start, stop, dtype=np.int64)
     out = np.empty((r, stop - start), dtype=np.int64)
@@ -66,7 +70,7 @@ def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
         quo = idx // q
         np.subtract(idx, quo * q, out=out[i])
         idx = quo
-    return out.T
+    return out
 
 
 def exact_dtype(bound: int) -> np.dtype:
@@ -94,37 +98,37 @@ def reduce_mod(v: np.ndarray, p: int) -> np.ndarray:
 
 
 def batch_mul(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise product in ``a`` of two (B, d) coordinate blocks, mod p.
+    """Column-wise product in ``a`` of two (d, B) coordinate blocks, mod p.
 
-    Reads the nonzero structure constants from ``a._sparse_table()``, the
-    cache the reference arithmetic multiplies with.  Each constant
-    c = table[i][j][k] adds x_i * y_j * c to output column k, in (i, j, k)
-    order, so the work is one (B,)-row pass per nonzero constant, however
-    sparse the table.
+    Returns a new (d, B) block; the operands are read in place (int64
+    input is not copied).  Reads the nonzero structure constants from
+    ``a._sparse_table()``, the cache the reference arithmetic multiplies
+    with.  Each constant c = table[i][j][k] adds x_i * y_j * c to output
+    row k, in (i, j, k) order, so the work is one (B,)-row pass per nonzero
+    constant, however sparse the table.
 
     Exactness: inputs are residues below p, and each term is kept below p^2
     (x_i * y_j, reduced mod p and then multiplied by c only when c != 1).
-    Column k's sum is therefore below n_k * p^2, n_k the number of nonzero
+    Row k's sum is therefore below n_k * p^2, n_k the number of nonzero
     constants with that k, and is reduced mod p once at the end.  int64
     holds it while n_k * p^2 < 2^63; a scan only has nonzero inputs when
     p <= max_scan, so at the default budget of 10^7 any n_k below 92,000
     is exact (n_k <= d^2 for every table).
     """
     p = a.field.order  # raises InfiniteField over the rationals
-    xt = np.ascontiguousarray(x.T, dtype=np.int64)
-    yt = np.ascontiguousarray(y.T, dtype=np.int64)
-    out = np.zeros_like(xt)
-    term = np.empty(len(x), dtype=np.int64)
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    out = np.zeros_like(x)
+    term = np.empty(x.shape[1], dtype=np.int64)
     for i, row in enumerate(a._sparse_table()):
         for j, entries in enumerate(row):
             for k, c in entries:
-                np.multiply(xt[i], yt[j], out=term)
+                np.multiply(x[i], y[j], out=term)
                 if c != 1:
                     reduce_mod(term, p)
                     term *= c
                 out[k] += term
-    del xt, yt  # freed before the result is allocated, to bound peak memory
-    return np.ascontiguousarray(reduce_mod(out, p).T)
+    return reduce_mod(out, p)
 
 
 def idempotent_coords(ambient: Algebra, basis_rows) -> list[tuple[int, ...]]:
@@ -140,10 +144,10 @@ def idempotent_coords(ambient: Algebra, basis_rows) -> list[tuple[int, ...]]:
     basis = np.array(basis_rows, dtype=np.int64).reshape(r, ambient.dim)
     out = []
     for start in range(0, total, DEFAULT_BLOCK):
-        vecs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total)) @ basis
+        vecs = basis.T @ coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total))
         reduce_mod(vecs, p)  # in place, so the block costs no more memory than one array
         squares = batch_mul(ambient, vecs, vecs)
-        out += map(tuple, vecs[np.all(squares == vecs, axis=1)].tolist())
+        out += map(tuple, vecs[:, np.all(squares == vecs, axis=0)].T.tolist())
     return out
 
 
@@ -178,7 +182,7 @@ def idempotents(
             _check_idempotents(a, rows)
         a._idempotents = rows
     rows = a._idempotents
-    return [tuple(e) for e in rows[membership_bitmap(rows, constraints, p)].tolist()]
+    return [tuple(e) for e in rows[membership_bitmap(rows.T, constraints, p)].tolist()]
 
 
 def matrix_idempotent_count(n: int, p: int) -> int:
@@ -203,7 +207,7 @@ def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
     out = []
     for k in range(n + 1):
         m = p ** (k * (n - k))
-        zs = coeff_block(p, k * (n - k), 0, m).reshape(m, k, n - k)
+        zs = coeff_block(p, k * (n - k), 0, m).T.reshape(m, k, n - k)
         for piv in itertools.combinations(range(n), k):
             piv = list(piv)
             free = [j for j in range(n) if j not in piv]
@@ -214,7 +218,7 @@ def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
             us[:, range(k), piv] = 1
             us[:, [i for i, _ in slots], [j for _, j in slots]] = coeff_block(
                 p, len(slots), 0, len(us)
-            )
+            ).T
             for u in us:
                 y = np.empty((m, k, n), dtype=np.int64)
                 y[:, :, free] = zs
@@ -254,25 +258,27 @@ def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
 class PowerChunk:
     """Powers a^d .. a^(2d-1) of one contiguous block of algebra elements.
 
-    ``rows`` holds them element-major, d entries per element (row b's
-    window is ``rows[b * d : (b + 1) * d]``), each as its element's
-    lexicographic index (the row of that element in :func:`coeff_block`'s
-    enumeration of the algebra).  A test on elements, computed once per
-    element of the algebra, is read for every stored power by indexing with
-    ``rows``.  ``rows`` is read-only: it was checked when built (see
+    ``rows`` holds them power-major, count entries per power (the j-th
+    stored power a^(d+j) of element b is ``rows[j * count + b]``, so b's
+    window is ``rows[b::count]``), each as its element's lexicographic
+    index (the column of that element in :func:`coeff_block`'s enumeration
+    of the algebra).  A test on elements, computed once per element of the
+    algebra, is read for every stored power by indexing with ``rows``.
+    ``rows`` is read-only: it was checked when built (see
     :func:`build_power_chunk`), and nothing rewrites it.
     """
 
     start: int  # global index of the first element of the chunk
     count: int
-    rows: np.ndarray  # (count * d,) element indices in exact_dtype(size - 1)
+    rows: np.ndarray  # (d * count,) element indices in exact_dtype(size - 1)
 
 
 def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     """Power window for elements start..stop (global lexicographic indices).
 
-    All of a^1 .. a^(2d-1) are computed, (stop - start) (2d-1) d residues,
-    and every product is checked by :func:`_check_sketch` before the window
+    All of a^1 .. a^(2d-1) are computed into a (2d-1, d, B) stack, B =
+    stop - start, whose m-th entry is the (d, B) block of a^(m+1), and every
+    product is checked by :func:`_check_sketch` before the window
     a^d .. a^(2d-1) is encoded as element indices; three elements are
     replayed by :func:`_replay_sample` after.  Either raises
     ``ConsistencyError`` before the chunk is returned, let alone cached.
@@ -280,13 +286,13 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     p = a.field.order
     d = a.dim
     horizon = 2 * d - 1
-    stack = np.empty((stop - start, horizon, d), dtype=np.int64)  # a^1 .. a^(2d-1)
-    stack[:, 0] = coeff_block(p, d, start, stop)
+    stack = np.empty((horizon, d, stop - start), dtype=np.int64)  # a^1 .. a^(2d-1)
+    stack[0] = coeff_block(p, d, start, stop)
     for m in range(1, horizon):
-        stack[:, m] = batch_mul(a, stack[:, m - 1], stack[:, 0])
+        stack[m] = batch_mul(a, stack[m - 1], stack[0])
     _check_sketch(a, stack)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    rows = (stack[:, d - 1 :].reshape(-1, d) @ radix).astype(exact_dtype(a.size - 1))
+    rows = (radix @ stack[d - 1 :]).reshape(-1).astype(exact_dtype(a.size - 1))
     rows.flags.writeable = False
     chunk = PowerChunk(start, stop - start, rows)
     _replay_sample(a, chunk)
@@ -297,13 +303,13 @@ def _check_sketch(a: Algebra, stack: np.ndarray) -> None:
     """Raise ``ConsistencyError`` unless every product in ``stack`` passes a
     bilinear sketch.
 
-    ``stack`` holds a^1 .. a^(2d-1) of a block of elements a as residues.
-    For a sketch row r, r.(xy) = x^T M_r y with M_r = sum_k r_k C_k, C_k
-    the matrix of k-th coordinates of the structure constants, read from
-    the dense ``a.table`` and not from the sparse table that
-    :func:`batch_mul` loops over.  So every stored a^m = a^(m-1) a must
-    satisfy r.a^m = (a^(m-1))^T (M_r a) mod p: one (B, d) (d, d) product
-    per row, then one row-wise dot per stored power.
+    ``stack`` is (2d-1, d, B): the (d, B) blocks of a^1 .. a^(2d-1) of a
+    block of elements a, as residues.  For a sketch row r, r.(xy) =
+    x^T M_r y with M_r = sum_k r_k C_k, C_k the matrix of k-th coordinates
+    of the structure constants, read from the dense ``a.table`` and not
+    from the sparse table that :func:`batch_mul` loops over.  So every stored a^m = a^(m-1) a must
+    satisfy r.a^m = (a^(m-1))^T (M_r a) mod p: one (d, d) (d, B) product
+    per row, then one column-wise dot per stored power.
 
     There are two rows, fixed for each (p, d): all ones, so an error whose
     coordinates do not sum to 0 (any error in one coordinate) is caught,
@@ -320,14 +326,14 @@ def _check_sketch(a: Algebra, stack: np.ndarray) -> None:
     sketch = np.ones((2, d), dtype=np.int64)
     sketch[1] = np.random.default_rng(SKETCH_SEED).integers(0, p, size=d)
     forms = reduce_mod(np.array(a.table, dtype=np.int64) @ sketch.T, p)  # M_r = forms[..., r]
-    # (M_r a)_i = sum_j a_j M_r[i, j], for both rows in one (B, d) (d, 2d) product
-    right = reduce_mod(stack[:, 0] @ forms.transpose(1, 0, 2).reshape(d, -1), p)
-    want = np.matmul(stack[:, :-1], right.reshape(-1, d, 2))
-    bad = reduce_mod(stack[:, 1:] @ sketch.T - want, p).any(axis=(1, 2))
+    # (M_r a)_i = sum_j M_r[i, j] a_j, for both rows in one (2d, d) (d, B) product
+    right = reduce_mod(forms.transpose(0, 2, 1).reshape(-1, d) @ stack[0], p)
+    want = np.einsum("mib,irb->mrb", stack[:-1], right.reshape(d, 2, -1))
+    bad = reduce_mod(sketch @ stack[1:] - want, p).any(axis=(0, 1))
     if bad.any():
         b = int(np.argmax(bad))
         raise ConsistencyError(
-            f"power kernel fails the bilinear sketch on {tuple(stack[b, 0].tolist())} "
+            f"power kernel fails the bilinear sketch on {tuple(stack[0, :, b].tolist())} "
             f"in {a.label}"
         )
 
@@ -350,7 +356,7 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
         powers = [x]
         while len(powers) < 2 * d - 1:
             powers.append(powers[-1] * x)
-        stored = chunk.rows[b * d : (b + 1) * d].tolist()
+        stored = chunk.rows[b :: chunk.count].tolist()
         if [decode(index) for index in stored] != [list(y.coords) for y in powers[d - 1 :]]:
             raise ConsistencyError(
                 f"power kernel and reference arithmetic disagree on {x.coords} "
@@ -383,8 +389,9 @@ def power_chunks(a: Algebra, max_scan: int):
 
 
 def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:
-    """Boolean vector: which of the given coordinate rows satisfy N x = 0."""
+    """Boolean (B,) vector: which columns x of the (d, B) block ``rows``
+    (one row per coordinate) satisfy N x = 0."""
     if not constraints:
-        return np.ones(len(rows), dtype=bool)
+        return np.ones(rows.shape[1], dtype=bool)
     n = np.array(constraints, dtype=np.int64)
-    return np.all(reduce_mod(rows @ n.T, p) == 0, axis=1)
+    return np.all(reduce_mod(n @ rows, p) == 0, axis=0)

@@ -324,12 +324,6 @@ class Poly:
         s = self.field.coerce(s)
         return Poly(self.field, [self.field.mul(s, c) for c in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroPolynomial("cannot normalize the zero polynomial")

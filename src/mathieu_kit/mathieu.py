@@ -156,10 +156,12 @@ def radical_enumerate(
 
     The algebra's power table is priced, and built or read from its cache,
     first.  Then membership in ``v`` (N x = 0) is tested once per element
-    of the algebra and read for the stored window a^d .. a^(2d-1) of every
-    element through its element indices: the element is in the radical
-    when all of them lie in ``v`` (see the module docstring).  Elements
-    come back in lexicographic coordinate order.
+    of the algebra, on (d, B) blocks of coordinate columns, and read for the
+    stored window a^d .. a^(2d-1) of every element through its element
+    indices, which a chunk stores power-major as a (d, count) table: the
+    element is in the radical when all of its column lies in ``v`` (see the
+    module docstring).  Elements come back in lexicographic coordinate
+    order.
     """
     a = v.ambient
     if not a.field.is_finite:
@@ -175,9 +177,9 @@ def radical_enumerate(
     ])
     out: list[Element] = []
     for chunk in chunks:
-        inside = in_a[chunk.rows].reshape(chunk.count, d).all(axis=1)
+        inside = in_a[chunk.rows].reshape(d, chunk.count).all(axis=0)
         elements = _scan.coeff_block(p, d, chunk.start, chunk.start + chunk.count)
-        out += [Element(a, tuple(coords)) for coords in elements[inside].tolist()]
+        out += [Element(a, tuple(coords)) for coords in elements[:, inside].T.tolist()]
     return out
 
 

@@ -330,12 +330,14 @@ class Codim1Report:
 def _canonical_class_block(q: int, d: int, lead: int, start: int, stop: int) -> np.ndarray:
     """Block of canonical projective vectors with first nonzero coordinate at ``lead``.
 
-    The (B, d) result is the transposed view of a (d, B) array, so
-    :func:`_batch_witnesses` reads its columns without a copy.
+    The (d, B) block is filled row by row, its tail rows straight from
+    :func:`_scan.coeff_block`'s (r, B) rows; the (B, d) result is its
+    transposed view, so :func:`_batch_witnesses` reads its columns without a
+    copy.
     """
     block = np.zeros((d, stop - start), dtype=np.int64)
     block[lead] = 1
-    block[lead + 1 :] = _scan.coeff_block(q, d - 1 - lead, start, stop).T
+    block[lead + 1 :] = _scan.coeff_block(q, d - 1 - lead, start, stop)
     return block.T
 
 

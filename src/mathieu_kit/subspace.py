@@ -134,9 +134,6 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim} of {self.ambient.label})"
 
-    def basis_elements(self) -> list[Element]:
-        return [Element(self.ambient, row) for row in self.basis]
-
     # -- membership --------------------------------------------------------------------
 
     def member(self, x) -> bool:

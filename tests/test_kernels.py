@@ -56,10 +56,11 @@ ALGEBRAS = [
 def test_coeff_block_matches_itertools_product():
     for q, r in [(2, 4), (3, 3), (5, 2)]:
         rows = _scan.coeff_block(q, r, 0, q**r)
+        assert rows.shape == (r, q**r) and rows.flags.c_contiguous
         expected = list(itertools.product(range(q), repeat=r))
-        assert [tuple(int(c) for c in row) for row in rows] == expected
+        assert [tuple(int(c) for c in row) for row in rows.T] == expected
     # block slicing stitches back together
-    rows = np.vstack(
+    rows = np.hstack(
         [_scan.coeff_block(3, 3, s, min(s + 7, 27)) for s in range(0, 27, 7)]
     )
     assert rows.tolist() == _scan.coeff_block(3, 3, 0, 27).tolist()
@@ -81,25 +82,26 @@ def test_batch_mul_matches_reference_products(alg):
     for _ in range(50):
         xs.append([rng.randrange(p) for _ in range(alg.dim)])
         ys.append([rng.randrange(p) for _ in range(alg.dim)])
-    got = _scan.batch_mul(alg, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
-    for x, y, z in zip(xs, ys, got.tolist()):
+    got = _scan.batch_mul(alg, np.array(xs, dtype=np.int64).T, np.array(ys, dtype=np.int64).T)
+    for x, y, z in zip(xs, ys, got.T.tolist()):
         assert tuple(z) == alg._mul_coords(tuple(x), tuple(y))
 
 
 def test_batch_mul_peak_memory_stays_within_a_few_blocks():
-    # numpy reports its buffers to tracemalloc; a (B, d*d) intermediate
-    # alone would be 42 MB here
+    # numpy reports its buffers to tracemalloc; a (d*d, B) intermediate
+    # alone would be 42 MB here.  The operands are read in place, so the
+    # result is the one block allocated
     alg = matrix_algebra(3, F5)
     rows, d = 1 << 16, alg.dim
     rng = np.random.default_rng(0)
-    x, y = rng.integers(0, 5, size=(2, rows, d))
+    x, y = rng.integers(0, 5, size=(2, d, rows))
     tracemalloc.start()
     try:
         _scan.batch_mul(alg, x, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * rows * d * 8
+    assert peak < 2.5 * rows * d * 8
 
 
 #: (n, q) of the matrix algebras whose constructed idempotents are compared
@@ -275,7 +277,7 @@ def _check_power_data(alg, indices):
         while len(powers) < horizon:
             powers.append(powers[-1] * x)
         assert powers[-1] == elem_power(x, horizon)
-        stored = chunk.rows[b * d : (b + 1) * d]  # a^d .. a^(2d-1)
+        stored = chunk.rows[b :: chunk.count]  # a^d .. a^(2d-1)
         assert [element_coords(alg, i) for i in stored] == [y.coords for y in powers[d - 1 :]]
 
 
@@ -312,7 +314,7 @@ def test_power_build_catches_a_fault_in_one_row(monkeypatch, row):
 
     def faulty(a, x, y):
         out = batch_mul(a, x, y)
-        out[row, 0] = (out[row, 0] + 1) % a.field.order
+        out[0, row] = (out[0, row] + 1) % a.field.order
         return out
 
     monkeypatch.setattr(_scan, "batch_mul", faulty)
@@ -478,7 +480,7 @@ def test_radical_enumerate_matches_the_definition_on_samples(name):
 
 
 #: the index of (1, 0, 0, 1), the unit of M_2(F_3), which stores d = 4
-#: powers per element, a^d .. a^(2d-1)
+#: powers per element, a^d .. a^(2d-1), one per power-major row of its chunk
 UNIT = 1 * 3**3 + 1
 
 
@@ -489,8 +491,9 @@ def test_cached_power_rows_refuse_writes():
     zero = Subspace.zero(alg)
     nilpotent = radical_enumerate(zero)
     assert len(nilpotent) == 9  # 3^(n^2 - n) nilpotent matrices
+    chunk = alg._power_data[0]
     with pytest.raises(ValueError, match="read-only"):
-        alg._power_data[0].rows[UNIT * 4 : (UNIT + 1) * 4] = 0
+        chunk.rows[UNIT :: chunk.count] = 0
     assert radical_enumerate(zero) == nilpotent
 
 
