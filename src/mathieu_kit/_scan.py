@@ -11,8 +11,9 @@ so M_3(F_5) runs in int8, and reduces them with :func:`reduce_mod`.
 The kernels are plumbing for the decision procedures; the pure-Python
 element arithmetic in :mod:`mathieu_kit.algebra` is the reference they are
 tested against.  When a power chunk is built, every product in it is
-checked by a bilinear sketch that shares no loop with :func:`batch_mul`,
-and three of its elements are replayed with the reference arithmetic.
+recomputed exactly from the dense structure constants, in a loop that
+:func:`batch_mul` does not share, and three of its elements are replayed
+with the reference arithmetic.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
@@ -52,9 +53,6 @@ DEFAULT_BLOCK = 1 << 16
 #: Algebras at most this big have their constructed idempotents checked
 #: against a scan of every element as well (see :func:`_check_idempotents`).
 IDEMPOTENT_RESCAN_LIMIT = 200_000
-
-#: Seed of the bilinear sketch's rows (see :func:`_check_sketch`).
-SKETCH_SEED = 19
 
 
 def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
@@ -278,7 +276,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
 
     All of a^1 .. a^(2d-1) are computed into a (2d-1, d, B) stack, B =
     stop - start, whose m-th entry is the (d, B) block of a^(m+1), and every
-    product is checked by :func:`_check_sketch` before the window
+    product is recomputed by :func:`_check_products` before the window
     a^d .. a^(2d-1) is encoded as element indices; three elements are
     replayed by :func:`_replay_sample` after.  Either raises
     ``ConsistencyError`` before the chunk is returned, let alone cached.
@@ -290,7 +288,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     stack[0] = coeff_block(p, d, start, stop)
     for m in range(1, horizon):
         stack[m] = batch_mul(a, stack[m - 1], stack[0])
-    _check_sketch(a, stack)
+    _check_products(a, stack)
     radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
     rows = (radix @ stack[d - 1 :]).reshape(-1).astype(exact_dtype(a.size - 1))
     rows.flags.writeable = False
@@ -299,42 +297,41 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     return chunk
 
 
-def _check_sketch(a: Algebra, stack: np.ndarray) -> None:
-    """Raise ``ConsistencyError`` unless every product in ``stack`` passes a
-    bilinear sketch.
+def _check_products(a: Algebra, stack: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless every product in ``stack`` is right.
 
     ``stack`` is (2d-1, d, B): the (d, B) blocks of a^1 .. a^(2d-1) of a
-    block of elements a, as residues.  For a sketch row r, r.(xy) =
-    x^T M_r y with M_r = sum_k r_k C_k, C_k the matrix of k-th coordinates
-    of the structure constants, read from the dense ``a.table`` and not
-    from the sparse table that :func:`batch_mul` loops over.  So every stored a^m = a^(m-1) a must
-    satisfy r.a^m = (a^(m-1))^T (M_r a) mod p: one (d, d) (d, B) product
-    per row, then one column-wise dot per stored power.
+    block of elements a, as residues.  Every stored a^m (m >= 2) is
+    recomputed as a^(m-1) a from the nonzero constants of the dense
+    ``a.table``, not from the sparse table that :func:`batch_mul` loops
+    over, one pass over a (2d-2, B) block per constant, and must equal the
+    stored block in every coordinate.  For d = 1 there is no product.
 
-    There are two rows, fixed for each (p, d): all ones, so an error whose
-    coordinates do not sum to 0 (any error in one coordinate) is caught,
-    and one drawn from SKETCH_SEED.  A corrupt power escapes only if its
-    error is orthogonal to both.  The check reads the products, not their
-    encoding as element indices, which :func:`_replay_sample` spot-checks.
-
-    Exactness: the entries of ``stack``, r, C_k, M_r and M_r a are residues
-    below p (each reduced before it is used again), so every sum is below
-    d (p-1)^2, the bound of :func:`membership_bitmap`; int64 holds it while
-    d (p-1)^2 < 2^63.
+    Exactness: each term is at most (p-1)^2 (x_i * y_j, reduced mod p and
+    then multiplied by c only when c != 1), so coordinate k's sum is at
+    most n_k (p-1)^2, n_k the number of nonzero constants with that k.  The
+    check runs in :func:`exact_dtype` of that bound, exact while it is
+    below 2^63.
     """
-    p, d = a.field.order, a.dim
-    sketch = np.ones((2, d), dtype=np.int64)
-    sketch[1] = np.random.default_rng(SKETCH_SEED).integers(0, p, size=d)
-    forms = reduce_mod(np.array(a.table, dtype=np.int64) @ sketch.T, p)  # M_r = forms[..., r]
-    # (M_r a)_i = sum_j M_r[i, j] a_j, for both rows in one (2d, d) (d, B) product
-    right = reduce_mod(forms.transpose(0, 2, 1).reshape(-1, d) @ stack[0], p)
-    want = np.einsum("mib,irb->mrb", stack[:-1], right.reshape(d, 2, -1))
-    bad = reduce_mod(sketch @ stack[1:] - want, p).any(axis=(0, 1))
+    p = a.field.order
+    nonzero = np.argwhere(np.array(a.table, dtype=np.int64))  # rows (i, j, k), ascending
+    n_k = int(np.bincount(nonzero[:, 2], minlength=1).max())
+    xs = stack.astype(exact_dtype(n_k * (p - 1) ** 2))
+    want = np.zeros_like(xs[1:])
+    term = np.empty_like(want[:, 0])
+    for i, j, k in nonzero.tolist():
+        np.multiply(xs[:-1, i], xs[0, j], out=term)
+        c = a.table[i][j][k]
+        if c != 1:
+            reduce_mod(term, p)
+            term *= c
+        want[:, k] += term
+    bad = (reduce_mod(want, p) != xs[1:]).any(axis=(0, 1))
     if bad.any():
         b = int(np.argmax(bad))
         raise ConsistencyError(
-            f"power kernel fails the bilinear sketch on {tuple(stack[0, :, b].tolist())} "
-            f"in {a.label}"
+            f"power kernel and the dense structure constants disagree on "
+            f"{tuple(stack[0, :, b].tolist())} in {a.label}"
         )
 
 
@@ -344,7 +341,9 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     The chunk's first, middle and last elements go through repeated
     ``Element`` products, which share no code with the array kernels.  Any
     difference from their stored window a^d .. a^(2d-1), decoded from its
-    element indices, raises ``ConsistencyError``.
+    element indices, raises ``ConsistencyError``.  :func:`_check_products`
+    has checked every product already; this is the one check of the
+    encoding as element indices.
     """
     p, d = a.field.order, a.dim
 

@@ -157,7 +157,7 @@ class ConsistencyError(MathieuKitError, RuntimeError):
     """Two independent routes to the same fact disagreed.
 
     Raised by operations that recompute their own answer a second way
-    (for example a power product in a new power table against a bilinear
-    sketch read from the dense structure constants).  Reaching this is
+    (for example a power product in a new power table against the same
+    product recomputed from the dense structure constants).  Reaching this is
     always a bug, never a property of the input.
     """

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     BothZero,
@@ -121,11 +121,6 @@ class Field:
         if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         raise FieldMismatch(f"{value!r} is not a rational scalar")
-
-    def elements(self) -> Iterator[Scalar]:
-        if not self.is_finite:
-            raise InfiniteField("cannot enumerate the rationals")
-        return iter(range(self.characteristic))
 
     # -- arithmetic -------------------------------------------------------------
 

@@ -34,8 +34,9 @@ everything here is decided exactly:
   nilpotent ones included, with no minimal polynomial at all.
   ``radical_enumerate`` reads that window from the algebra's one cached
   power table, which stores a^d, ..., a^(2d-1) for every element; each
-  product of a^1, ..., a^(2d-1) was checked by a bilinear sketch when the
-  table was built (see ``_scan.build_power_chunk``).
+  product of a^1, ..., a^(2d-1) was recomputed exactly from the dense
+  structure constants when the table was built (see
+  ``_scan.build_power_chunk``).
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the

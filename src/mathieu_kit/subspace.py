@@ -140,10 +140,9 @@ class Subspace:
         if isinstance(x, Element):
             if x.algebra != self.ambient:
                 raise AlgebraMismatch("membership test across algebras")
-            x = x.coords
-        elif len(x) != self.ambient.dim:
-            raise ValueError(f"expected {self.ambient.dim} coordinates, got {len(x)}")
-        return self.member_coords(tuple(x))
+            return self.member_coords(x.coords)
+        # validated like any element's coordinates: never reduced mod p
+        return self.member_coords(self.ambient.element(x).coords)
 
     def member_coords(self, coords: Coords) -> bool:
         """Whether N x = 0 for the constraint rows N of this subspace."""

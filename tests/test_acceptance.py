@@ -105,11 +105,11 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_radical_window_validation():
     # radical_enumerate decides every element through the fixed window
-    # a^d .. a^(2d-1) of a power table whose every product is checked by a
-    # bilinear sketch when it is built, raising ConsistencyError on any
-    # mismatch; this drives it over every element of every F_2/F_3 catalog
-    # algebra, and compares it with the hash-detected power cycle on every
-    # subspace of dimension at most 3.
+    # a^d .. a^(2d-1) of a power table whose every product is recomputed
+    # from the dense structure constants when it is built, raising
+    # ConsistencyError on any mismatch; this drives it over every element
+    # of every F_2/F_3 catalog algebra, and compares it with the
+    # hash-detected power cycle on every subspace of dimension at most 3.
     started = time.perf_counter()
     entries = list(catalog_over({2, 3}).values())
     for entry in entries:

@@ -7,7 +7,13 @@ import pytest
 
 from mathieu_kit._linalg import nullspace, reduce_vector, rref
 from mathieu_kit.algebra import AlgebraHom, matrix_algebra, opposite, poly_quotient_algebra
-from mathieu_kit.errors import AlgebraMismatch, InfiniteField, NotAnIdeal, TooLarge
+from mathieu_kit.errors import (
+    AlgebraMismatch,
+    FieldMismatch,
+    InfiniteField,
+    NotAnIdeal,
+    TooLarge,
+)
 from mathieu_kit import subspace
 from mathieu_kit.experiments import _small_f23_entries, catalog
 from mathieu_kit.fields import GF, QQ, Poly
@@ -84,6 +90,16 @@ def test_membership_and_zero_subspace():
     for short_or_long in ([1, 0], [1, 0, 0, 0, 3]):
         with pytest.raises(ValueError, match="expected 4 coordinates"):
             line.member(short_or_long)
+
+
+def test_membership_refuses_malformed_coordinates():
+    # a residue out of range, a float or a bool is refused, never reduced
+    a = matrix_algebra(2, GF(3))
+    v = span(a, [[1, 0, 0, 0]])
+    assert v.member((1, 0, 0, 0)) and v.member(a.element((1, 0, 0, 0)))
+    for bad in ((4, 0, 0, 0), (1.0, 0, 0, 0), (True, 0, 0, 0)):
+        with pytest.raises(FieldMismatch):
+            v.member(bad)
 
 
 def test_intersection_of_trace_plane_and_diagonal():
