@@ -12,8 +12,9 @@ The kernels are plumbing for the decision procedures; the pure-Python
 element arithmetic in :mod:`mathieu_kit.algebra` is the reference they are
 tested against.  When a power chunk is built, every product in it is
 recomputed exactly from the dense structure constants, in a loop that
-:func:`batch_mul` does not share, and three of its elements are replayed
-with the reference arithmetic.
+:func:`batch_mul` does not share, every stored index is decoded and
+compared with its power, and three of its elements are replayed with the
+reference arithmetic.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
@@ -26,7 +27,12 @@ into another layout.  An algebra's power table is built once, in blocks of at
 most DEFAULT_BLOCK powers, and cached on it: for every element it keeps the
 window a^d .. a^(2d-1), d the dimension, each power as the index of its
 element, so a radical query tests membership once per element of the
-algebra and reads it for each stored power by indexing.
+algebra and reads it for each stored power by indexing.  That test is
+formed on the index grid itself, by outer sums of one vector per
+coordinate (:func:`grid_bitmap`), with no coordinate enumerated, and only
+the indices it selects are decoded back into coordinates by
+:func:`digits`, the one decoder of indices (:func:`coeff_block` is
+:func:`digits` of an index range).
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
 with one rule for every algebra: check V's q^dim V vectors against the
@@ -55,20 +61,27 @@ DEFAULT_BLOCK = 1 << 16
 IDEMPOTENT_RESCAN_LIMIT = 200_000
 
 
-def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
-    """Vectors start..stop of the lexicographic enumeration of {0..q-1}^r.
+def digits(q: int, r: int, idx: np.ndarray) -> np.ndarray:
+    """The vectors at lexicographic indices ``idx`` of {0..q-1}^r, as an
+    (r, B) block in ``idx``'s dtype: column b is the vector at ``idx[b]``.
 
-    The digits are peeled off least significant first into the rows of the
-    C-contiguous (r, B) result, each as idx - (idx // q) * q (see
-    :func:`reduce_mod`): column b is the vector at index start + b.
+    An index is its vector read as r base-q digits, most significant first.
+    They are peeled off least significant first into the rows of the
+    C-contiguous result, each as idx - (idx // q) * q (see
+    :func:`reduce_mod`).  This is the one decoder of element indices.
     """
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((r, stop - start), dtype=np.int64)
+    out = np.empty((r, len(idx)), dtype=idx.dtype)
     for i in reversed(range(r)):
         quo = idx // q
         np.subtract(idx, quo * q, out=out[i])
         idx = quo
     return out
+
+
+def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
+    """Vectors start..stop of the lexicographic enumeration of {0..q-1}^r,
+    as the C-contiguous (r, B) int64 :func:`digits` of that index range."""
+    return digits(q, r, np.arange(start, stop, dtype=np.int64))
 
 
 def exact_dtype(bound: int) -> np.dtype:
@@ -277,8 +290,9 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     All of a^1 .. a^(2d-1) are computed into a (2d-1, d, B) stack, B =
     stop - start, whose m-th entry is the (d, B) block of a^(m+1), and every
     product is recomputed by :func:`_check_products` before the window
-    a^d .. a^(2d-1) is encoded as element indices; three elements are
-    replayed by :func:`_replay_sample` after.  Either raises
+    a^d .. a^(2d-1) is encoded as element indices.  Every stored index is
+    then decoded and compared with the stack by :func:`_check_window`, and
+    three elements are replayed by :func:`_replay_sample`.  Each raises
     ``ConsistencyError`` before the chunk is returned, let alone cached.
     """
     p = a.field.order
@@ -293,6 +307,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     rows = (radix @ stack[d - 1 :]).reshape(-1).astype(exact_dtype(a.size - 1))
     rows.flags.writeable = False
     chunk = PowerChunk(start, stop - start, rows)
+    _check_window(a, chunk, stack)
     _replay_sample(a, chunk)
     return chunk
 
@@ -335,6 +350,26 @@ def _check_products(a: Algebra, stack: np.ndarray) -> None:
         )
 
 
+def _check_window(a: Algebra, chunk: PowerChunk, stack: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless every index in ``chunk`` is the
+    element of its power in ``stack``.
+
+    The stored rows are decoded by :func:`digits`, the decoder radical
+    queries use, in int32 where the indices fit, and must equal the window
+    a^d .. a^(2d-1) of the (2d-1, d, B) ``stack`` in every coordinate.
+    """
+    p, d = a.field.order, a.dim
+    rows = chunk.rows.astype(np.promote_types(chunk.rows.dtype, np.int32))
+    coords = digits(p, d, rows).reshape(d, d, chunk.count)  # (coordinate, power, element)
+    bad = (coords != stack[d - 1 :].transpose(1, 0, 2)).any(axis=(0, 1))
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"stored power indices and the power kernel disagree on "
+            f"{tuple(stack[0, :, b].tolist())} in {a.label}"
+        )
+
+
 def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     """Recompute three elements of a new chunk with the reference arithmetic.
 
@@ -342,8 +377,9 @@ def _replay_sample(a: Algebra, chunk: PowerChunk) -> None:
     ``Element`` products, which share no code with the array kernels.  Any
     difference from their stored window a^d .. a^(2d-1), decoded from its
     element indices, raises ``ConsistencyError``.  :func:`_check_products`
-    has checked every product already; this is the one check of the
-    encoding as element indices.
+    and :func:`_check_window` have checked every product and every stored
+    index already, with array kernels; this replays them in reference
+    arithmetic.
     """
     p, d = a.field.order, a.dim
 
@@ -369,7 +405,9 @@ def power_chunks(a: Algebra, max_scan: int):
     The job is priced once, first: size * (2d-1) power evaluations past
     ``max_scan`` raise ``TooLarge`` before the cache is read or anything is
     allocated, so a cached and an uncached algebra refuse the same budget.
-    The table is built once, in blocks of DEFAULT_BLOCK // (2d-1) elements
+    So does an algebra whose last index, size - 1, does not fit int64, the
+    widest dtype its indices are encoded and decoded in, whatever the
+    budget.  The table is built once, in blocks of DEFAULT_BLOCK // (2d-1) elements
     (at most DEFAULT_BLOCK powers each), and cached on ``a``; it holds
     size * d indices, fewer than the budget it was priced at.
     """
@@ -379,6 +417,8 @@ def power_chunks(a: Algebra, max_scan: int):
     needed = size * horizon
     if needed > max_scan:
         raise TooLarge(needed, max_scan, what=f"power scan of {a.label}")
+    if size > 1 << 63:
+        raise TooLarge(size, 1 << 63, what=f"int64 element indices of {a.label}")
     if a._power_data is None:
         step = DEFAULT_BLOCK // horizon
         a._power_data = [
@@ -387,9 +427,61 @@ def power_chunks(a: Algebra, max_scan: int):
     yield from a._power_data
 
 
+def grid_bitmap(constraints, p: int, d: int) -> np.ndarray:
+    """Boolean (p^d,) vector: which x in F_p^d satisfy N x = 0, by index.
+
+    An element's index is its coordinates read as base-p digits, so row r
+    of N x over every index is the outer sum of the d vectors
+    N[r, j] * arange(p), one per coordinate j, mod p; no coordinate is
+    enumerated.  The low digits, as many as p^low <= DEFAULT_BLOCK allows
+    (at least one), give one table of their sums mod p; the high digits
+    give each run of p^low indices its target, minus their sum mod p, and
+    x is in when its table entry equals its target in every row.  The work
+    goes in blocks of at most DEFAULT_BLOCK entries, so memory is the bitmap
+    plus the table and one block; a single digit wider than a block (d = 1,
+    p > DEFAULT_BLOCK) is cut into ``arange`` slices of it.
+
+    Exactness: each product N[r, j] * x_j is at most (p-1)^2, so every
+    sum is at most d (p-1)^2.  Sums accumulate in :func:`exact_dtype` of
+    that bound, which also holds p, and are reduced once.
+    """
+    size = p**d
+    if not constraints:
+        return np.ones(size, dtype=bool)
+    n = np.array(constraints, dtype=exact_dtype(d * (p - 1) ** 2))
+    low = 1
+    while low < d and p ** (low + 1) <= DEFAULT_BLOCK:
+        low += 1
+    if low < d:
+        want = _digit_sums(-n[:, : d - low], p, np.arange(p, dtype=n.dtype))
+    else:  # no high digit: one run, whose target is 0
+        want = np.zeros((len(n), 1), dtype=n.dtype)
+    out = np.empty((want.shape[1], p**low), dtype=bool)
+    for s in range(0, p, DEFAULT_BLOCK):  # one slice unless p > DEFAULT_BLOCK
+        xs = np.arange(s, min(s + DEFAULT_BLOCK, p), dtype=n.dtype)
+        table = _digit_sums(n[:, d - low :], p, xs)
+        runs = max(1, DEFAULT_BLOCK // table.shape[1])
+        for h in range(0, len(out), runs):
+            hit = table[:, None, :] == want[:, h : h + runs, None]
+            hit.all(axis=0, out=out[h : h + runs, s : s + table.shape[1]])
+    return out.reshape(-1)
+
+
+def _digit_sums(n: np.ndarray, p: int, xs: np.ndarray) -> np.ndarray:
+    """(k, len(xs)^m) sums of n[:, j] * x_j mod p, in n's dtype, for every
+    x in the lexicographic grid of m = n.shape[1] >= 1 digits that each run
+    over ``xs`` (a slice of arange(p) only when m = 1)."""
+    products = n.T[:, :, None] * xs  # (m, k, len(xs)): digit j's products
+    sums = products[0]
+    for terms in products[1:]:
+        sums = (sums[:, :, None] + terms[:, None]).reshape(len(n), -1)
+    return reduce_mod(sums, p)
+
+
 def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:
     """Boolean (B,) vector: which columns x of the (d, B) block ``rows``
-    (one row per coordinate) satisfy N x = 0."""
+    (one row per coordinate) satisfy N x = 0.  For a list of vectors; a
+    whole algebra is tested by index with :func:`grid_bitmap`."""
     if not constraints:
         return np.ones(rows.shape[1], dtype=bool)
     n = np.array(constraints, dtype=np.int64)

@@ -537,7 +537,7 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
             inside = {x.coords for x in got}
             drawn = [[rng_window.randrange(a.field.order) for _ in range(a.dim)] for _ in range(4)]
             for x in rng_window.sample(got, min(4, len(got))) + [a.element(c) for c in drawn]:
-                want = _cycle_radical_member(v.member_coords, x)
+                want = _cycle_radical_member(v._member_coords, x)
                 assert (x.coords in inside) == want, f"{a.label} {v.basis}: {x.coords}"
 
     rec.run(
@@ -900,7 +900,7 @@ def _suite_closure_laws(seed: int, max_scan: int) -> SuiteReport:
         off_plane = [
             w
             for w in report.maximal_nontrivial
-            if w != trace_zero and any(not trace_zero.member_coords(r) for r in w.basis)
+            if w != trace_zero and any(not trace_zero._member_coords(r) for r in w.basis)
         ]
         assert off_plane, "no maximal Mathieu subspace outside the trace plane"
         return {

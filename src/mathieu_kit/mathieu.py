@@ -33,10 +33,13 @@ everything here is decided exactly:
   the fixed window a^d, ..., a^(2d-1) decides it for every element at once,
   nilpotent ones included, with no minimal polynomial at all.
   ``radical_enumerate`` reads that window from the algebra's one cached
-  power table, which stores a^d, ..., a^(2d-1) for every element; each
-  product of a^1, ..., a^(2d-1) was recomputed exactly from the dense
-  structure constants when the table was built (see
-  ``_scan.build_power_chunk``).
+  power table, which stores a^d, ..., a^(2d-1) for every element as
+  element indices; each product of a^1, ..., a^(2d-1) was recomputed
+  exactly from the dense structure constants, and every stored index
+  decoded and compared, when the table was built (see
+  ``_scan.build_power_chunk``).  Membership in M is tested on the index
+  grid (``_scan.grid_bitmap``), and only the radical's own indices are
+  decoded into coordinates.
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -145,7 +148,7 @@ def radical_member(v: Subspace, a: Element) -> bool:
 def _cycle_radical_member(member: Callable[[Coords], bool], a: Element) -> bool:
     """Cycle-based reference definition: tail powers a^mu .. a^(mu+lam-1) all
     pass ``member``, a test on coordinate tuples (a subspace's
-    ``member_coords`` or any set's ``__contains__``)."""
+    ``_member_coords`` or any set's ``__contains__``)."""
     info = power_cycle(a)
     return all(member(x) for x in info.powers[info.preperiod - 1 :])
 
@@ -157,31 +160,25 @@ def radical_enumerate(
 
     The algebra's power table is priced, and built or read from its cache,
     first.  Then membership in ``v`` (N x = 0) is tested once per element
-    of the algebra, on (d, B) blocks of coordinate columns, and read for the
-    stored window a^d .. a^(2d-1) of every element through its element
-    indices, which a chunk stores power-major as a (d, count) table: the
-    element is in the radical when all of its column lies in ``v`` (see the
-    module docstring).  Elements come back in lexicographic coordinate
-    order.
+    of the algebra, by index, with no coordinate enumerated
+    (:func:`_scan.grid_bitmap`), and read for the stored window
+    a^d .. a^(2d-1) of every element through its element indices, which a
+    chunk stores power-major as a (d, count) table: the element is in the
+    radical when all of its column lies in ``v`` (see the module
+    docstring).  Only the members' indices are decoded back into
+    coordinates.  Elements come back in lexicographic coordinate order.
     """
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("radical enumeration needs a finite field")
-    p, d, size = a.field.order, a.dim, a.size
+    p, d = a.field.order, a.dim
     chunks = list(_scan.power_chunks(a, max_scan))
-    constraints = v.constraints()
-    in_a = np.concatenate([
-        _scan.membership_bitmap(
-            _scan.coeff_block(p, d, s, min(s + _scan.DEFAULT_BLOCK, size)), constraints, p
-        )
-        for s in range(0, size, _scan.DEFAULT_BLOCK)
-    ])
-    out: list[Element] = []
-    for chunk in chunks:
-        inside = in_a[chunk.rows].reshape(d, chunk.count).all(axis=0)
-        elements = _scan.coeff_block(p, d, chunk.start, chunk.start + chunk.count)
-        out += [Element(a, tuple(coords)) for coords in elements[:, inside].T.tolist()]
-    return out
+    in_v = _scan.grid_bitmap(v.constraints(), p, d)
+    inside = np.concatenate(
+        [in_v.take(chunk.rows).reshape(d, chunk.count).all(axis=0) for chunk in chunks]
+    )
+    members = _scan.digits(p, d, np.flatnonzero(inside))
+    return [Element(a, tuple(coords)) for coords in members.T.tolist()]
 
 
 def certify_radical_membership(
@@ -258,7 +255,7 @@ def _verdicts(v: Subspace, idempotents, variants) -> dict[Sidedness, MathieuVerd
     """Per variant the verdict on v from its sorted ``idempotents``: the first
     violation, in order of (idempotent coordinates, left basis index, right
     basis index), or none."""
-    member = cache(v.member_coords)  # one test per distinct translate, for every variant
+    member = cache(v._member_coords)  # one test per distinct translate, for every variant
     verdicts = {}
     for variant in variants:
         witness = next((

@@ -140,11 +140,11 @@ class Subspace:
         if isinstance(x, Element):
             if x.algebra != self.ambient:
                 raise AlgebraMismatch("membership test across algebras")
-            return self.member_coords(x.coords)
+            return self._member_coords(x.coords)
         # validated like any element's coordinates: never reduced mod p
-        return self.member_coords(self.ambient.element(x).coords)
+        return self._member_coords(self.ambient.element(x).coords)
 
-    def member_coords(self, coords: Coords) -> bool:
+    def _member_coords(self, coords: Coords) -> bool:
         """Whether N x = 0 for the constraint rows N of this subspace."""
         return _linalg.in_span(self.ambient.field, self.constraints(), coords)
 
@@ -162,10 +162,10 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.member_coords(row) for row in other.basis)
+        return all(self._member_coords(row) for row in other.basis)
 
     def contains_unit(self) -> bool:
-        return self.member_coords(self.ambient.unit)
+        return self._member_coords(self.ambient.unit)
 
     # -- lattice operations ----------------------------------------------------------------
 
@@ -315,7 +315,7 @@ def is_theta_ideal(v: Subspace, variant: Sidedness) -> bool:
     if variant is Sidedness.TWO_SIDED:
         variant = Sidedness.PRE_TWO_SIDED
     return all(
-        v.member_coords(prod)
+        v._member_coords(prod)
         for row in v.basis
         for _, _, prod in translates(v.ambient, row, variant)
     )
@@ -351,7 +351,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, AlgebraHom]:
     F = a.field
     for row in ideal.basis:
         for b, c, prod in translates(a, row, Sidedness.PRE_TWO_SIDED):
-            if not ideal.member_coords(prod):
+            if not ideal._member_coords(prod):
                 raise NotAnIdeal((b if c is None else c, row))
     complement = [j for j in range(a.dim) if j not in set(ideal.pivots)]
     if not complement:

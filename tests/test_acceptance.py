@@ -117,7 +117,7 @@ def test_criterion_3_radical_window_validation():
             for v in all_subspaces(entry.algebra):
                 cycle = [
                     x.coords for x in entry.algebra.elements()
-                    if _cycle_radical_member(v.member_coords, x)
+                    if _cycle_radical_member(v.member, x)
                 ]
                 assert [x.coords for x in radical_enumerate(v)] == cycle
     rng = random.Random(20240809)

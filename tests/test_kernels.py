@@ -281,6 +281,61 @@ def _check_power_data(alg, indices):
         assert [element_coords(alg, i) for i in stored] == [y.coords for y in powers[d - 1 :]]
 
 
+@pytest.mark.parametrize(
+    "p, d", [(2, 16), (2, 17), (3, 9), (3, 11), (11, 4), (257, 2), (65537, 1), (100003, 1)]
+)
+def test_grid_bitmap_matches_the_enumerated_membership_test(p, d):
+    # the low digits fill the whole table, leave a partial top digit, or
+    # are one digit wider than a block, cut into slices; 0 .. d random
+    # constraint rows each
+    everything = _scan.coeff_block(p, d, 0, p**d)
+    rng = np.random.default_rng([p, d])
+    for k in range(d + 1):
+        rows = rng.integers(0, p, size=(k, d)).tolist()
+        want = _scan.membership_bitmap(everything, rows, p)
+        assert np.array_equal(_scan.grid_bitmap(rows, p, d), want), rows
+
+
+def _radical_by_enumeration(v):
+    """The radical of ``v`` found by enumerating every element's
+    coordinates, testing them with ``membership_bitmap``, and enumerating
+    them again to pick out the members."""
+    a = v.ambient
+    p, d, size, block = a.field.order, a.dim, a.size, _scan.DEFAULT_BLOCK
+    chunks = list(_scan.power_chunks(a, max_scan=10**7))
+    in_a = np.concatenate([
+        _scan.membership_bitmap(
+            _scan.coeff_block(p, d, s, min(s + block, size)), v.constraints(), p
+        )
+        for s in range(0, size, block)
+    ])
+    out = []
+    for chunk in chunks:
+        inside = in_a[chunk.rows].reshape(d, chunk.count).all(axis=0)
+        elements = _scan.coeff_block(p, d, chunk.start, chunk.start + chunk.count)
+        out += [tuple(coords) for coords in elements[:, inside].T.tolist()]
+    return out
+
+
+def test_radical_enumerate_matches_the_enumerated_radical():
+    algebras = [
+        matrix_algebra(3, F3),
+        matrix_algebra(2, GF(11)),
+        matrix_algebra(2, F5),
+        matrix_algebra(2, F2),
+        poly_quotient_algebra(Poly.from_ints(GF(257), [0, 0, 1])),
+        poly_quotient_algebra(Poly.from_ints(F3, [1, 0, 2, 1])),
+    ]
+    rng = random.Random(23)
+    for alg in algebras:
+        p, d = alg.field.order, alg.dim
+        for _ in range(8):
+            rows = [[rng.randrange(p) for _ in range(d)] for _ in range(rng.randrange(d + 1))]
+            v = span(alg, rows)
+            got = [x.coords for x in radical_enumerate(v)]
+            assert got == _radical_by_enumeration(v), (alg.label, v.basis)
+
+
 def test_power_chunks_match_elem_power_and_cycles():
     # exhaustive where the algebra is small, F_3[t]/(t^3) for k >= 2
     for alg in ALGEBRAS[:5] + [poly_quotient_algebra(Poly.from_ints(F3, [0, 0, 0, 1]))]:
@@ -345,6 +400,24 @@ def test_power_build_catches_every_random_product_error(monkeypatch, n, field):
             list(_scan.power_chunks(alg, max_scan=10**7))
         assert alg._power_data is None
         monkeypatch.undo()
+
+
+def test_power_build_checks_every_stored_index(monkeypatch):
+    # one stored index of M_2(F_3)'s element 7, which the three-element
+    # replay (elements 0, 40 and 80) does not sample, changed after the
+    # encoding: only a decode of the whole window sees it
+    chunk_of = _scan.PowerChunk
+
+    def corrupted(start, count, rows):
+        rows = rows.copy()
+        rows[count + 7] = (rows[count + 7] + 1) % 81  # a^5 of element 7
+        return chunk_of(start, count, rows)
+
+    monkeypatch.setattr(_scan, "PowerChunk", corrupted)
+    alg = matrix_algebra(2, F3)
+    with pytest.raises(ConsistencyError, match="stored power indices"):
+        list(_scan.power_chunks(alg, max_scan=10**7))
+    assert alg._power_data is None
 
 
 SLOW_CYCLE_CHILD = """
@@ -453,7 +526,7 @@ def test_radical_enumerate_matches_the_definition():
                 assert got == want, (alg.label, v.basis)
                 cycle = [
                     x.coords for x in alg.elements()
-                    if _cycle_radical_member(v.member_coords, x)
+                    if _cycle_radical_member(v.member, x)
                 ]
                 assert got == cycle, (alg.label, v.basis)
         assert alg._power_data is not None
@@ -528,10 +601,12 @@ def test_radical_refusals_come_before_any_membership_work(monkeypatch):
     alg = matrix_algebra(2, F3)  # 81 elements
     zero = Subspace.zero(alg)
     monkeypatch.setattr(_scan, "membership_bitmap", _must_not_run)
+    monkeypatch.setattr(_scan, "grid_bitmap", _must_not_run)
     monkeypatch.setattr(_scan, "batch_mul", _must_not_run)
     # 81 elements at 2d-1 = 7 powers each overspend a budget of 100, and
-    # the refusal comes before any element block is built
+    # the refusal comes before any element block is built or decoded
     monkeypatch.setattr(_scan, "coeff_block", _must_not_run)
+    monkeypatch.setattr(_scan, "digits", _must_not_run)
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=100)
     with pytest.raises(TooLarge, match="power scan"):
@@ -547,6 +622,19 @@ def test_cached_power_tables_refuse_the_same_budget():
     assert alg._power_data is not None
     with pytest.raises(TooLarge, match="power scan .* needs 51483 evaluations, budget is 34322"):
         radical_enumerate(zero, max_scan=34_322)
+
+
+def test_power_tables_refuse_indices_past_int64(monkeypatch):
+    # F_3000017[t]/(t^3 - 4t^2 + 2t + 3) has about 2.7e19 elements, past
+    # 2^63, so its indices would wrap in int64 whatever budget admits its
+    # price; the refusal comes before any block is built
+    monkeypatch.setattr(_scan, "build_power_chunk", _must_not_run)
+    monkeypatch.setattr(_scan, "grid_bitmap", _must_not_run)
+    alg = poly_quotient_algebra(Poly.from_ints(GF(3_000_017), [3, 2, -4, 1]))
+    assert alg.size - 1 > np.iinfo(np.int64).max
+    with pytest.raises(TooLarge, match="int64 element indices"):
+        radical_enumerate(Subspace.zero(alg), max_scan=alg.size * (2 * alg.dim - 1))
+    assert alg._power_data is None
 
 
 def test_decided_subspaces_refuse_the_same_idempotent_budget():

@@ -103,7 +103,7 @@ def test_radical_window_equals_cycle_definition_randomized():
             ]
             v = span(alg, rows)
             x = alg.element([rng.randrange(alg.field.order) for _ in range(alg.dim)])
-            assert radical_member(v, x) == _cycle_radical_member(v.member_coords, x)
+            assert radical_member(v, x) == _cycle_radical_member(v.member, x)
 
 
 def test_radical_enumerate_h_is_the_nilpotent_cone():
@@ -315,7 +315,7 @@ def test_oracle_reads_membership_from_the_listed_elements(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle tested membership through constraint rows")
 
-    monkeypatch.setattr(Subspace, "member_coords", refuse)
+    monkeypatch.setattr(Subspace, "_member_coords", refuse)
     monkeypatch.setattr(_linalg, "in_span", refuse)
     cycles = []
     power_cycle = mathieu.power_cycle

@@ -123,7 +123,7 @@ def test_sum_and_intersect_dimension_formula():
 
 
 def test_constraints_characterize_membership():
-    # member_coords is the constraint test N x = 0; compare it with the
+    # member is the constraint test N x = 0; compare it with the
     # enumerated vectors of V over F_3 and with the elimination residual
     # over the rationals
     a = matrix_algebra(2, F3)
@@ -131,7 +131,7 @@ def test_constraints_characterize_membership():
     inside = set(v.coord_vectors())
     assert len(inside) == 9
     for coords in itertools.product(range(3), repeat=4):
-        assert v.member_coords(coords) == (coords in inside)
+        assert v.member(coords) == (coords in inside)
 
     rng = random.Random(17)
     q = matrix_algebra(2, QQ)
@@ -146,12 +146,12 @@ def test_constraints_characterize_membership():
         for row in w.basis:
             s = rational()
             combo = [x + s * y for x, y in zip(combo, row)]
-        assert w.member_coords(tuple(combo))
+        assert w.member(tuple(combo))
         for _ in range(5):
             vec = tuple(rational() for _ in range(4))
             residual = reduce_vector(QQ, w.basis, w.pivots, vec)
             expected = all(c == 0 for c in residual)
-            assert w.member_coords(vec) == expected
+            assert w.member(vec) == expected
             outside_seen += not expected
     assert outside_seen > 0
 
@@ -178,7 +178,7 @@ def test_stored_constraints_equal_recomputed():
             for s in solved:
                 stored = s.constraints()
                 assert stored == nullspace(f, s.basis, d)[1]
-                assert all(s.member_coords(row) for row in s.basis)
+                assert all(s.member(row) for row in s.basis)
 
 
 # -- sided ideals -----------------------------------------------------------------
@@ -206,13 +206,13 @@ def test_theta_ideal_contains_generator_and_absorbs():
             if variant in (Sidedness.LEFT, Sidedness.TWO_SIDED):
                 for i in range(a.dim):
                     for row in ideal.basis:
-                        assert ideal.member_coords(
+                        assert ideal.member(
                             a._mul_coords(a._basis_coords(i), row)
                         )
             if variant in (Sidedness.RIGHT, Sidedness.TWO_SIDED):
                 for i in range(a.dim):
                     for row in ideal.basis:
-                        assert ideal.member_coords(
+                        assert ideal.member(
                             a._mul_coords(row, a._basis_coords(i))
                         )
 
@@ -243,7 +243,7 @@ def test_max_theta_ideal_is_maximal_ideal_inside():
                 assert v.contains(ideal)
                 if variant is not Sidedness.PRE_TWO_SIDED:
                     assert is_theta_ideal(ideal, variant)
-                    # absorption by member_coords against the pulled-back system
+                    # absorption by member against the pulled-back system
                     assert is_theta_ideal(v, variant) == (ideal == v)
                 for x in a.elements():
                     gen = theta_ideal(x, variant)
@@ -395,7 +395,7 @@ def test_subspace_element_enumeration():
     elems = list(v.coord_vectors())
     assert len(elems) == 4
     assert len(set(elems)) == 4
-    assert all(v.member_coords(x) for x in elems)
+    assert all(v.member(x) for x in elems)
 
 
 def test_cross_algebra_guards():
