@@ -2,11 +2,14 @@
 
 Everything here is exact integer arithmetic: coordinates are residues in
 signed integer arrays, and every sum is reduced mod p before it could
-overflow (see :func:`batch_mul` for the product's bound).  A kernel whose largest
-unreduced sum has a known bound may work in the narrowest signed dtype that
-holds it (:func:`exact_dtype`): the codim-1 refutation kernel in
-:mod:`mathieu_kit.matrixlab` sums n products of residues, below n (p-1)^2,
-so M_3(F_5) runs in int8, and reduces them with :func:`reduce_mod`.
+overflow.  Each kernel states the bound of its largest unreduced sum and
+works in the narrowest signed dtype that holds it (:func:`exact_dtype`);
+the product, span and membership kernels and the codim-1 refutation
+kernel in :mod:`mathieu_kit.matrixlab` pick it with :func:`sum_dtype`,
+which refuses a bound past int64 before the kernel allocates anything.
+:func:`batch_mul` sums at most n_k (p-1)^2, so M_3(F_3) multiplies in
+int8; the refutation kernel sums at most n (p-1)^2, so M_3(F_5) runs in
+int8 too.  Sums are reduced with :func:`reduce_mod`.
 
 The kernels are plumbing for the decision procedures; the pure-Python
 element arithmetic in :mod:`mathieu_kit.algebra` is the reference they are
@@ -22,19 +25,19 @@ witness selection everywhere in the package.  An element's position in that
 order is its index.  Every kernel here holds a block of B coordinate
 vectors in one layout, a C-contiguous (d, B) array with one row per
 coordinate, from :func:`coeff_block`'s digits (int32 where the indices
-fit) to the power table (int64) and the census block (the narrowest dtype
+fit) to the power stack and the census block (each in the narrowest dtype
 of its bound), so work on a coordinate is one pass over a row and no
 kernel copies its operands into another layout.  An algebra's power table
 is built once, in blocks of at most DEFAULT_BLOCK powers, and cached on
 it: for every element it keeps the window a^d .. a^(2d-1), d the
 dimension, each power as the index of its element, so a radical query
-tests membership once per element of the algebra and reads it for each
-stored power by indexing.  That test is
-formed on the index grid itself, by outer sums of one vector per
-coordinate (:func:`grid_bitmap`), with no coordinate enumerated, and only
-the indices it selects are decoded back into coordinates by
-:func:`digits`, the one decoder of indices (:func:`coeff_block` is
-:func:`digits` of an index range).
+tests membership once per element of the algebra and reads it for the
+stored powers by indexing, each power only for the elements whose earlier
+powers passed.  That test is formed on the index grid itself, by outer
+sums of one vector per coordinate (:func:`grid_bitmap`), with no
+coordinate enumerated, and only the indices it selects are decoded back
+into coordinates by :func:`digits`, the one decoder of indices
+(:func:`coeff_block` is :func:`digits` of an index range).
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
 with one rule for every algebra: check V's q^dim V vectors against the
@@ -97,12 +100,25 @@ def exact_dtype(bound: int) -> np.dtype:
     """The narrowest signed integer dtype that holds 0..``bound``, else int64.
 
     Never unsigned: uint64 mixed with int64 promotes to float64.  A kernel
-    that uses it is exact only while ``bound`` < 2^63.
+    that uses it is exact only while ``bound`` < 2^63 (see
+    :func:`sum_dtype`, which refuses past it).
     """
-    for dtype in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dtype).max:
+    for dtype, top in ((np.int8, 1 << 7), (np.int16, 1 << 15), (np.int32, 1 << 31)):
+        if bound < top:
             return np.dtype(dtype)
     return np.dtype(np.int64)
+
+
+def sum_dtype(bound: int, what: str) -> np.dtype:
+    """:func:`exact_dtype` of a kernel's largest unreduced sum ``bound``.
+
+    A bound that int64 does not hold raises ``TooLarge`` (``what`` names
+    the sums), so a kernel that calls this before it allocates refuses
+    instead of wrapping.
+    """
+    if bound >= 1 << 63:
+        raise TooLarge(bound, (1 << 63) - 1, what=f"int64 {what}")
+    return exact_dtype(bound)
 
 
 def reduce_mod(v: np.ndarray, p: int) -> np.ndarray:
@@ -120,26 +136,26 @@ def reduce_mod(v: np.ndarray, p: int) -> np.ndarray:
 def batch_mul(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Column-wise product in ``a`` of two (d, B) coordinate blocks, mod p.
 
-    Returns a new (d, B) block; the operands are read in place (int64
-    input is not copied).  Reads the nonzero structure constants from
-    ``a._sparse_table()``, the cache the reference arithmetic multiplies
-    with.  Each constant c = table[i][j][k] adds x_i * y_j * c to output
-    row k, in (i, j, k) order, so the work is one (B,)-row pass per nonzero
-    constant, however sparse the table.
+    Returns a new (d, B) block in :func:`product_dtype` of ``a``; operands
+    already in it are read in place, others are cast to it.  Reads the
+    nonzero structure constants from ``a._sparse_table()``, the cache the
+    reference arithmetic multiplies with.  Each constant c = table[i][j][k]
+    adds x_i * y_j * c to output row k, in (i, j, k) order, so the work is
+    one (B,)-row pass per nonzero constant, however sparse the table.
 
-    Exactness: inputs are residues below p, and each term is kept below p^2
+    Exactness: inputs are residues, and each term is at most (p-1)^2
     (x_i * y_j, reduced mod p and then multiplied by c only when c != 1).
-    Row k's sum is therefore below n_k * p^2, n_k the number of nonzero
-    constants with that k, and is reduced mod p once at the end.  int64
-    holds it while n_k * p^2 < 2^63; a scan only has nonzero inputs when
-    p <= max_scan, so at the default budget of 10^7 any n_k below 92,000
-    is exact (n_k <= d^2 for every table).
+    Row k's sum is therefore at most n_k (p-1)^2, n_k the number of nonzero
+    constants with that k, and is reduced mod p once at the end.  The sums
+    run in :func:`exact_dtype` of the largest such bound; one past int64
+    raises ``TooLarge`` before anything is allocated.
     """
     p = a.field.order  # raises InfiniteField over the rationals
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    dtype = product_dtype(a)
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
     out = np.zeros_like(x)
-    term = np.empty(x.shape[1], dtype=np.int64)
+    term = np.empty(x.shape[1], dtype=dtype)
     for i, row in enumerate(a._sparse_table()):
         for j, entries in enumerate(row):
             for k, c in entries:
@@ -151,20 +167,43 @@ def batch_mul(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return reduce_mod(out, p)
 
 
+def product_dtype(a: Algebra) -> np.dtype:
+    """:func:`sum_dtype` of :func:`batch_mul`'s bound n_k (p-1)^2 in ``a``.
+
+    n_k, the most nonzero structure constants that feed one output
+    coordinate, is counted once from ``a._sparse_table()`` and cached on
+    ``a``; a bound past int64 raises ``TooLarge`` on every call.
+    """
+    if a._product_bound is None:
+        feeds = [0] * a.dim
+        for row in a._sparse_table():
+            for entries in row:
+                for k, _ in entries:
+                    feeds[k] += 1
+        a._product_bound = max(feeds) * (a.field.order - 1) ** 2
+    return sum_dtype(a._product_bound, f"product sums of {a.label}")
+
+
 def idempotent_coords(ambient: Algebra, basis_rows) -> list[tuple[int, ...]]:
     """Every idempotent in the span of ``basis_rows``, in scan order.
 
     Scans all q^r coefficient combinations in lexicographic order, one block
     at a time.  The caller has checked q^r against its budget
     (:func:`idempotents` holds the one check).
+
+    Exactness: a vector's coordinate sums r products of residues, at most
+    r (p-1)^2, so basis and coefficients are multiplied in :func:`sum_dtype`
+    of that bound, which refuses one past int64 before anything is allocated.
     """
     p = ambient.field.order
     r = len(basis_rows)
     total = p**r
-    basis = np.array(basis_rows, dtype=np.int64).reshape(r, ambient.dim)
+    dtype = sum_dtype(r * (p - 1) ** 2, f"span sums of {ambient.label}")
+    basis = np.array(basis_rows, dtype=dtype).reshape(r, ambient.dim)
     out = []
     for start in range(0, total, DEFAULT_BLOCK):
-        vecs = basis.T @ coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total))
+        coeffs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total))
+        vecs = basis.T @ coeffs.astype(dtype, copy=False)
         reduce_mod(vecs, p)  # in place, so the block costs no more memory than one array
         squares = batch_mul(ambient, vecs, vecs)
         out += map(tuple, vecs[:, np.all(squares == vecs, axis=0)].T.tolist())
@@ -215,7 +254,7 @@ def matrix_idempotent_count(n: int, p: int) -> int:
 
 
 def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
-    """Every idempotent of M_n(F_p) as a (count, n*n) int64 array, unordered.
+    """Every idempotent of M_n(F_p) as a (count, n*n) array, unordered.
 
     For each rank k and each k x n reduced row-echelon basis U of the image
     (pivot columns ``piv``, the others ``free``), the idempotents with that
@@ -223,26 +262,31 @@ def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
     every Z in F_p^(k x (n-k)), and Y[:, piv] = I - Z U[:, free]^T, since
     U^T[piv] = I.  Each idempotent is built exactly once and none is
     rejected.
+
+    Every product sums at most n products of residues, so the whole
+    construction runs in :func:`sum_dtype` of n (p-1)^2, the dtype of the
+    result.
     """
+    dtype = sum_dtype(n * (p - 1) ** 2, f"idempotent sums of M_{n}(F_{p})")
     out = []
     for k in range(n + 1):
         m = p ** (k * (n - k))
-        zs = coeff_block(p, k * (n - k), 0, m).T.reshape(m, k, n - k)
+        zs = coeff_block(p, k * (n - k), 0, m).astype(dtype).T.reshape(m, k, n - k)
         for piv in itertools.combinations(range(n), k):
             piv = list(piv)
             free = [j for j in range(n) if j not in piv]
             # the RREF bases with these pivots: ones at the pivots, every
             # value right of a row's pivot outside the pivot columns
             slots = [(i, j) for i in range(k) for j in free if j > piv[i]]
-            us = np.zeros((p ** len(slots), k, n), dtype=np.int64)
+            us = np.zeros((p ** len(slots), k, n), dtype=dtype)
             us[:, range(k), piv] = 1
             us[:, [i for i, _ in slots], [j for _, j in slots]] = coeff_block(
                 p, len(slots), 0, len(us)
             ).T
             for u in us:
-                y = np.empty((m, k, n), dtype=np.int64)
+                y = np.empty((m, k, n), dtype=dtype)
                 y[:, :, free] = zs
-                y[:, :, piv] = (np.eye(k, dtype=np.int64) - zs @ u[:, free].T) % p
+                y[:, :, piv] = (np.eye(k, dtype=dtype) - zs @ u[:, free].T) % p
                 out.append(((u.T @ y) % p).reshape(m, n * n))
     return np.concatenate(out)
 
@@ -297,9 +341,12 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     """Power window for elements start..stop (global lexicographic indices).
 
     All of a^1 .. a^(2d-1) are computed into a (2d-1, d, B) stack, B =
-    stop - start, whose m-th entry is the (d, B) block of a^(m+1), and every
-    product is recomputed by :func:`_check_products` before the window
-    a^d .. a^(2d-1) is encoded as element indices.  Every stored index is
+    stop - start, whose m-th entry is the (d, B) block of a^(m+1), in
+    :func:`product_dtype` of ``a`` (int8 for M_3(F_3), int16 for M_2(F_11)),
+    so :func:`batch_mul` reads its operands in place.  Every product is
+    recomputed by :func:`_check_products` before the window a^d .. a^(2d-1)
+    is encoded as element indices, in int64, and stored in
+    :func:`exact_dtype` of size - 1.  Every stored index is
     then decoded and compared with the stack by :func:`_check_window`, and
     three elements are replayed by :func:`_replay_sample`.  Each raises
     ``ConsistencyError`` before the chunk is returned, let alone cached.
@@ -307,7 +354,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     p = a.field.order
     d = a.dim
     horizon = 2 * d - 1
-    stack = np.empty((horizon, d, stop - start), dtype=np.int64)  # a^1 .. a^(2d-1)
+    stack = np.empty((horizon, d, stop - start), dtype=product_dtype(a))  # a^1 .. a^(2d-1)
     stack[0] = coeff_block(p, d, start, stop)
     for m in range(1, horizon):
         stack[m] = batch_mul(a, stack[m - 1], stack[0])
@@ -335,12 +382,14 @@ def _check_products(a: Algebra, stack: np.ndarray) -> None:
     then multiplied by c only when c != 1), so coordinate k's sum is at
     most n_k (p-1)^2, n_k the number of nonzero constants with that k.  The
     check runs in :func:`exact_dtype` of that bound, exact while it is
-    below 2^63.
+    below 2^63.  The bound is counted here from the dense table, apart from
+    :func:`product_dtype`'s count; a stack already in its dtype is read in
+    place.
     """
     p = a.field.order
     nonzero = np.argwhere(np.array(a.table, dtype=np.int64))  # rows (i, j, k), ascending
     n_k = int(np.bincount(nonzero[:, 2], minlength=1).max())
-    xs = stack.astype(exact_dtype(n_k * (p - 1) ** 2))
+    xs = stack.astype(exact_dtype(n_k * (p - 1) ** 2), copy=False)
     want = np.zeros_like(xs[1:])
     term = np.empty_like(want[:, 0])
     for i, j, k in nonzero.tolist():
@@ -367,7 +416,7 @@ def _check_window(a: Algebra, chunk: PowerChunk, stack: np.ndarray) -> None:
     queries use, in int32 where the indices fit, and must equal the window
     a^d .. a^(2d-1) of the (2d-1, d, B) ``stack`` in every coordinate.  The
     int32 digits are read through a (power, coordinate, element) view, so
-    the int64 stack is read in order.
+    the stack is read in order.
     """
     p, d = a.field.order, a.dim
     rows = chunk.rows.astype(np.promote_types(chunk.rows.dtype, np.int32))
@@ -492,8 +541,14 @@ def _digit_sums(n: np.ndarray, p: int, xs: np.ndarray) -> np.ndarray:
 def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:
     """Boolean (B,) vector: which columns x of the (d, B) block ``rows``
     (one row per coordinate) satisfy N x = 0.  For a list of vectors; a
-    whole algebra is tested by index with :func:`grid_bitmap`."""
+    whole algebra is tested by index with :func:`grid_bitmap`.
+
+    Exactness: each row of N x sums d products of residues, at most
+    d (p-1)^2; N and ``rows`` are multiplied in :func:`sum_dtype` of that
+    bound, which refuses one past int64 before anything is allocated.
+    """
     if not constraints:
         return np.ones(rows.shape[1], dtype=bool)
-    n = np.array(constraints, dtype=np.int64)
-    return np.all(reduce_mod(n @ rows, p) == 0, axis=0)
+    dtype = sum_dtype(len(rows) * (p - 1) ** 2, "membership sums")
+    n = np.array(constraints, dtype=dtype)
+    return np.all(reduce_mod(n @ rows.astype(dtype, copy=False), p) == 0, axis=0)

@@ -54,6 +54,7 @@ class Algebra:
         "_commutative",
         "_matrix_size",
         "_power_data",
+        "_product_bound",
         "_idempotents",
         "_products",
     )
@@ -87,6 +88,7 @@ class Algebra:
         self._commutative: Optional[bool] = None
         self._matrix_size: Optional[int] = -1  # -1 = not yet detected
         self._power_data = None
+        self._product_bound = None
         self._idempotents = None
         self._products: dict[tuple[Coords, Coords], Coords] = {}
         if check:

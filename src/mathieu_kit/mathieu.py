@@ -165,8 +165,11 @@ def radical_enumerate(
     a^d .. a^(2d-1) of every element through its element indices, which a
     chunk stores power-major as a (d, count) table: the element is in the
     radical when all of its column lies in ``v`` (see the module
-    docstring).  Only the members' indices are decoded back into
-    coordinates.  Elements come back in lexicographic coordinate order.
+    docstring).  The test exits early: a^d is read for every element, and
+    each later stored power only for the elements whose powers so far all
+    lie in ``v``.  Only the members' indices are decoded back into
+    coordinates, straight to tuples.  Elements come back in lexicographic
+    coordinate order.
     """
     a = v.ambient
     if not a.field.is_finite:
@@ -174,11 +177,15 @@ def radical_enumerate(
     p, d = a.field.order, a.dim
     chunks = list(_scan.power_chunks(a, max_scan))
     in_v = _scan.grid_bitmap(v.constraints(), p, d)
-    inside = np.concatenate(
-        [in_v.take(chunk.rows).reshape(d, chunk.count).all(axis=0) for chunk in chunks]
-    )
-    members = _scan.digits(p, d, np.flatnonzero(inside))
-    return [Element(a, tuple(coords)) for coords in members.T.tolist()]
+    found = []
+    for chunk in chunks:
+        window = chunk.rows.reshape(d, chunk.count)
+        alive = np.flatnonzero(in_v.take(window[0]))
+        for power in window[1:]:
+            alive = alive[in_v.take(power.take(alive))]
+        found.append(alive + chunk.start)
+    members = _scan.digits(p, d, np.concatenate(found))
+    return [Element(a, c) for c in zip(*members.tolist())]
 
 
 def certify_radical_membership(

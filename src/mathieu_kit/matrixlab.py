@@ -286,10 +286,7 @@ def _batch_witnesses(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     first prime past 2^31) raises TooLarge before anything is allocated.
     """
     n = math.isqrt(len(x))
-    bound = n * (p - 1) ** 2
-    if bound >= 1 << 63:
-        raise TooLarge(bound, (1 << 63) - 1, what=f"int64 census sums of M_{n}(F_{p})")
-    dt = _scan.exact_dtype(bound)
+    dt = _scan.sum_dtype(n * (p - 1) ** 2, f"census sums of M_{n}(F_{p})")
     x = x.astype(dt, copy=False)
 
     # each pair's rows (mm, mk, km, kk), and a 0/1 mask of the columns whose

@@ -128,6 +128,110 @@ def test_batch_mul_peak_memory_stays_within_a_few_blocks():
     assert peak < 2.5 * rows * d * 8
 
 
+#: 2^31 - 1 and the next prime: 2 (p-1)^2 fits int64 at the first and not
+#: at the second
+INT64_EDGE, PAST_INT64_EDGE = 2**31 - 1, 2147483659
+
+
+def _dual_numbers(p):
+    """F_p[t]/(t^2), whose output coordinates are each fed by at most two
+    structure constants."""
+    return poly_quotient_algebra(Poly.from_ints(GF(p), [0, 0, 1]))
+
+
+def test_batch_mul_sums_in_its_bound_and_refuses_past_int64():
+    p = INT64_EDGE
+    alg = _dual_numbers(p)
+    x = np.array([[p - 1], [p - 1]], dtype=np.int64)
+    got = _scan.batch_mul(alg, x, x)
+    assert got.dtype == np.int64
+    assert tuple(got[:, 0].tolist()) == alg._mul_coords((p - 1, p - 1), (p - 1, p - 1))
+    # at the next prime an int64 sum wrapped: (p-1, p-1)^2 came back as
+    # (1, 2147483177), not (1, 2).  The bound is counted once per algebra,
+    # and the refusal holds on every call
+    p = PAST_INT64_EDGE
+    alg = _dual_numbers(p)
+    x = np.array([[p - 1], [p - 1]], dtype=np.int64)
+    assert alg._mul_coords((p - 1, p - 1), (p - 1, p - 1)) == (1, 2)
+    for _ in range(2):
+        with pytest.raises(TooLarge, match="int64 product sums"):
+            _scan.batch_mul(alg, x, x)
+    assert alg._product_bound == 2 * (p - 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "alg, dtype",
+    [
+        (matrix_algebra(3, F3), np.int8),  # n_k (p-1)^2 = 3 * 4
+        (matrix_algebra(2, GF(11)), np.int16),  # 2 * 100
+        (_dual_numbers(31), np.int16),  # 2 * 900
+    ],
+    ids=["M_3(F_3)", "M_2(F_11)", "F_31[t]/(t^2)"],
+)
+def test_power_table_is_built_in_the_product_dtype(monkeypatch, alg, dtype):
+    # every operand and product of the build is in the dtype of the bound
+    alg = _fresh(alg)
+    batch_mul, seen = _scan.batch_mul, []
+
+    def spy(a, x, y):
+        out = batch_mul(a, x, y)
+        seen.append((x.dtype, y.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(_scan, "batch_mul", spy)
+    chunks = list(_scan.power_chunks(alg, max_scan=10**7))
+    assert len(seen) == len(chunks) * (2 * alg.dim - 2)
+    assert set(seen) == {(np.dtype(dtype),) * 3}
+
+
+def test_span_scan_sums_in_its_bound_and_refuses_past_int64(monkeypatch):
+    # a span of two vectors sums 2 (p-1)^2 per coordinate.  Its p^2
+    # vectors are too many to scan at 2^31 - 1, so one block of seeded
+    # coefficients is checked against Python ints, and the scan stops
+    p = INT64_EDGE
+    rng = random.Random(31)
+    basis = [[p - 1, p - 2], [rng.randrange(p), p - 1]]
+    coeffs = [[p - 1, p - 1], [0, 0], [1, 0]]
+    coeffs += [[rng.randrange(p), rng.randrange(p)] for _ in range(20)]
+    batch_mul, squared = _scan.batch_mul, []
+
+    class Stop(Exception):
+        pass
+
+    def first_block(q, r, start, stop):
+        if start:
+            raise Stop
+        return np.array(coeffs, dtype=np.int64).T
+
+    def spy(a, x, y):
+        squared.append(x.T.tolist())
+        return batch_mul(a, x, y)
+
+    monkeypatch.setattr(_scan, "coeff_block", first_block)
+    monkeypatch.setattr(_scan, "batch_mul", spy)
+    with pytest.raises(Stop):
+        _scan.idempotent_coords(_dual_numbers(p), basis)
+    want = [[sum(c * row[k] for c, row in zip(cs, basis)) % p for k in range(2)] for cs in coeffs]
+    assert squared == [want]
+    monkeypatch.setattr(_scan, "coeff_block", _must_not_run)
+    with pytest.raises(TooLarge, match="int64 span sums"):
+        _scan.idempotent_coords(_dual_numbers(PAST_INT64_EDGE), basis)
+
+
+def test_membership_bitmap_sums_in_its_bound_and_refuses_past_int64():
+    # N x sums d (p-1)^2 per row; d = 2
+    p = INT64_EDGE
+    rng = random.Random(37)
+    row = [p - 1, rng.randrange(p)]
+    vectors = [[t * row[1] % p, -t * row[0] % p] for t in (1, p - 1, rng.randrange(p))]
+    vectors += [[0, 0], [p - 1, p - 1]] + [[rng.randrange(p), rng.randrange(p)] for _ in range(20)]
+    got = _scan.membership_bitmap(np.array(vectors, dtype=np.int64).T, [row], p)
+    want = [(row[0] * x + row[1] * y) % p == 0 for x, y in vectors]
+    assert got.tolist() == want and sum(want) == 4
+    with pytest.raises(TooLarge, match="int64 membership sums"):
+        _scan.membership_bitmap(np.array(vectors, dtype=np.int64).T, [row], PAST_INT64_EDGE)
+
+
 #: (n, q) of the matrix algebras whose constructed idempotents are compared
 #: with a scan of every element
 SCANNED_MATRIX_ALGEBRAS = [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (4, 2)]
@@ -150,6 +254,7 @@ def test_constructed_idempotents_match_full_scan(n, q):
     scanned = _scan.idempotent_coords(alg, full_basis)
     built = _all_idempotents(alg)
     assert alg._idempotents.dtype == _scan.exact_dtype(q - 1) == np.int8
+    assert _scan.construct_matrix_idempotents(n, q).dtype == _scan.exact_dtype(n * (q - 1) ** 2)
     assert built == sorted(scanned)
     assert len(built) == _scan.matrix_idempotent_count(n, q)
 
