@@ -8,8 +8,11 @@ the product, span and membership kernels and the codim-1 refutation
 kernel in :mod:`mathieu_kit.matrixlab` pick it with :func:`sum_dtype`,
 which refuses a bound past int64 before the kernel allocates anything.
 :func:`batch_mul` sums at most n_k (p-1)^2, so M_3(F_3) multiplies in
-int8; the refutation kernel sums at most n (p-1)^2, so M_3(F_5) runs in
-int8 too.  Sums are reduced with :func:`reduce_mod`.
+int8; the refutation kernel sums at most n (p-1)^2, the same bound in
+M_n, so M_3(F_5) runs in int8 too.  :func:`batch_mul` is the one batched
+product: the power tables and the refutation kernel's checks both take
+their products from it, and on M_n it multiplies a block as n x n
+matrices.  Sums are reduced with :func:`reduce_mod`.
 
 The kernels are plumbing for the decision procedures; the pure-Python
 element arithmetic in :mod:`mathieu_kit.algebra` is the reference they are
@@ -137,23 +140,33 @@ def batch_mul(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Column-wise product in ``a`` of two (d, B) coordinate blocks, mod p.
 
     Returns a new (d, B) block in :func:`product_dtype` of ``a``; operands
-    already in it are read in place, others are cast to it.  Reads the
-    nonzero structure constants from ``a._sparse_table()``, the cache the
-    reference arithmetic multiplies with.  Each constant c = table[i][j][k]
-    adds x_i * y_j * c to output row k, in (i, j, k) order, so the work is
-    one (B,)-row pass per nonzero constant, however sparse the table.
+    already in it are read in place, others are cast to it.  M_n on matrix
+    units (``a.matrix_size`` is n) multiplies the blocks as B n x n
+    matrices at once: viewed as (n, n, B), XY is the sum over k of the
+    broadcast products of column k of X, (n, 1, B), and row k of Y,
+    (1, n, B).  Every other algebra reads its nonzero structure constants
+    from ``a._sparse_table()``, the cache the reference arithmetic
+    multiplies with: each constant c = table[i][j][k] adds x_i * y_j * c to
+    output row k, in (i, j, k) order, one (B,)-row pass per constant.
 
     Exactness: inputs are residues, and each term is at most (p-1)^2
     (x_i * y_j, reduced mod p and then multiplied by c only when c != 1).
     Row k's sum is therefore at most n_k (p-1)^2, n_k the number of nonzero
-    constants with that k, and is reduced mod p once at the end.  The sums
-    run in :func:`exact_dtype` of the largest such bound; one past int64
-    raises ``TooLarge`` before anything is allocated.
+    constants with that k (n for M_n), and is reduced mod p once at the
+    end.  The sums run in :func:`exact_dtype` of the largest such bound;
+    one past int64 raises ``TooLarge`` before anything is allocated.
     """
     p = a.field.order  # raises InfiniteField over the rationals
     dtype = product_dtype(a)
     x = np.asarray(x, dtype=dtype)
     y = np.asarray(y, dtype=dtype)
+    n = a.matrix_size
+    if n is not None:
+        xs, ys = x.reshape(n, n, -1), y.reshape(n, n, -1)
+        out = xs[:, 0, None] * ys[None, 0]
+        for k in range(1, n):
+            out += xs[:, k, None] * ys[None, k]
+        return reduce_mod(out.reshape(x.shape), p)
     out = np.zeros_like(x)
     term = np.empty(x.shape[1], dtype=dtype)
     for i, row in enumerate(a._sparse_table()):
@@ -345,8 +358,8 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     :func:`product_dtype` of ``a`` (int8 for M_3(F_3), int16 for M_2(F_11)),
     so :func:`batch_mul` reads its operands in place.  Every product is
     recomputed by :func:`_check_products` before the window a^d .. a^(2d-1)
-    is encoded as element indices, in int64, and stored in
-    :func:`exact_dtype` of size - 1.  Every stored index is
+    is encoded as element indices, in :func:`exact_dtype` of size - 1 (at
+    least int32), and stored in that exact dtype.  Every stored index is
     then decoded and compared with the stack by :func:`_check_window`, and
     three elements are replayed by :func:`_replay_sample`.  Each raises
     ``ConsistencyError`` before the chunk is returned, let alone cached.
@@ -359,8 +372,9 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     for m in range(1, horizon):
         stack[m] = batch_mul(a, stack[m - 1], stack[0])
     _check_products(a, stack)
-    radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
-    rows = (radix @ stack[d - 1 :]).reshape(-1).astype(exact_dtype(a.size - 1))
+    store = exact_dtype(a.size - 1)
+    radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.promote_types(store, np.int32))
+    rows = (radix @ stack[d - 1 :]).reshape(-1).astype(store, copy=False)
     rows.flags.writeable = False
     chunk = PowerChunk(start, stop - start, rows)
     _check_window(a, chunk, stack)

@@ -18,12 +18,14 @@ coordinate (row-major matrix order) to 1.
 The census refutes a block of classes at once (:func:`_batch_witnesses`).
 The block is column-major: one row per matrix entry and one column per
 class, in the narrowest signed dtype that holds n (p-1)^2.  It is written
-in that layout and dtype from its first digit (:func:`_canonical_class_block`)
-and the kernel reads it in place, with no copy.  Both refuting
-idempotents come from one construction (:func:`_witness_2x2_columns`), are
-checked on the full n x n matrices (A^2 = A, A != 0, A != I, AX != 0,
-Tr(AX) = 0, and the same for B against XB) by multiply-adds on whole rows,
-and equal the matrices of :func:`witness_idempotents`.
+in that layout and dtype from one table of its low digits
+(:func:`_class_blocks`), and the kernel reads it in place, with no copy.
+Both refuting idempotents come from one construction
+(:func:`_witness_2x2_columns`), are checked on the full n x n matrices
+(A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0, and the same for B against
+XB) with the products of :func:`mathieu_kit._scan.batch_mul`, the kernel
+that builds the power tables, and equal the matrices of
+:func:`witness_idempotents`.
 """
 
 from __future__ import annotations
@@ -196,25 +198,6 @@ def witness_idempotents(x: Element) -> tuple[Element, Element]:
 # -- batched refutation kernel --------------------------------------------------------
 
 
-def _column_product(x: np.ndarray, y: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The products XY mod p of two (n*n, B) column blocks of n x n matrices.
-
-    Row i*n + j of a block holds entry (i, j) of every matrix.  Each product
-    entry is n row-wise multiply-adds of residues, so its sum stays below
-    n (p-1)^2, which the blocks' dtype holds; the whole product is reduced
-    mod p once.
-    """
-    out = np.zeros_like(x)
-    term = np.empty_like(x[0])
-    for i in range(n):
-        for j in range(n):
-            acc = out[i * n + j]
-            for k in range(n):
-                np.multiply(x[i * n + k], y[k * n + j], out=term)
-                acc += term
-    return _scan.reduce_mod(out, p)
-
-
 def _inverses(v: np.ndarray, p: int) -> np.ndarray:
     """v^(p-2) mod p (v itself at p = 2), elementwise: the inverse of every
     nonzero residue in v, and 0 for 0.
@@ -264,11 +247,12 @@ def _witness_2x2_columns(a, b, c, d, p: int):
     return side(b, c, inv_b, inv_c), side(c, b, inv_c, inv_b)
 
 
-def _batch_witnesses(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _batch_witnesses(alg: Algebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The refuting idempotents (A, B) of every dual in a block, verified.
 
-    ``x`` is an (n*n, count) block over F_p, column-major: row i*n + j
-    holds entry (i, j) of every dual, and no column is a scalar matrix.
+    ``alg`` is M_n(F_p) on matrix units, and ``x`` an (n*n, count) block
+    over F_p, column-major: row i*n + j holds entry (i, j) of every dual,
+    and no column is a scalar matrix.
     Returns the matrices :func:`witness_idempotents` builds, as two blocks
     in the same layout, in the narrowest signed dtype that holds n (p-1)^2
     (:func:`_scan.exact_dtype`); ``x`` is cast to it, and a block already
@@ -278,14 +262,17 @@ def _batch_witnesses(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     transpose of the construction on X^T, is the same analysis with b and c
     swapped, placed transposed (:func:`_witness_2x2_columns` builds both).
     On the full n x n matrices it checks A^2 = A, A != 0, A != I, AX != 0,
-    Tr(AX) = 0 and B^2 = B, B != 0, B != I, XB != 0, Tr(XB) = 0
-    (:func:`_column_product`); any failure raises ConsistencyError.
+    Tr(AX) = 0 and B^2 = B, B != 0, B != I, XB != 0, Tr(XB) = 0, with the
+    products AX, XB, AA and BB taken by :func:`_scan.batch_mul` in ``alg``;
+    any failure raises ConsistencyError.
 
     Bound: every sum is of n products of residues, at most n (p-1)^2, and
     must fit int64.  A larger bound (from n = 2 at p = 2,147,483,659, the
     first prime past 2^31) raises TooLarge before anything is allocated.
+    That bound is also :func:`_scan.batch_mul`'s in M_n, so the products
+    read the blocks in place, in the same dtype.
     """
-    n = math.isqrt(len(x))
+    n, p = alg.matrix_size, alg.field.order
     dt = _scan.sum_dtype(n * (p - 1) ** 2, f"census sums of M_{n}(F_{p})")
     x = x.astype(dt, copy=False)
 
@@ -316,10 +303,10 @@ def _batch_witnesses(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     ident = np.eye(n, dtype=dt).reshape(n * n, 1)
     for name, w, wx in (
-        ("A", wa, _column_product(wa, x, n, p)),
-        ("B", wb, _column_product(x, wb, n, p)),
+        ("A", wa, _scan.batch_mul(alg, wa, x)),
+        ("B", wb, _scan.batch_mul(alg, x, wb)),
     ):
-        if not np.array_equal(_column_product(w, w, n, p), w):
+        if not np.array_equal(_scan.batch_mul(alg, w, w), w):
             raise ConsistencyError(f"constructed {name} is not idempotent")
         if not (w.any(axis=0).all() and (w != ident).any(axis=0).all()):
             raise ConsistencyError(f"constructed idempotent {name} is trivial")
@@ -360,19 +347,43 @@ class Codim1Report:
         }
 
 
-def _canonical_class_block(q: int, d: int, lead: int, start: int, stop: int) -> np.ndarray:
-    """Block of canonical projective vectors with first nonzero coordinate at ``lead``.
+def _class_blocks(q: int, d: int):
+    """Yield (lead, start, block) for every canonical projective vector of
+    F_q^d, lead by lead, in index order.
 
-    The C-contiguous (d, B) block, one column per class, is written once,
-    in the census kernel's dtype (:func:`_scan.exact_dtype` of n (q-1)^2,
-    d = n^2): a row of ones at ``lead``, and below it the rows of
-    :func:`_scan.coeff_block`.  :func:`_batch_witnesses` reads it in place.
+    Column b of a block is the vector with a 1 at ``lead``, zeros before
+    it, and after it the (start + b)-th vector of {0..q-1}^r, r = d - 1 -
+    lead.  A block is C-contiguous (d, B), one column per class, in the
+    census kernel's dtype (:func:`_scan.exact_dtype` of n (q-1)^2, d =
+    n^2), and :func:`_batch_witnesses` reads it in place.
+
+    Every block is cut from one digit table, :func:`_scan.coeff_block` of
+    the k lowest digits, k the most with q^k <= DEFAULT_BLOCK (at most
+    d - 1).  A tail of r <= k digits is the first q^r columns of the
+    table's last r rows.  A longer one comes in blocks of m runs of q^k
+    classes, m = DEFAULT_BLOCK // q^k (no more than the longest tail
+    holds): each run's low k rows are the table, and its r - k high digits
+    are decoded once and broadcast along it.
     """
-    n = math.isqrt(d)
-    block = np.zeros((d, stop - start), dtype=_scan.exact_dtype(n * (q - 1) ** 2))
-    block[lead] = 1
-    block[lead + 1 :] = _scan.coeff_block(q, d - 1 - lead, start, stop)
-    return block
+    dtype = _scan.exact_dtype(math.isqrt(d) * (q - 1) ** 2)
+    k = next(k for k in range(d - 1, -1, -1) if q**k <= _scan.DEFAULT_BLOCK)
+    run = q**k
+    table = _scan.coeff_block(q, k, 0, run).astype(dtype)
+    width = run * min(_scan.DEFAULT_BLOCK // run, q ** (d - 1 - k))
+    for lead in range(d):
+        r = d - 1 - lead
+        tail = q**r
+        for start in range(0, tail, width):
+            stop = min(start + width, tail)
+            block = np.zeros((d, stop - start), dtype=dtype)
+            block[lead] = 1
+            if r <= k:
+                block[lead + 1 :] = table[k - r :, :tail]
+            else:
+                runs = block[lead + 1 :].reshape(r, -1, run)
+                runs[: r - k] = _scan.coeff_block(q, r - k, start // run, stop // run)[..., None]
+                runs[r - k :] = table[:, None]
+            yield lead, start, block
 
 
 def classify_codim1(
@@ -411,25 +422,22 @@ def classify_codim1(
     ident_at = sum(c * q ** (d - 1 - i) for i, c in enumerate(identity.coords) if i)
     seen = 0
     refuted = 0
-    for lead in range(d):
-        tail_total = q ** (d - 1 - lead)
-        for start in range(0, tail_total, _scan.DEFAULT_BLOCK):
-            stop = min(start + _scan.DEFAULT_BLOCK, tail_total)
-            block = _canonical_class_block(q, d, lead, start, stop)
-            if lead == 0 and start <= ident_at < stop:
-                block = np.delete(block, ident_at - start, axis=1)
-            classes = block.shape[1]
-            if classes:
-                _batch_witnesses(block, q)
-                refuted += classes
-            # the columns whose index seen + col is a multiple of the stride
-            for col in range(-seen % stride, classes, stride):
-                coords = tuple(block[:, col].tolist())
-                verdicts = decide_all_variants(trace_orthogonal(alg.element(coords)), max_scan)
-                if any(v.is_mathieu for v in verdicts.values()):
-                    raise ConsistencyError(f"scan and witness disagree on {coords}")
-                scan_checked += 1
-            seen += stop - start
+    for lead, start, block in _class_blocks(q, d):
+        width = block.shape[1]
+        if lead == 0 and start <= ident_at < start + width:
+            block = np.delete(block, ident_at - start, axis=1)
+        classes = block.shape[1]
+        if classes:
+            _batch_witnesses(alg, block)
+            refuted += classes
+        # the columns whose index seen + col is a multiple of the stride
+        for col in range(-seen % stride, classes, stride):
+            coords = tuple(block[:, col].tolist())
+            verdicts = decide_all_variants(trace_orthogonal(alg.element(coords)), max_scan)
+            if any(v.is_mathieu for v in verdicts.values()):
+                raise ConsistencyError(f"scan and witness disagree on {coords}")
+            scan_checked += 1
+        seen += width
     if refuted != total - 1:
         raise ConsistencyError(f"refuted {refuted} classes, expected {total - 1}")
 

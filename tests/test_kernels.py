@@ -18,6 +18,7 @@ from mathieu_kit.algebra import (
     direct_sum,
     elem_power,
     field_algebra,
+    make_algebra,
     matrix_algebra,
     minimal_polynomial,
     opposite,
@@ -182,6 +183,106 @@ def test_power_table_is_built_in_the_product_dtype(monkeypatch, alg, dtype):
     chunks = list(_scan.power_chunks(alg, max_scan=10**7))
     assert len(seen) == len(chunks) * (2 * alg.dim - 2)
     assert set(seen) == {(np.dtype(dtype),) * 3}
+
+
+def _negated_transposed_basis(alg, n):
+    """M_n ``alg`` on the basis f_(i,j) = -E_(j,i), from raw structure constants.
+
+    With t(i*n + j) = j*n + i, f_r f_s = -sum_l T[t(r)][t(s)][t(l)] f_l, and
+    x has the coordinates -x[t].  For n >= 2, or -1 != 1, the table is no
+    longer that of row-major matrix units, so ``matrix_size`` is None.
+    """
+    f, d = alg.field, alg.dim
+    t = [j * n + i for i in range(n) for j in range(n)]
+    table = [
+        [[f.neg(alg.table[t[r]][t[s]][t[k]]) for k in range(d)] for s in range(d)]
+        for r in range(d)
+    ]
+    return make_algebra(f, table, [f.neg(alg.unit[k]) for k in t], label=f"{alg.label}, -E^T")
+
+
+@pytest.mark.parametrize(
+    "n, p", [(n, p) for n in (1, 2, 3, 4) for p in (2, 3, 5) if (n, p) != (1, 2)]
+)
+def test_batch_mul_matrix_branch_matches_the_sparse_loop(n, p):
+    # M_n runs the broadcast n x n products; its copy on another basis runs
+    # the loop over its structure constants, and they agree after the
+    # change of coordinates (over F_2, -1 = 1 and M_1 has no other basis)
+    alg = matrix_algebra(n, GF(p))
+    copy = _negated_transposed_basis(alg, n)
+    assert alg.matrix_size == n and copy.matrix_size is None
+    assert _scan.product_dtype(alg) == _scan.product_dtype(copy)
+    rng = np.random.default_rng(100 * n + p)
+    x, y = rng.integers(0, p, size=(2, n * n, 300))
+    x[:, :3] = y[:, 1:4] = p - 1  # the largest sums
+
+    def other(v):
+        return -v.reshape(n, n, -1).transpose(1, 0, 2).reshape(v.shape) % p
+
+    got = _scan.batch_mul(alg, x, y)
+    assert got.dtype == _scan.product_dtype(alg) and got.shape == x.shape
+    assert np.array_equal(_scan.batch_mul(copy, other(x), other(y)), other(got))
+    for b in (0, 1, 2, 150, 299):
+        assert tuple(got[:, b].tolist()) == alg._mul_coords(
+            tuple(x[:, b].tolist()), tuple(y[:, b].tolist())
+        )
+
+
+def test_batch_mul_matrix_branch_is_exact_at_the_int64_edge():
+    # M_2: each entry sums 2 products, at most 2 (p-1)^2, which int64 holds
+    # at p = 2^31 - 1 and not at the next prime
+    p = INT64_EDGE
+    alg = matrix_algebra(2, GF(p))
+    cols = [(p - 1,) * 4, (p - 1, 0, p - 2, p - 1), (1, p - 1, p - 1, 2)]
+    x = np.array(cols, dtype=np.int64).T
+    got = _scan.batch_mul(alg, x, x[:, ::-1])
+    assert got.dtype == np.int64
+    for b, (u, v) in enumerate(zip(cols, cols[::-1])):
+        assert tuple(got[:, b].tolist()) == alg._mul_coords(u, v)
+    p = PAST_INT64_EDGE
+    alg = matrix_algebra(2, GF(p))
+    x = np.full((4, 1 << 12), p - 1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="int64 product sums"):
+            _scan.batch_mul(alg, x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 4  # no operand cast, no product block
+
+
+@pytest.mark.parametrize(
+    "alg, start",
+    [
+        (matrix_algebra(3, F3), 3**9 - 500),  # indices fit int16
+        (_dual_numbers(31), 0),
+        (matrix_algebra(2, GF(223)), 223**4 - 300),  # 223^4 - 1 is past int32
+    ],
+    ids=["M_3(F_3)", "F_31[t]/(t^2)", "M_2(F_223)"],
+)
+def test_power_window_indices_are_the_exact_encoding(monkeypatch, alg, start):
+    # the window a^d .. a^(2d-1) of each element, read as base-p digits in
+    # Python ints, is what the stored indices hold, in exact_dtype(size - 1)
+    alg = _fresh(alg)
+    p, d = alg.field.order, alg.dim
+    check_window, stacks = _scan._check_window, []
+
+    def spy(a, chunk, stack):
+        stacks.append(stack.copy())
+        return check_window(a, chunk, stack)
+
+    monkeypatch.setattr(_scan, "_check_window", spy)
+    chunk = _scan.build_power_chunk(alg, start, min(start + 300, alg.size))
+    assert chunk.rows.dtype == _scan.exact_dtype(alg.size - 1)
+    want = [
+        sum(c * p ** (d - 1 - i) for i, c in enumerate(power))
+        for m in range(d - 1, 2 * d - 1)
+        for power in stacks[0][m].T.tolist()
+    ]
+    assert chunk.rows.tolist() == want
+    if alg.size - 1 > np.iinfo(np.int32).max:
+        assert max(want) > np.iinfo(np.int32).max  # the sums themselves need int64
 
 
 def test_span_scan_sums_in_its_bound_and_refuses_past_int64(monkeypatch):

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
+import types
 
 import numpy as np
 import pytest
 
-from mathieu_kit import matrixlab
+from mathieu_kit import _scan, matrixlab
 from mathieu_kit.algebra import matrix_algebra, poly_quotient_algebra
 from mathieu_kit.errors import (
     ConsistencyError,
@@ -19,7 +21,7 @@ from mathieu_kit.errors import (
 from mathieu_kit.fields import GF, QQ, Poly
 from mathieu_kit.matrixlab import (
     _batch_witnesses,
-    _canonical_class_block,
+    _class_blocks,
     canonical_rep,
     classify_codim1,
     classify_lines,
@@ -177,10 +179,9 @@ def test_batch_refute_agrees_with_scalar_construction():
         d = n * n
         ident = np.array(alg.one().coords)
         classes = 0
-        for lead in range(d):
-            block = _canonical_class_block(q, d, lead, 0, q ** (d - 1 - lead))
+        for _, _, block in _class_blocks(q, d):
             block = block[:, ~np.all(block == ident[:, None], axis=0)]
-            a, b = _batch_witnesses(block, q)
+            a, b = _batch_witnesses(alg, block)
             for col, am, bm in zip(block.T, a.T, b.T):
                 wa, wb = witness_idempotents(alg.element(tuple(col.tolist())))
                 assert tuple(am.tolist()) == wa.coords
@@ -188,7 +189,7 @@ def test_batch_refute_agrees_with_scalar_construction():
             classes += block.shape[1]
         assert classes == (q**d - 1) // (q - 1) - 1
     with pytest.raises(ConsistencyError):
-        _batch_witnesses(np.eye(2, dtype=np.int64).reshape(4, 1), 3)
+        _batch_witnesses(matrix_algebra(2, F3), np.eye(2, dtype=np.int64).reshape(4, 1))
 
 
 def _first_pair_and_case(x):
@@ -234,7 +235,7 @@ def test_batch_witnesses_match_scalar_construction_at_dtype_boundaries(n, p, dty
     seen = {_first_pair_and_case(x.tolist()) for x in xs}
     assert {case for _, case in seen} == {1, 2, 3}
     assert {pair for pair, _ in seen} == set(itertools.combinations(range(n), 2))
-    a, b = _batch_witnesses(_column_block(xs), p)
+    a, b = _batch_witnesses(matrix_algebra(n, GF(p)), _column_block(xs))
     assert a.dtype == b.dtype == dtype  # never float, never wider than needed
     alg = matrix_algebra(n, GF(p))
     for x, am, bm in zip(xs, a.T, b.T):
@@ -255,12 +256,14 @@ def test_inverses_match_python_pow(p):
 def test_batch_witnesses_bound_refuses_before_it_wraps():
     # n (p-1)^2 fits int64 at p = 2^31 - 1 and not at the next prime
     with pytest.raises(TooLarge, match="int64 census sums"):
-        _batch_witnesses(np.array([[0], [1], [0], [0]], dtype=np.int64), 2147483659)
+        _batch_witnesses(
+            matrix_algebra(2, GF(2147483659)), np.array([[0], [1], [0], [0]], dtype=np.int64)
+        )
     p = 2**31 - 1
     alg = matrix_algebra(2, GF(p))
     # one column per case of the 2x2 construction, with inverses to compute
     xs = np.array([[[3, 5], [7, p - 2]], [[2, 0], [9, 4]], [[3, 0], [0, p - 1]]])
-    a, b = _batch_witnesses(_column_block(xs), p)
+    a, b = _batch_witnesses(alg, _column_block(xs))
     assert a.dtype == b.dtype == np.int64
     for x, am, bm in zip(xs, a.T, b.T):
         wa, wb = witness_idempotents(alg.element(tuple(x.reshape(-1).tolist())))
@@ -268,19 +271,37 @@ def test_batch_witnesses_bound_refuses_before_it_wraps():
         assert bm.tolist() == list(wb.coords)
 
 
+def _patch_census_product(monkeypatch, make):
+    """Replace ``_scan.batch_mul`` as matrixlab reads it by ``make`` of the
+    real one.  The hyperplane scans read ``_scan`` through other modules
+    and keep the real product."""
+    scan = types.SimpleNamespace(**vars(_scan))
+    scan.batch_mul = make(_scan.batch_mul)
+    monkeypatch.setattr(matrixlab, "_scan", scan)
+
+
 def test_census_kernel_reads_the_class_block_in_place(monkeypatch):
-    built, handed = [], []
+    built, handed, products = [], [], []
 
-    def build(*args):
-        built.append(_canonical_class_block(*args))
-        return built[-1]
+    def blocks(*args):
+        for item in _class_blocks(*args):
+            built.append(item[-1])
+            yield item
 
-    def refute(x, p):
+    def refute(alg, x):
         handed.append(x)
-        return _batch_witnesses(x, p)
+        return _batch_witnesses(alg, x)
 
-    monkeypatch.setattr(matrixlab, "_canonical_class_block", build)
+    def spy(batch_mul):
+        def product(a, x, y):
+            products.append((x, y, batch_mul(a, x, y)))
+            return products[-1][-1]
+
+        return product
+
+    monkeypatch.setattr(matrixlab, "_class_blocks", blocks)
     monkeypatch.setattr(matrixlab, "_batch_witnesses", refute)
+    _patch_census_product(monkeypatch, spy)
     classify_codim1(3, 3, max_scan=20000)
     dtype = np.dtype(np.int8)  # exact_dtype(3 * (3 - 1)^2)
     assert len(handed) == len(built) == 9
@@ -290,6 +311,13 @@ def test_census_kernel_reads_the_class_block_in_place(monkeypatch):
     assert [x is block for block, x in zip(built, handed)] == [False] + [True] * 8
     assert not np.shares_memory(built[0], handed[0])
     assert handed[0].shape[1] == built[0].shape[1] - 1
+    # each block's products AX, XB, AA, BB take the block itself as X, and
+    # every operand and product is in the block's dtype, so none is cast
+    assert len(products) == 4 * len(handed)
+    for i, x in enumerate(handed):
+        (_, ax, _), (xb, _, _) = products[4 * i : 4 * i + 2]
+        assert ax is x and xb is x
+    assert {arr.dtype for call in products for arr in call} == {dtype}
 
 
 def _bump_entry_00(out, p):
@@ -328,19 +356,19 @@ def _fault_sides(left=lambda v, *args: v, right=lambda v, *args: v):
 # name -> (kernel, fault, the check that must catch it)
 WITNESS_FAULTS = {
     "product corrupts one entry": (
-        "_column_product",
-        lambda f: lambda x, y, n, p: _bump_entry_00(f(x, y, n, p), p),
+        "batch_mul",
+        lambda f: lambda a, x, y: _bump_entry_00(f(a, x, y), a.field.order),
         "A is not idempotent",
     ),
     "product with the dual is zero": (
-        "_column_product",
-        lambda f: lambda x, y, n, p: f(x, y, n, p) * (x is y),
+        "batch_mul",
+        lambda f: lambda a, x, y: f(a, x, y) * (x is y),
         "A annihilates the dual",
     ),
     "product with the dual corrupts its trace": (
-        "_column_product",
-        lambda f: lambda x, y, n, p: (
-            f(x, y, n, p) if x is y else _bump_entry_00(f(x, y, n, p), p)
+        "batch_mul",
+        lambda f: lambda a, x, y: (
+            f(a, x, y) if x is y else _bump_entry_00(f(a, x, y), a.field.order)
         ),
         "A left the hyperplane",
     ),
@@ -370,21 +398,28 @@ WITNESS_FAULTS = {
         "B is trivial",
     ),
     "B's product with the dual corrupts its trace": (
-        "_column_product",
+        "batch_mul",
         # calls: AX, XB, AA, BB
-        _fault_on_second_call(lambda out, x, y, n, p: _bump_entry_00(out, p)),
+        _fault_on_second_call(lambda out, a, x, y: _bump_entry_00(out, a.field.order)),
         "B left the hyperplane",
     ),
 }
 
 
+def _patch_witness_kernel(monkeypatch, kernel, make):
+    if kernel == "batch_mul":
+        _patch_census_product(monkeypatch, make)
+    else:
+        monkeypatch.setattr(matrixlab, kernel, make(getattr(matrixlab, kernel)))
+
+
 @pytest.mark.parametrize("fault", sorted(WITNESS_FAULTS))
 def test_batch_witness_checks_catch_a_faulty_kernel(monkeypatch, fault):
     kernel, make, message = WITNESS_FAULTS[fault]
-    monkeypatch.setattr(matrixlab, kernel, make(getattr(matrixlab, kernel)))
+    _patch_witness_kernel(monkeypatch, kernel, make)
     xs = _random_nonscalar_duals(2, 5, 200, seed=5)
     with pytest.raises(ConsistencyError, match=message.replace(" ", ".*")):
-        _batch_witnesses(_column_block(xs), 5)
+        _batch_witnesses(matrix_algebra(2, F5), _column_block(xs))
 
 
 @pytest.mark.parametrize("fault", sorted(WITNESS_FAULTS))
@@ -393,12 +428,60 @@ def test_scan_mode_census_runs_the_witness_checks(monkeypatch, fault):
     # re-decided by the criterion, and each is still refuted by its
     # built idempotents, whose checks catch the faulty kernel
     kernel, make, message = WITNESS_FAULTS[fault]
-    monkeypatch.setattr(matrixlab, kernel, make(getattr(matrixlab, kernel)))
+    _patch_witness_kernel(monkeypatch, kernel, make)
     with pytest.raises(ConsistencyError, match=message.replace(" ", ".*")):
         classify_codim1(2, 3)
 
 
 # -- classification --------------------------------------------------------------------------
+
+
+def _coeff_block_classes(q, d, lead, start, stop):
+    """Census classes start..stop at ``lead``, one block of coeff_block of
+    their tails: zeros, a row of ones at ``lead``, then the tail digits."""
+    block = np.zeros((d, stop - start), dtype=_scan.exact_dtype(math.isqrt(d) * (q - 1) ** 2))
+    block[lead] = 1
+    block[lead + 1 :] = _scan.coeff_block(q, d - 1 - lead, start, stop)
+    return block
+
+
+def _check_class_block(q, d, lead, start, block):
+    want = _coeff_block_classes(q, d, lead, start, start + block.shape[1])
+    assert block.dtype == want.dtype and block.flags.c_contiguous
+    assert np.array_equal(block, want)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 5), (3, 2), (3, 3), (3, 5)])
+def test_class_blocks_match_the_coeff_block_construction(n, q):
+    d = n * n
+    blocks = list(_class_blocks(q, d))
+    for lead, start, block in blocks:
+        _check_class_block(q, d, lead, start, block)
+    # every lead's tail is covered in order, with no gap and no overlap
+    spans = [(lead, start, start + block.shape[1]) for lead, start, block in blocks]
+    assert [lead for lead, _, _ in spans] == sorted(lead for lead, _, _ in spans)
+    for lead in range(d):
+        cuts = [(s, e) for l, s, e in spans if l == lead]
+        assert cuts[0][0] == 0 and cuts[-1][1] == q ** (d - 1 - lead)
+        assert all(e == s for (_, e), (s, _) in zip(cuts, cuts[1:]))
+    if (n, q) == (3, 5):  # four runs of 5^6 classes
+        assert max(e - s for _, s, e in spans) == 4 * 5**6
+
+
+def test_class_blocks_past_one_block_of_digits():
+    # M_2(F_257): 257^2 > DEFAULT_BLOCK, so the table holds one digit and a
+    # block 255 runs of 257 classes; lead 0's 257^3 classes take 260 blocks,
+    # the last one partial
+    q, d = 257, 4
+    blocks = list(_class_blocks(q, d))
+    lead0 = [(start, block) for lead, start, block in blocks if lead == 0]
+    assert len(lead0) == 260
+    assert {block.shape[1] for _, block in lead0[:-1]} == {255 * 257}
+    assert lead0[-1][1].shape[1] == q**3 - 259 * 255 * 257 == 1028
+    for start, block in (lead0[0], lead0[129], lead0[-1]):
+        _check_class_block(q, d, 0, start, block)
+    for lead, start, block in blocks[len(lead0) :]:
+        _check_class_block(q, d, lead, start, block)
 
 
 def test_classify_codim1_small_cases():
