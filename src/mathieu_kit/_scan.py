@@ -30,13 +30,15 @@ vectors in one layout, a C-contiguous (d, B) array with one row per
 coordinate, from :func:`coeff_block`'s digits (int32 where the indices
 fit) to the power stack and the census block (each in the narrowest dtype
 of its bound), so work on a coordinate is one pass over a row and no
-kernel copies its operands into another layout.  An algebra's power table
-is built once, in blocks of at most DEFAULT_BLOCK powers, and cached on
-it: for every element it keeps the window a^d .. a^(2d-1), d the
-dimension, each power as the index of its element, so a radical query
-tests membership once per element of the algebra and reads it for the
-stored powers by indexing, each power only for the elements whose earlier
-powers passed.  That test is formed on the index grid itself, by outer
+kernel copies its operands into another layout.  The codim-1 census
+copies only what it gathers or joins: the columns its witness
+construction rebuilds on a later index pair, and its short blocks,
+concatenated into one call.  An algebra's power table is built once, in
+blocks of at most DEFAULT_BLOCK powers, and cached on it: for every
+element it keeps the window a^d .. a^(2d-1), d the dimension, each power
+as the index of its element, so a radical query tests membership once
+per element of the algebra and reads it for the stored powers by
+indexing, each power only for the elements whose earlier powers passed.  That test is formed on the index grid itself, by outer
 sums of one vector per coordinate (:func:`grid_bitmap`), with no
 coordinate enumerated, and only the indices it selects are decoded back
 into coordinates by :func:`digits`, the one decoder of indices
@@ -274,7 +276,10 @@ def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
     image are P = U^T Y for the left inverses Y of U^T: Y[:, free] = Z for
     every Z in F_p^(k x (n-k)), and Y[:, piv] = I - Z U[:, free]^T, since
     U^T[piv] = I.  Each idempotent is built exactly once and none is
-    rejected.
+    rejected.  All the bases U of one pivot pattern are taken at once: Y
+    is a (U, m, k, n) block, m = p^(k(n-k)), and one batched matmul gives
+    their (U, m, n, n) idempotents, basis-major and then by Z in
+    :func:`coeff_block` order.
 
     Every product sums at most n products of residues, so the whole
     construction runs in :func:`sum_dtype` of n (p-1)^2, the dtype of the
@@ -296,11 +301,12 @@ def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
             us[:, [i for i, _ in slots], [j for _, j in slots]] = coeff_block(
                 p, len(slots), 0, len(us)
             ).T
-            for u in us:
-                y = np.empty((m, k, n), dtype=dtype)
-                y[:, :, free] = zs
-                y[:, :, piv] = (np.eye(k, dtype=dtype) - zs @ u[:, free].T) % p
-                out.append(((u.T @ y) % p).reshape(m, n * n))
+            y = np.empty((len(us), m, k, n), dtype=dtype)
+            y[..., free] = zs
+            y[..., piv] = reduce_mod(
+                np.eye(k, dtype=dtype) - zs @ us[:, None, :, free].swapaxes(-1, -2), p
+            )
+            out.append(reduce_mod(us.swapaxes(1, 2)[:, None] @ y, p).reshape(-1, n * n))
     return np.concatenate(out)
 
 

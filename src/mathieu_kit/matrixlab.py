@@ -19,13 +19,16 @@ The census refutes a block of classes at once (:func:`_batch_witnesses`).
 The block is column-major: one row per matrix entry and one column per
 class, in the narrowest signed dtype that holds n (p-1)^2.  It is written
 in that layout and dtype from one table of its low digits
-(:func:`_class_blocks`), and the kernel reads it in place, with no copy.
+(:func:`_class_blocks`).  The kernel reads a full block in place, with no
+copy; the short blocks of the high leads are concatenated into one call.
 Both refuting idempotents come from one construction
-(:func:`_witness_2x2_columns`), are checked on the full n x n matrices
-(A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0, and the same for B against
-XB) with the products of :func:`mathieu_kit._scan.batch_mul`, the kernel
-that builds the power tables, and equal the matrices of
-:func:`witness_idempotents`.
+(:func:`_witness_2x2_columns`), run once on the whole block at the first
+index pair, (0, 1), and again on the next pair for just the columns that
+are scalar there, gathered, until none is left.  They are checked on the
+full n x n matrices (A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0, and
+the same for B against XB) with the products of
+:func:`mathieu_kit._scan.batch_mul`, the kernel that builds the power
+tables, and equal the matrices of :func:`witness_idempotents`.
 """
 
 from __future__ import annotations
@@ -257,14 +260,21 @@ def _batch_witnesses(alg: Algebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     in the same layout, in the narrowest signed dtype that holds n (p-1)^2
     (:func:`_scan.exact_dtype`); ``x`` is cast to it, and a block already
     in it is read in place, not copied.  Every step is arithmetic on whole
-    rows.  Each column's first non-scalar index pair is gathered once into
-    four vectors a, b, c, d; A is the 2x2 case analysis on them, and B, the
+    rows.  A is the 2x2 case analysis on a column's first non-scalar index
+    pair (m, k), on a = x_mm, b = x_mk, c = x_km, d = x_kk, and B, the
     transpose of the construction on X^T, is the same analysis with b and c
     swapped, placed transposed (:func:`_witness_2x2_columns` builds both).
-    On the full n x n matrices it checks A^2 = A, A != 0, A != I, AX != 0,
-    Tr(AX) = 0 and B^2 = B, B != 0, B != I, XB != 0, Tr(XB) = 0, with the
-    products AX, XB, AA and BB taken by :func:`_scan.batch_mul` in ``alg``;
-    any failure raises ConsistencyError.
+    It runs once on the whole block at pair (0, 1), reading those rows as
+    views and writing its entries straight into the rows of A and B.  The
+    columns scalar on that pair (3,906 of M_3(F_5)'s 488,281 classes) read
+    the harmless inverse of 0 there; they are gathered and rebuilt on the
+    next pair, their columns of A and B zeroed before the pair's rows are
+    written, and so on until no column is left.  A column scalar on every
+    pair raises ConsistencyError.  On the full n x n matrices it checks
+    A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0 and B^2 = B, B != 0,
+    B != I, XB != 0, Tr(XB) = 0, with the products AX, XB, AA and BB taken
+    by :func:`_scan.batch_mul` in ``alg``; any failure raises
+    ConsistencyError.
 
     Bound: every sum is of n products of residues, at most n (p-1)^2, and
     must fit int64.  A larger bound (from n = 2 at p = 2,147,483,659, the
@@ -276,30 +286,25 @@ def _batch_witnesses(alg: Algebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     dt = _scan.sum_dtype(n * (p - 1) ** 2, f"census sums of M_{n}(F_{p})")
     x = x.astype(dt, copy=False)
 
-    # each pair's rows (mm, mk, km, kk), and a 0/1 mask of the columns whose
-    # first non-scalar pair it is; the test is symmetric, so X^T shares it
-    pairs = [
-        (m * (n + 1), m * n + k, k * n + m, k * (n + 1))
-        for m, k in itertools.combinations(range(n), 2)
-    ]
-    first = []
-    pending = np.ones(x.shape[1], dtype=bool)
-    for mm, mk, km, kk in pairs:
-        hit = pending & ((x[mk] != 0) | (x[km] != 0) | (x[mm] != x[kk]))
-        pending &= ~hit
-        first.append(hit)
-    if pending.any():
+    # every column is built on pair (0, 1); the columns scalar on a pair are
+    # gathered and rebuilt on the next, and the test is symmetric, so X^T
+    # shares it
+    wa, wb = np.empty_like(x), np.empty_like(x)
+    cols = slice(None)
+    for m, k in itertools.combinations(range(n), 2):
+        mm, mk, km, kk = m * (n + 1), m * n + k, k * n + m, k * (n + 1)
+        xs = x[:, cols]
+        left, right = _witness_2x2_columns(xs[mm], xs[mk], xs[km], xs[kk], p)
+        for w, rows, entries in ((wa, (mm, mk, km, kk), left), (wb, (mm, km, mk, kk), right)):
+            w[:, cols] = 0
+            for r, v in zip(rows, entries):
+                w[r, cols] = v
+        scalar = (xs[mk] == 0) & (xs[km] == 0) & (xs[mm] == xs[kk])
+        if not scalar.any():
+            break
+        cols = np.flatnonzero(scalar) if isinstance(cols, slice) else cols[scalar]
+    else:
         raise ConsistencyError("scalar matrix slipped into the refutation batch")
-    a, b, c, d = (sum(hit * x[r] for hit, r in zip(first, rows)) for rows in zip(*pairs))
-
-    left, right = _witness_2x2_columns(a, b, c, d, p)
-    wa = np.zeros_like(x)
-    wb = np.zeros_like(x)
-    for hit, (mm, mk, km, kk) in zip(first, pairs):
-        for r, v in zip((mm, mk, km, kk), left):
-            wa[r] += hit * v
-        for r, v in zip((mm, km, mk, kk), right):
-            wb[r] += hit * v
 
     ident = np.eye(n, dtype=dt).reshape(n * n, 1)
     for name, w, wx in (
@@ -386,6 +391,30 @@ def _class_blocks(q: int, d: int):
             yield lead, start, block
 
 
+def _census_batches(q: int, d: int, skip: int):
+    """Yield the census's kernel calls, each a list of (seen, block).
+
+    The blocks are :func:`_class_blocks`'s, in order, with lead-0 class
+    ``skip`` (the identity) deleted, and ``seen`` is the index of a block's
+    first class among all of them before that deletion.  A list holds
+    consecutive blocks whose widths sum to at most DEFAULT_BLOCK, so a full
+    block is a call of its own and the short tails of the high leads share
+    one.
+    """
+    batch, width, seen = [], 0, 0
+    for lead, start, block in _class_blocks(q, d):
+        classes = block.shape[1]
+        if lead == 0 and start <= skip < start + classes:
+            block = np.delete(block, skip - start, axis=1)
+        if batch and width + block.shape[1] > _scan.DEFAULT_BLOCK:
+            yield batch
+            batch, width = [], 0
+        batch.append((seen, block))
+        width += block.shape[1]
+        seen += classes
+    yield batch
+
+
 def classify_codim1(
     n: int,
     q: int,
@@ -395,9 +424,12 @@ def classify_codim1(
 
     The trace hyperplane (X the identity) is decided by the idempotent
     criterion, and its verdicts are the census's counts.  The other classes
-    are walked in canonical blocks, each refuted by its verified refuting
-    idempotents (:func:`_batch_witnesses`), and every ``stride``-th class is
-    re-decided by the idempotent criterion, which must find it refuted too.
+    are walked in canonical blocks and refuted by their verified refuting
+    idempotents (:func:`_batch_witnesses`), one kernel call per full block
+    and one for each run of short blocks, concatenated, that together fit
+    DEFAULT_BLOCK columns (:func:`_census_batches`).  After each call every
+    ``stride``-th class of it is re-decided by the idempotent criterion,
+    which must find it refuted too.
     The budget sets only the stride: 1 when a scan of every class fits in
     ``max_scan`` ("scan"), else ``total // (SCAN_SAMPLES + 1)`` ("witness").
     """
@@ -420,24 +452,20 @@ def classify_codim1(
     # the identity's index among the lead-0 classes: its coordinates after
     # the leading 1, read as base-q digits
     ident_at = sum(c * q ** (d - 1 - i) for i, c in enumerate(identity.coords) if i)
-    seen = 0
     refuted = 0
-    for lead, start, block in _class_blocks(q, d):
-        width = block.shape[1]
-        if lead == 0 and start <= ident_at < start + width:
-            block = np.delete(block, ident_at - start, axis=1)
-        classes = block.shape[1]
-        if classes:
-            _batch_witnesses(alg, block)
-            refuted += classes
+    for batch in _census_batches(q, d, ident_at):
+        x = batch[0][1] if len(batch) == 1 else np.concatenate([b for _, b in batch], axis=1)
+        if x.shape[1]:
+            _batch_witnesses(alg, x)
+            refuted += x.shape[1]
         # the columns whose index seen + col is a multiple of the stride
-        for col in range(-seen % stride, classes, stride):
-            coords = tuple(block[:, col].tolist())
-            verdicts = decide_all_variants(trace_orthogonal(alg.element(coords)), max_scan)
-            if any(v.is_mathieu for v in verdicts.values()):
-                raise ConsistencyError(f"scan and witness disagree on {coords}")
-            scan_checked += 1
-        seen += width
+        for seen, block in batch:
+            for col in range(-seen % stride, block.shape[1], stride):
+                coords = tuple(block[:, col].tolist())
+                verdicts = decide_all_variants(trace_orthogonal(alg.element(coords)), max_scan)
+                if any(v.is_mathieu for v in verdicts.values()):
+                    raise ConsistencyError(f"scan and witness disagree on {coords}")
+                scan_checked += 1
     if refuted != total - 1:
         raise ConsistencyError(f"refuted {refuted} classes, expected {total - 1}")
 

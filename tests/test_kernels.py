@@ -360,6 +360,41 @@ def test_constructed_idempotents_match_full_scan(n, q):
     assert len(built) == _scan.matrix_idempotent_count(n, q)
 
 
+def _construct_per_basis(n, p):
+    """construct_matrix_idempotents with one product per echelon basis U:
+    the reference the batched construction must reproduce row for row."""
+    dtype = _scan.sum_dtype(n * (p - 1) ** 2, "reference idempotent sums")
+    out = []
+    for k in range(n + 1):
+        m = p ** (k * (n - k))
+        zs = _scan.coeff_block(p, k * (n - k), 0, m).astype(dtype).T.reshape(m, k, n - k)
+        for piv in itertools.combinations(range(n), k):
+            piv = list(piv)
+            free = [j for j in range(n) if j not in piv]
+            slots = [(i, j) for i in range(k) for j in free if j > piv[i]]
+            us = np.zeros((p ** len(slots), k, n), dtype=dtype)
+            us[:, range(k), piv] = 1
+            us[:, [i for i, _ in slots], [j for _, j in slots]] = _scan.coeff_block(
+                p, len(slots), 0, len(us)
+            ).T
+            for u in us:
+                y = np.empty((m, k, n), dtype=dtype)
+                y[:, :, free] = zs
+                y[:, :, piv] = (np.eye(k, dtype=dtype) - zs @ u[:, free].T) % p
+                out.append(((u.T @ y) % p).reshape(m, n * n))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_construction_matches_the_per_basis_loop(n, p):
+    built = _scan.construct_matrix_idempotents(n, p)
+    want = _construct_per_basis(n, p)
+    assert built.dtype == want.dtype == _scan.exact_dtype(n * (p - 1) ** 2)
+    assert built.shape == want.shape == (_scan.matrix_idempotent_count(n, p), n * n)
+    assert np.array_equal(built, want)  # the same rows in the same order
+
+
 def test_listed_idempotents_are_stored_signed():
     # residues up to 130 need int16: an unsigned store would be uint8, and
     # uint64 mixed with int64 promotes to float64.  The upper triangular

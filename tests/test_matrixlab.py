@@ -244,6 +244,51 @@ def test_batch_witnesses_match_scalar_construction_at_dtype_boundaries(n, p, dty
         assert bm.tolist() == list(wb.coords)
 
 
+def _duals_first_nonscalar_at(rng, n, p, pair, count):
+    """``count`` random n x n duals over F_p whose first non-scalar index
+    pair is ``pair``: every earlier pair is made scalar (zero off-diagonal
+    entries, diagonal entries equal to x_00), and draws on which ``pair``
+    is scalar too are redrawn."""
+    out = []
+    while len(out) < count:
+        x = rng.integers(0, p, size=(n, n)) * rng.integers(0, 2, size=(n, n))
+        for m, k in itertools.takewhile(lambda mk: mk != pair, itertools.combinations(range(n), 2)):
+            x[m, k] = x[k, m] = 0
+            x[k, k] = x[0, 0]
+        found = _first_pair_and_case(x.tolist())
+        if found and found[0] == pair:
+            out.append(x)
+    return out
+
+
+def _assert_witnesses_match_scalar_construction(alg, xs):
+    a, b = _batch_witnesses(alg, _column_block(xs))
+    for x, am, bm in zip(xs, a.T, b.T):
+        wa, wb = witness_idempotents(alg.element(tuple(x.reshape(-1).tolist())))
+        assert am.tolist() == list(wa.coords)
+        assert bm.tolist() == list(wb.coords)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [3, 4])
+def test_batch_witnesses_repair_the_columns_scalar_on_the_first_pairs(n, p):
+    # the kernel builds every column on pair (0, 1) and rebuilds the columns
+    # scalar there on the later pairs, one pair at a time
+    rng = np.random.default_rng(100 * n + p)
+    alg = matrix_algebra(n, GF(p))
+    pairs = list(itertools.combinations(range(n), 2))
+    later = [x for pair in pairs[1:] for x in _duals_first_nonscalar_at(rng, n, p, pair, 12)]
+    mixed = _duals_first_nonscalar_at(rng, n, p, pairs[0], 40) + later
+    for xs in (mixed, later):  # ordinary columns among them, and none
+        xs = np.array(xs)[rng.permutation(len(xs))]
+        assert {_first_pair_and_case(x.tolist())[0] for x in xs} >= set(pairs[1:])
+        _assert_witnesses_match_scalar_construction(alg, xs)
+    # a column scalar on every pair is caught after the last one
+    scalar = np.array(mixed[:5] + [(p - 1) * np.eye(n, dtype=int)] + later[:5])
+    with pytest.raises(ConsistencyError, match="scalar matrix slipped"):
+        _batch_witnesses(alg, _column_block(scalar))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 131, 65537, 2**31 - 1])
 def test_inverses_match_python_pow(p):
     residues = sorted({0, 1, p - 1} | set(range(2, min(p, 200))) | {p // 2, p - 2})
@@ -280,7 +325,9 @@ def _patch_census_product(monkeypatch, make):
     monkeypatch.setattr(matrixlab, "_scan", scan)
 
 
-def test_census_kernel_reads_the_class_block_in_place(monkeypatch):
+def _check_census_kernel_calls(monkeypatch, n, q, widths):
+    """Run the census of M_n(F_q) with spies on its blocks, its kernel calls
+    and their products, and check the calls have the given widths."""
     built, handed, products = [], [], []
 
     def blocks(*args):
@@ -294,30 +341,59 @@ def test_census_kernel_reads_the_class_block_in_place(monkeypatch):
 
     def spy(batch_mul):
         def product(a, x, y):
-            products.append((x, y, batch_mul(a, x, y)))
-            return products[-1][-1]
+            out = batch_mul(a, x, y)
+            products.append((x, y, {x.dtype, y.dtype, out.dtype}))
+            return out
 
         return product
 
     monkeypatch.setattr(matrixlab, "_class_blocks", blocks)
     monkeypatch.setattr(matrixlab, "_batch_witnesses", refute)
     _patch_census_product(monkeypatch, spy)
-    classify_codim1(3, 3, max_scan=20000)
-    dtype = np.dtype(np.int8)  # exact_dtype(3 * (3 - 1)^2)
-    assert len(handed) == len(built) == 9
-    for block, x in zip(built, handed):
-        assert x.dtype == block.dtype == dtype and x.flags.c_contiguous
-    # every block but the identity's, which loses that column, is read in place
-    assert [x is block for block, x in zip(built, handed)] == [False] + [True] * 8
-    assert not np.shares_memory(built[0], handed[0])
-    assert handed[0].shape[1] == built[0].shape[1] - 1
-    # each block's products AX, XB, AA, BB take the block itself as X, and
+    classify_codim1(n, q)
+    dtype = np.dtype(np.int8)  # exact_dtype(n (q-1)^2) for these n, q
+    assert [x.shape[1] for x in handed] == widths
+    assert sum(widths) == (q ** (n * n) - 1) // (q - 1) - 1
+    for x in handed:
+        assert x.dtype == dtype and x.flags.c_contiguous
+    # every class but the identity, in canonical order
+    classes = np.concatenate(built, axis=1)
+    ident = np.eye(n, dtype=dtype).reshape(-1, 1)
+    assert np.array_equal(
+        np.concatenate(handed, axis=1), classes[:, ~np.all(classes == ident, axis=0)]
+    )
+    # a call of one whole block reads the very array built; the identity's
+    # block, which loses that column, and a concatenation are new arrays
+    spans = [block.shape[1] for block in built]
+    spans[0] -= 1  # the identity's block
+    bounds = np.cumsum([0] + spans).tolist()
+    cuts = np.cumsum([0] + [x.shape[1] for x in handed]).tolist()
+    assert set(cuts) <= set(bounds)
+    for x, lo, hi in zip(handed, cuts, cuts[1:]):
+        own = [b for b, s, e in zip(built, bounds, bounds[1:]) if lo <= s and e <= hi]
+        if len(own) == 1 and own[0] is not built[0]:
+            assert x is own[0]
+        else:
+            assert not any(np.shares_memory(x, block) for block in built)
+    # each call's products AX, XB, AA, BB take its block itself as X, and
     # every operand and product is in the block's dtype, so none is cast
     assert len(products) == 4 * len(handed)
     for i, x in enumerate(handed):
         (_, ax, _), (xb, _, _) = products[4 * i : 4 * i + 2]
         assert ax is x and xb is x
-    assert {arr.dtype for call in products for arr in call} == {dtype}
+    assert set().union(*(dtypes for _, _, dtypes in products)) == {dtype}
+
+
+def test_census_kernel_reads_the_class_block_in_place(monkeypatch):
+    # M_3(F_3)'s nine blocks, 3^8 classes at most, share one call
+    _check_census_kernel_calls(monkeypatch, 3, 3, [9_840])
+
+
+def test_census_kernel_takes_full_blocks_alone_and_short_ones_together(monkeypatch):
+    # M_3(F_5): the full blocks one call each (the first less the identity),
+    # then its last eight blocks, 15,625 + 3,906 classes, in one
+    widths = [62_499] + [62_500] * 5 + [15_625, 62_500, 35_156]
+    _check_census_kernel_calls(monkeypatch, 3, 5, widths)
 
 
 def _bump_entry_00(out, p):
