@@ -52,6 +52,12 @@ RADICAL_SUBSPACES = (
     ("polyq:31:0,0,1", "1,3"),  # a line
     ("mat:2:5", "1,0,0,0;0,0,0,1"),  # the diagonal: a plane that is no ideal
     ("dsum:mat:1:3+mat:2:3", "1,0,0,0,0;0,0,1,0,0"),
+    # the full space, all of its elements, and the trace-zero hyperplane
+    ("mat:3:3", ";".join(",".join("1" if j == i else "0" for j in range(9)) for i in range(9))),
+    ("mat:3:3", "0,1,0,0,0,0,0,0,0;0,0,1,0,0,0,0,0,0;0,0,0,1,0,0,0,0,0;0,0,0,0,0,1,0,0,0;"
+                "0,0,0,0,0,0,1,0,0;0,0,0,0,0,0,0,1,0;1,0,0,0,0,0,0,0,2;0,0,0,0,1,0,0,0,2"),
+    ("mat:2:23", "1,2,3,4;0,1,0,22"),  # a plane in a table of 30 chunks
+    ("polyq:257:0,1", ""),  # F_257's zero subspace: no basis row to sum
 )
 
 VARIANTS = ("left", "right", "pre_two_sided", "two_sided")

@@ -36,12 +36,16 @@ construction rebuilds on a later index pair, and its short blocks,
 concatenated into one call.  An algebra's power table is built once, in
 blocks of at most DEFAULT_BLOCK powers, and cached on it: for every
 element it keeps the window a^d .. a^(2d-1), d the dimension, each power
-as the index of its element, so a radical query tests membership once
-per element of the algebra and reads it for the stored powers by
-indexing, each power only for the elements whose earlier powers passed.  That test is formed on the index grid itself, by outer
-sums of one vector per coordinate (:func:`grid_bitmap`), with no
-coordinate enumerated, and only the indices it selects are decoded back
-into coordinates by :func:`digits`, the one decoder of indices
+as the index of its element, so a radical query on a subspace V reads
+membership in V for the stored powers by indexing one bitmap over the
+indices, each power only for the elements whose earlier powers passed.
+The bitmap is set from V's own elements (:func:`span_bitmap`): V's
+vectors are listed in blocks, as combinations of its basis
+(:func:`span_blocks`, which the idempotent scan of a subspace uses too),
+and encoded to indices by :func:`encode`, the one encoder of indices, so
+a warm query costs V's size and one read of the window, and no element
+outside V is tested.  Only the indices the query selects are decoded
+back into coordinates by :func:`digits`, the one decoder of indices
 (:func:`coeff_block` is :func:`digits` of an index range).
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
@@ -86,6 +90,23 @@ def digits(q: int, r: int, idx: np.ndarray) -> np.ndarray:
         np.subtract(idx, quo * q, out=out[i])
         idx = quo
     return out
+
+
+def encode(q: int, vecs: np.ndarray) -> np.ndarray:
+    """The lexicographic indices of the vectors of a (..., r, B) block of
+    residues ``vecs``, as a (..., B) array: the inverse of :func:`digits`.
+
+    Each vector is read as r base-q digits, most significant first, against
+    the radix q^(r-1) .. q, 1 in :func:`exact_dtype` of q^r - 1, at least
+    int32; every partial sum is below q^r.  Exact while q^r - 1 < 2^63,
+    which the callers check first.  This is the one encoder of element
+    indices.  ``einsum`` sums integers about three times faster than ``@``
+    (a (9, 6561) int8 block: 0.028 against 0.083 ms, 2-vCPU Xeon VM).
+    """
+    r = vecs.shape[-2]
+    dtype = np.promote_types(exact_dtype(q**r - 1), np.int32)
+    radix = np.array([q ** (r - 1 - i) for i in range(r)], dtype=dtype)
+    return np.einsum("r,...rb->...b", radix, vecs)
 
 
 def coeff_block(q: int, r: int, start: int, stop: int) -> np.ndarray:
@@ -199,29 +220,67 @@ def product_dtype(a: Algebra) -> np.dtype:
     return sum_dtype(a._product_bound, f"product sums of {a.label}")
 
 
+def span_blocks(a: Algebra, basis_rows):
+    """The vectors of the span of ``basis_rows`` in ``a``, in scan order,
+    as an iterator of (d, B) blocks of at most DEFAULT_BLOCK columns.
+
+    Column b of a block is the combination of the basis rows by column b
+    of :func:`coeff_block`, mod p, summed by ``einsum``, about nine times
+    faster than ``@`` on integers (M_3(F_3), 8 rows by 6,561 int8 columns:
+    0.034 against 0.30 ms, 2-vCPU Xeon VM).
+
+    Exactness: a coordinate sums r products of residues, at most
+    r (p-1)^2, and is reduced mod p, so the blocks are in :func:`sum_dtype`
+    of that bound or of p, whichever is larger (the zero subspace of
+    F_257 sums nothing but reduces mod 257).  A bound past int64 raises
+    ``TooLarge`` here, when the iterator is made, before any block is.
+    """
+    p, r = a.field.order, len(basis_rows)
+    dtype = sum_dtype(max(r * (p - 1) ** 2, p), f"span sums of {a.label}")
+    basis = np.array(basis_rows, dtype=dtype).reshape(r, a.dim)
+    total = p**r
+
+    def blocks():
+        for start in range(0, total, DEFAULT_BLOCK):
+            coeffs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total))
+            yield reduce_mod(np.einsum("rd,rb->db", basis, coeffs.astype(dtype, copy=False)), p)
+
+    return blocks()
+
+
 def idempotent_coords(ambient: Algebra, basis_rows) -> list[tuple[int, ...]]:
     """Every idempotent in the span of ``basis_rows``, in scan order.
 
-    Scans all q^r coefficient combinations in lexicographic order, one block
-    at a time.  The caller has checked q^r against its budget
-    (:func:`idempotents` holds the one check).
-
-    Exactness: a vector's coordinate sums r products of residues, at most
-    r (p-1)^2, so basis and coefficients are multiplied in :func:`sum_dtype`
-    of that bound, which refuses one past int64 before anything is allocated.
+    Scans all q^r vectors of the span, one block of :func:`span_blocks` at
+    a time, which refuses sums past int64 before anything is allocated.
+    The caller has checked q^r against its budget (:func:`idempotents`
+    holds the one check).
     """
-    p = ambient.field.order
-    r = len(basis_rows)
-    total = p**r
-    dtype = sum_dtype(r * (p - 1) ** 2, f"span sums of {ambient.label}")
-    basis = np.array(basis_rows, dtype=dtype).reshape(r, ambient.dim)
     out = []
-    for start in range(0, total, DEFAULT_BLOCK):
-        coeffs = coeff_block(p, r, start, min(start + DEFAULT_BLOCK, total))
-        vecs = basis.T @ coeffs.astype(dtype, copy=False)
-        reduce_mod(vecs, p)  # in place, so the block costs no more memory than one array
+    for vecs in span_blocks(ambient, basis_rows):
         squares = batch_mul(ambient, vecs, vecs)
         out += map(tuple, vecs[:, np.all(squares == vecs, axis=0)].T.tolist())
+    return out
+
+
+def span_bitmap(a: Algebra, basis_rows) -> np.ndarray:
+    """Boolean (p^d,) vector: which elements of ``a``, by index, lie in the
+    span V of the independent ``basis_rows``.
+
+    V's own p^r vectors are listed by :func:`span_blocks`, encoded to
+    their indices by :func:`encode`, and set in a zeroed bitmap, so the
+    work is V's size, not the algebra's.  The full space (d rows) is all
+    True, with nothing listed.  A span whose sums int64 does not hold is
+    refused before the bitmap or any block is allocated.  Indices are
+    exact in int64 for algebras of at most 2^63 elements;
+    :func:`power_chunks` refuses larger ones.
+    """
+    if len(basis_rows) == a.dim:
+        return np.ones(a.size, dtype=bool)
+    blocks = span_blocks(a, basis_rows)
+    out = np.zeros(a.size, dtype=bool)
+    for vecs in blocks:
+        out[encode(a.field.order, vecs)] = True
     return out
 
 
@@ -364,10 +423,10 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     :func:`product_dtype` of ``a`` (int8 for M_3(F_3), int16 for M_2(F_11)),
     so :func:`batch_mul` reads its operands in place.  Every product is
     recomputed by :func:`_check_products` before the window a^d .. a^(2d-1)
-    is encoded as element indices, in :func:`exact_dtype` of size - 1 (at
-    least int32), and stored in that exact dtype.  Every stored index is
-    then decoded and compared with the stack by :func:`_check_window`, and
-    three elements are replayed by :func:`_replay_sample`.  Each raises
+    is encoded as element indices by :func:`encode` and stored in
+    :func:`exact_dtype` of size - 1.  Every stored index is then decoded
+    and compared with the stack by :func:`_check_window`, and three
+    elements are replayed by :func:`_replay_sample`.  Each raises
     ``ConsistencyError`` before the chunk is returned, let alone cached.
     """
     p = a.field.order
@@ -378,9 +437,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     for m in range(1, horizon):
         stack[m] = batch_mul(a, stack[m - 1], stack[0])
     _check_products(a, stack)
-    store = exact_dtype(a.size - 1)
-    radix = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.promote_types(store, np.int32))
-    rows = (radix @ stack[d - 1 :]).reshape(-1).astype(store, copy=False)
+    rows = encode(p, stack[d - 1 :]).reshape(-1).astype(exact_dtype(a.size - 1), copy=False)
     rows.flags.writeable = False
     chunk = PowerChunk(start, stop - start, rows)
     _check_window(a, chunk, stack)
@@ -507,61 +564,11 @@ def power_chunks(a: Algebra, max_scan: int):
     yield from a._power_data
 
 
-def grid_bitmap(constraints, p: int, d: int) -> np.ndarray:
-    """Boolean (p^d,) vector: which x in F_p^d satisfy N x = 0, by index.
-
-    An element's index is its coordinates read as base-p digits, so row r
-    of N x over every index is the outer sum of the d vectors
-    N[r, j] * arange(p), one per coordinate j, mod p; no coordinate is
-    enumerated.  The low digits, as many as p^low <= DEFAULT_BLOCK allows
-    (at least one), give one table of their sums mod p; the high digits
-    give each run of p^low indices its target, minus their sum mod p, and
-    x is in when its table entry equals its target in every row.  The work
-    goes in blocks of at most DEFAULT_BLOCK entries, so memory is the bitmap
-    plus the table and one block; a single digit wider than a block (d = 1,
-    p > DEFAULT_BLOCK) is cut into ``arange`` slices of it.
-
-    Exactness: each product N[r, j] * x_j is at most (p-1)^2, so every
-    sum is at most d (p-1)^2.  Sums accumulate in :func:`exact_dtype` of
-    that bound, which also holds p, and are reduced once.
-    """
-    size = p**d
-    if not constraints:
-        return np.ones(size, dtype=bool)
-    n = np.array(constraints, dtype=exact_dtype(d * (p - 1) ** 2))
-    low = 1
-    while low < d and p ** (low + 1) <= DEFAULT_BLOCK:
-        low += 1
-    if low < d:
-        want = _digit_sums(-n[:, : d - low], p, np.arange(p, dtype=n.dtype))
-    else:  # no high digit: one run, whose target is 0
-        want = np.zeros((len(n), 1), dtype=n.dtype)
-    out = np.empty((want.shape[1], p**low), dtype=bool)
-    for s in range(0, p, DEFAULT_BLOCK):  # one slice unless p > DEFAULT_BLOCK
-        xs = np.arange(s, min(s + DEFAULT_BLOCK, p), dtype=n.dtype)
-        table = _digit_sums(n[:, d - low :], p, xs)
-        runs = max(1, DEFAULT_BLOCK // table.shape[1])
-        for h in range(0, len(out), runs):
-            hit = table[:, None, :] == want[:, h : h + runs, None]
-            hit.all(axis=0, out=out[h : h + runs, s : s + table.shape[1]])
-    return out.reshape(-1)
-
-
-def _digit_sums(n: np.ndarray, p: int, xs: np.ndarray) -> np.ndarray:
-    """(k, len(xs)^m) sums of n[:, j] * x_j mod p, in n's dtype, for every
-    x in the lexicographic grid of m = n.shape[1] >= 1 digits that each run
-    over ``xs`` (a slice of arange(p) only when m = 1)."""
-    products = n.T[:, :, None] * xs  # (m, k, len(xs)): digit j's products
-    sums = products[0]
-    for terms in products[1:]:
-        sums = (sums[:, :, None] + terms[:, None]).reshape(len(n), -1)
-    return reduce_mod(sums, p)
-
-
 def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:
     """Boolean (B,) vector: which columns x of the (d, B) block ``rows``
-    (one row per coordinate) satisfy N x = 0.  For a list of vectors; a
-    whole algebra is tested by index with :func:`grid_bitmap`.
+    (one row per coordinate) satisfy N x = 0.  For a list of vectors, such
+    as an algebra's listed idempotents; a radical query marks V's own
+    elements by index instead (:func:`span_bitmap`).
 
     Exactness: each row of N x sums d products of residues, at most
     d (p-1)^2; N and ``rows`` are multiplied in :func:`sum_dtype` of that

@@ -48,6 +48,7 @@ from .mathieu import (
     _cycle_radical_member,
     _idempotents_of,
     _nontrivial_idempotents,
+    _radical_coords,
     _radical_is_ideal,
     _verdicts,
     decide_mathieu,
@@ -296,7 +297,7 @@ def _fact_table(max_scan: int) -> SimpleNamespace:
     * ``maxima(v)``: its four maximum sided ideals, each one-sided maximum
       solved once for the run (the two-sided one of v is the left one of
       v's right maximum, itself a subspace the run may sweep);
-    * ``radical(v)``: its radical, as ``radical_enumerate``'s ordered
+    * ``radical(v)``: its radical, as ``_radical_coords``'s ordered
       coordinate list;
     * ``minimal_polynomial(x)``: the minimal polynomial of an element x.
 
@@ -312,7 +313,7 @@ def _fact_table(max_scan: int) -> SimpleNamespace:
         idempotents=idempotents,
         verdicts=verdicts,
         maxima=cache(lambda v: max_theta_ideals(v, one_sided)),
-        radical=cache(lambda v: [x.coords for x in radical_enumerate(v, max_scan)]),
+        radical=cache(lambda v: _radical_coords(v, max_scan)),
         minimal_polynomial=cache(minimal_polynomial),
         table=cache(lambda a: {v: verdicts(v) for v in all_subspaces(a)}),
     )

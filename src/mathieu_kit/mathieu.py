@@ -37,9 +37,12 @@ everything here is decided exactly:
   element indices; each product of a^1, ..., a^(2d-1) was recomputed
   exactly from the dense structure constants, and every stored index
   decoded and compared, when the table was built (see
-  ``_scan.build_power_chunk``).  Membership in M is tested on the index
-  grid (``_scan.grid_bitmap``), and only the radical's own indices are
-  decoded into coordinates.
+  ``_scan.build_power_chunk``).  Membership in M is a bitmap over the
+  element indices, set from M's own q^dim M elements
+  (``_scan.span_bitmap``), so a warm query costs M's size and one read of
+  the window; only the radical's own indices are decoded into
+  coordinates, and ``_radical_coords`` returns those tuples to callers
+  that need no ``Element``.
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -158,34 +161,38 @@ def radical_enumerate(
 ) -> list[Element]:
     """The exact radical of ``v`` as a list of elements, by full enumeration.
 
-    The algebra's power table is priced, and built or read from its cache,
-    first.  Then membership in ``v`` (N x = 0) is tested once per element
-    of the algebra, by index, with no coordinate enumerated
-    (:func:`_scan.grid_bitmap`), and read for the stored window
-    a^d .. a^(2d-1) of every element through its element indices, which a
-    chunk stores power-major as a (d, count) table: the element is in the
-    radical when all of its column lies in ``v`` (see the module
-    docstring).  The test exits early: a^d is read for every element, and
-    each later stored power only for the elements whose powers so far all
-    lie in ``v``.  Only the members' indices are decoded back into
-    coordinates, straight to tuples.  Elements come back in lexicographic
+    The elements of :func:`_radical_coords`, in its lexicographic
     coordinate order.
+    """
+    a = v.ambient
+    return [Element(a, c) for c in _radical_coords(v, max_scan)]
+
+
+def _radical_coords(v: Subspace, max_scan: int) -> list[Coords]:
+    """The exact radical of ``v`` as coordinate tuples, in lexicographic order.
+
+    The algebra's power table is priced, and built or read from its cache,
+    first.  Then a bitmap of ``v`` over the element indices is set from
+    v's own q^dim v elements (:func:`_scan.span_bitmap`), and read for the
+    stored window a^d .. a^(2d-1) of every element through its element
+    indices, which the chunks store power-major and which are read here as
+    one (d, size) table: the element is in the radical when all of its
+    column lies in ``v`` (see the module docstring).  The test exits early:
+    a^d is read for every element, and each later stored power only for
+    the elements whose powers so far all lie in ``v``.  Only the members'
+    indices are decoded back into coordinates, straight to tuples.
     """
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("radical enumeration needs a finite field")
     p, d = a.field.order, a.dim
     chunks = list(_scan.power_chunks(a, max_scan))
-    in_v = _scan.grid_bitmap(v.constraints(), p, d)
-    found = []
-    for chunk in chunks:
-        window = chunk.rows.reshape(d, chunk.count)
-        alive = np.flatnonzero(in_v.take(window[0]))
-        for power in window[1:]:
-            alive = alive[in_v.take(power.take(alive))]
-        found.append(alive + chunk.start)
-    members = _scan.digits(p, d, np.concatenate(found))
-    return [Element(a, c) for c in zip(*members.tolist())]
+    in_v = _scan.span_bitmap(a, v.basis)
+    window = np.concatenate([c.rows.reshape(d, c.count) for c in chunks], axis=1)
+    alive = np.flatnonzero(in_v.take(window[0]))
+    for power in window[1:]:
+        alive = alive[in_v.take(power.take(alive))]
+    return list(zip(*_scan.digits(p, d, alive).tolist()))
 
 
 def certify_radical_membership(
@@ -391,7 +398,7 @@ def is_mathieu_commutative(
     a = v.ambient
     if not a.is_commutative:
         raise NotCommutative(f"{a.label} is not commutative")
-    return _radical_is_ideal(a, {x.coords for x in radical_enumerate(v, max_scan)})
+    return _radical_is_ideal(a, set(_radical_coords(v, max_scan)))
 
 
 def _radical_is_ideal(a: Algebra, rad: set) -> bool:

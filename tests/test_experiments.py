@@ -173,7 +173,7 @@ def test_radical_laws_derives_each_radical_and_maximum_once(monkeypatch):
     # the radicals the run enumerated instead of enumerating them again
     radicals, maxima = Counter(), Counter()
     check = []
-    record, enumerate_radical = experiments._Recorder.run, experiments.radical_enumerate
+    record, enumerate_radical = experiments._Recorder.run, experiments._radical_coords
     solve = subspace.max_theta_ideal
 
     def run(self, name, instance, fn):
@@ -192,7 +192,7 @@ def test_radical_laws_derives_each_radical_and_maximum_once(monkeypatch):
 
     monkeypatch.setattr(experiments._Recorder, "run", run)
     for module in (mathieu, experiments):
-        monkeypatch.setattr(module, "radical_enumerate", counting_radical)
+        monkeypatch.setattr(module, "_radical_coords", counting_radical)
     for module in (subspace, experiments):
         monkeypatch.setattr(module, "max_theta_ideal", counting_max)
     assert run_suite("radical_laws").passed

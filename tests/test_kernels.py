@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mathieu_kit import _scan
+from mathieu_kit import _scan, mathieu
 from mathieu_kit.algebra import (
     Algebra,
     direct_sum,
@@ -546,19 +546,74 @@ def _check_power_data(alg, indices):
         assert [element_coords(alg, i) for i in stored] == [y.coords for y in powers[d - 1 :]]
 
 
+def _random_subspace(a, rng, dim):
+    """A subspace of ``a`` of dimension ``dim``, spanned by seeded rows."""
+    p, d = a.field.order, a.dim
+    while True:
+        v = span(a, rng.integers(0, p, size=(dim, d)).tolist())
+        if v.dim == dim:
+            return v
+
+
 @pytest.mark.parametrize(
-    "p, d", [(2, 16), (2, 17), (3, 9), (3, 11), (11, 4), (257, 2), (65537, 1), (100003, 1)]
+    "p, d",
+    [(2, 16), (2, 17), (2, 18), (3, 9), (3, 11), (3, 12), (11, 4), (257, 2), (65537, 1),
+     (100003, 1)],
 )
-def test_grid_bitmap_matches_the_enumerated_membership_test(p, d):
-    # the low digits fill the whole table, leave a partial top digit, or
-    # are one digit wider than a block, cut into slices; 0 .. d random
-    # constraint rows each
+def test_span_bitmap_matches_the_enumerated_membership_test(p, d):
+    # V's vectors fill part of a span block, exactly one (2^16), several
+    # (2^17 and 3^11 vectors, the hyperplanes of (2, 18) and (3, 12)), or
+    # a block of a 17-bit prime field; a seeded basis of every dimension
+    # 0 .. d, the last the full space, which lists nothing
+    a = poly_quotient_algebra(Poly.from_ints(GF(p), [0] * d + [1]))
     everything = _scan.coeff_block(p, d, 0, p**d)
     rng = np.random.default_rng([p, d])
     for k in range(d + 1):
-        rows = rng.integers(0, p, size=(k, d)).tolist()
-        want = _scan.membership_bitmap(everything, rows, p)
-        assert np.array_equal(_scan.grid_bitmap(rows, p, d), want), rows
+        v = _random_subspace(a, rng, k)
+        want = _scan.membership_bitmap(everything, v.constraints(), p)
+        assert np.array_equal(_scan.span_bitmap(a, v.basis), want), v.basis
+
+
+def test_span_bitmap_refuses_past_int64_before_allocating(monkeypatch):
+    # two rows of F_p[t]/(t^3) sum 2 (p-1)^2 per coordinate, past int64 at
+    # this prime; the refusal comes before the p^3-entry bitmap, any span
+    # block or the basis array
+    a = poly_quotient_algebra(Poly.from_ints(GF(PAST_INT64_EDGE), [0, 0, 0, 1]))
+    rows = [[1, 0, PAST_INT64_EDGE - 1], [0, 1, PAST_INT64_EDGE - 2]]
+    monkeypatch.setattr(_scan, "coeff_block", _must_not_run)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="int64 span sums of"):
+            _scan.span_bitmap(a, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_indices_are_encoded_exactly_at_the_int64_edge():
+    # at p = 2^31 - 1 a 2-digit index reaches p^2 - 1 < 2^63: the largest
+    # residues and seeded ones against Python ints, and back through digits
+    p = INT64_EDGE
+    rng = random.Random(41)
+    cols = [(p - 1, p - 1), (p - 1, 0), (0, p - 1), (1, p - 2)]
+    cols += [(rng.randrange(p), rng.randrange(p)) for _ in range(20)]
+    vecs = np.array(cols, dtype=np.int64).T
+    got = _scan.encode(p, vecs)
+    assert got.dtype == np.int64
+    assert got.tolist() == [x * p + y for x, y in cols]
+    assert np.array_equal(_scan.digits(p, 2, got), vecs)
+
+
+def test_zero_subspace_of_a_wide_prime_sums_in_a_dtype_that_holds_p():
+    # the zero subspace of F_257 has no basis row, so its span sums are 0,
+    # but they are reduced mod 257, which int8 cannot hold
+    a = field_algebra(GF(257))
+    (block,) = _scan.span_blocks(a, [])
+    assert block.dtype == np.int16 and block.tolist() == [[0]]
+    assert _scan.idempotent_coords(a, []) == [(0,)]
+    assert decide_mathieu(Subspace.zero(a), Sidedness.LEFT).is_mathieu  # 0 is its one idempotent
+    assert np.flatnonzero(_scan.span_bitmap(a, [])).tolist() == [0]
 
 
 def _radical_by_enumeration(v):
@@ -599,6 +654,19 @@ def test_radical_enumerate_matches_the_enumerated_radical():
             v = span(alg, rows)
             got = [x.coords for x in radical_enumerate(v)]
             assert got == _radical_by_enumeration(v), (alg.label, v.basis)
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (2, 23)], ids=["M_3(F_3)", "M_2(F_23)"])
+def test_radical_enumerate_matches_the_enumerated_radical_in_every_dimension(n, p):
+    # power tables of 6 and 30 chunks, read as one window; seeded
+    # subspaces of every dimension 0 .. n^2, the last the full space
+    alg = matrix_algebra(n, GF(p))
+    rng = np.random.default_rng([n, p])
+    for k in range(alg.dim + 1):
+        v = _random_subspace(alg, rng, k)
+        got = mathieu._radical_coords(v, 10**7)
+        assert got == _radical_by_enumeration(v), v.basis
+        assert [x.coords for x in radical_enumerate(v)] == got
 
 
 def test_power_chunks_match_elem_power_and_cycles():
@@ -866,7 +934,7 @@ def test_radical_refusals_come_before_any_membership_work(monkeypatch):
     alg = matrix_algebra(2, F3)  # 81 elements
     zero = Subspace.zero(alg)
     monkeypatch.setattr(_scan, "membership_bitmap", _must_not_run)
-    monkeypatch.setattr(_scan, "grid_bitmap", _must_not_run)
+    monkeypatch.setattr(_scan, "span_bitmap", _must_not_run)
     monkeypatch.setattr(_scan, "batch_mul", _must_not_run)
     # 81 elements at 2d-1 = 7 powers each overspend a budget of 100, and
     # the refusal comes before any element block is built or decoded
@@ -894,7 +962,7 @@ def test_power_tables_refuse_indices_past_int64(monkeypatch):
     # 2^63, so its indices would wrap in int64 whatever budget admits its
     # price; the refusal comes before any block is built
     monkeypatch.setattr(_scan, "build_power_chunk", _must_not_run)
-    monkeypatch.setattr(_scan, "grid_bitmap", _must_not_run)
+    monkeypatch.setattr(_scan, "span_bitmap", _must_not_run)
     alg = poly_quotient_algebra(Poly.from_ints(GF(3_000_017), [3, 2, -4, 1]))
     assert alg.size - 1 > np.iinfo(np.int64).max
     with pytest.raises(TooLarge, match="int64 element indices"):
