@@ -43,6 +43,12 @@ WITNESS_ELEMENTS = (
     ("mat:3:0", "0,0,5/3,0,2,0,-1,0,0"),
 )
 
+
+def _units(n: int, indices) -> str:
+    """The matrix units E_ij of M_n at the given row-major indices, as a basis."""
+    return ";".join(",".join("1" if j == i else "0" for j in range(n * n)) for i in indices)
+
+
 RADICAL_ALGEBRAS = ("mat:3:3", "mat:2:11", "polyq:31:0,0,1")
 
 # nonzero subspaces: their membership test has constraint rows to check
@@ -53,7 +59,7 @@ RADICAL_SUBSPACES = (
     ("mat:2:5", "1,0,0,0;0,0,0,1"),  # the diagonal: a plane that is no ideal
     ("dsum:mat:1:3+mat:2:3", "1,0,0,0,0;0,0,1,0,0"),
     # the full space, all of its elements, and the trace-zero hyperplane
-    ("mat:3:3", ";".join(",".join("1" if j == i else "0" for j in range(9)) for i in range(9))),
+    ("mat:3:3", _units(3, range(9))),
     ("mat:3:3", "0,1,0,0,0,0,0,0,0;0,0,1,0,0,0,0,0,0;0,0,0,1,0,0,0,0,0;0,0,0,0,0,1,0,0,0;"
                 "0,0,0,0,0,0,1,0,0;0,0,0,0,0,0,0,1,0;1,0,0,0,0,0,0,0,2;0,0,0,0,1,0,0,0,2"),
     ("mat:2:23", "1,2,3,4;0,1,0,22"),  # a plane in a table of 30 chunks
@@ -68,6 +74,14 @@ REFUTED_SUBSPACES = (
     ("opp:mat:2:3", "0,1,0,0;1,0,0,0"),
     ("dsum:mat:2:2+mat:1:2", "1,0,0,0,0;0,1,0,0,0"),
     ("polyq:2:0,0,0,1", "1,0,0;0,1,0"),
+)
+
+# the idempotent walk on E_11 = 0 of M_3(F_5) (416 idempotents) finds its
+# right witness at the 177th; the first two columns of M_3(F_3) are a left
+# ideal whose idempotents span it, every one of them cleared
+WALK_SUBSPACES = (
+    ("mat:3:5", _units(3, range(1, 9)), VARIANTS),
+    ("mat:3:3", _units(3, (0, 1, 3, 4, 6, 7)), ("left",)),
 )
 
 IDEAL_SUBSPACES = REFUTED_SUBSPACES + (
@@ -154,6 +168,8 @@ def commands() -> list[list[str]]:
                 "--basis", ""])
     out += [["--json", "space", "check", "--algebra", spec, "--basis", basis, "--theta", theta]
             for spec, basis in REFUTED_SUBSPACES for theta in VARIANTS]
+    out += [["--json", "space", "check", "--algebra", spec, "--basis", basis, "--theta", theta]
+            for spec, basis, thetas in WALK_SUBSPACES for theta in thetas]
     out += [["--json", "space", "max-ideal", "--algebra", spec, "--basis", basis,
              "--theta", theta]
             for spec, basis in IDEAL_SUBSPACES for theta in VARIANTS]

@@ -78,6 +78,7 @@ from .matrixlab import (
     trace_orthogonal,
     witness_idempotents,
 )
+from .serialize import witness_from_dict
 from .subspace import (
     ALL_VARIANTS,
     Sidedness,

@@ -16,7 +16,11 @@ everything here is decided exactly:
   complementary kernel, checked when built), by one scan of every element
   otherwise.  Once listed, they are filtered by M's constraint rows
   N x = 0; until then M's q^dim M vectors are scanned.  Both routes give
-  the same sorted list.
+  the same sorted list.  Every translate is linear in the idempotent, so
+  the elements whose translates all lie in M form a subspace W_theta; the
+  walk skips, with no product, each idempotent in the span of those it has
+  already cleared, and so forms the translates of at most dim W_theta + 1
+  idempotents per variant, with the same first violation.
 * ``oracle_mathieu`` is the deliberately naive definition-level check, kept
   free of the theory above so the two can be compared on everything small.
   It lists the elements of M once and reads membership from that set, not
@@ -58,7 +62,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _scan
+from . import _linalg, _scan
 from .algebra import (
     Algebra,
     Coords,
@@ -251,7 +255,12 @@ def decide_mathieu(
     scanning the q^dim(v) vectors of v (see the module docstring for the
     rule), and requires each one's sided ideal to stay inside v.  On failure
     the witness is the first violation in lexicographic order of
-    (idempotent coordinates, left basis index, right basis index).
+    (idempotent coordinates, left basis index, right basis index).  An
+    idempotent in the span of those already cleared is cleared with no
+    product, so at most dim W + 1 idempotents have their translates formed,
+    W the elements whose translates all lie in v: ``max_theta_ideal(v,
+    variant)`` for left, right and two-sided, the left and right maxima's
+    intersection for pre-two-sided (see :func:`_verdicts`).
     """
     variant = Sidedness.parse(variant)
     return _verdicts(v, _idempotents_of(v, max_scan), (variant,))[variant]
@@ -268,14 +277,35 @@ def decide_all_variants(
 def _verdicts(v: Subspace, idempotents, variants) -> dict[Sidedness, MathieuVerdict]:
     """Per variant the verdict on v from its sorted ``idempotents``: the first
     violation, in order of (idempotent coordinates, left basis index, right
-    basis index), or none."""
+    basis index), or none.
+
+    Every translate is linear in the idempotent, so the elements whose
+    translates all lie in v form a subspace W.  Each variant keeps an
+    echelon basis of the idempotents it has cleared and skips, with no
+    product, every idempotent in their span; a skipped one lies in W and
+    cannot be the first violation.  So each variant walks the translates of
+    at most dim W + 1 idempotents.
+    """
+    a = v.ambient
+    f = a.field
     member = cache(v._member_coords)  # one test per distinct translate, for every variant
     verdicts = {}
     for variant in variants:
-        witness = next((
-            Witness(e, b, c, prod) for e in idempotents
-            for b, c, prod in translates(v.ambient, e, variant) if not member(prod)
-        ), None)
+        cleared, pivots, witness = [], [], None
+        for e in idempotents:
+            residual = _linalg.reduce_vector(f, cleared, pivots, e)
+            col = next((j for j, x in enumerate(residual) if x != 0), None)
+            if col is None:
+                continue
+            witness = next((
+                Witness(e, b, c, prod)
+                for b, c, prod in translates(a, e, variant) if not member(prod)
+            ), None)
+            if witness is not None:
+                break
+            inv = f.inv(residual[col])
+            cleared.append(tuple(f.mul(inv, x) for x in residual))
+            pivots.append(col)
         verdicts[variant] = MathieuVerdict(
             witness is None, variant.value, "idempotent_criterion", witness
         )

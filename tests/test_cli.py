@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from mathieu_kit import GF, matrix_algebra, verify_witness, witness_from_dict
 from mathieu_kit.cli import main
+from mathieu_kit.serialize import parse_subspace_spec
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +46,23 @@ def test_space_check_false_with_witness_and_exit_code(capsys):
     doc = json.loads(out)
     assert doc["is_mathieu"] is False
     assert doc["witness"]["e"] == ["1", "0", "0", "1"]
+
+
+def test_json_witness_replays_through_the_exported_reader(capsys):
+    # E_11 = 0 in M_3(F_5): the right witness is the 177th idempotent
+    basis = ";".join(",".join("1" if j == i else "0" for j in range(9)) for i in range(1, 9))
+    code, out, _ = run_cli(
+        capsys, "--json", "space", "check", "--algebra", "mat:3:5", "--basis", basis,
+        "--theta", "right",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    a = matrix_algebra(3, GF(5))
+    v = parse_subspace_spec(a, basis)
+    witness = witness_from_dict(a.field, doc["witness"])
+    assert witness.e == (0, 0, 1, 0, 0, 0, 0, 0, 1) and witness.b is None
+    assert verify_witness(v, "right", witness)
+    assert not verify_witness(v, "left", witness)
 
 
 def test_codim1_report(capsys):

@@ -22,8 +22,11 @@ from mathieu_kit.errors import (
     TooLarge,
     ZeroElement,
 )
+from mathieu_kit.experiments import _small_f23_entries
 from mathieu_kit.fields import GF, QQ, Poly
 from mathieu_kit.mathieu import (
+    MathieuVerdict,
+    Witness,
     certify_radical_membership,
     decide_all_variants,
     decide_mathieu,
@@ -39,12 +42,16 @@ from mathieu_kit.mathieu import (
     verify_witness,
     _cycle_radical_member,
 )
+from mathieu_kit.serialize import parse_algebra_spec
 from mathieu_kit.subspace import (
     ALL_VARIANTS,
     Sidedness,
     Subspace,
     all_subspaces,
+    max_theta_ideal,
     span,
+    theta_ideal,
+    translates,
 )
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -608,3 +615,92 @@ def test_variant_hierarchy():
             assert verdicts[Sidedness.PRE_TWO_SIDED] == (
                 verdicts[Sidedness.LEFT] and verdicts[Sidedness.RIGHT]
             )
+
+
+def _verdicts_by_walk(v, variant):
+    """decide_mathieu with every basis translate of every idempotent of v
+    walked in order, none skipped: the reference the span-skipping walk
+    must reproduce, verdict and witness."""
+    witness = next((
+        Witness(e, b, c, prod)
+        for e in mathieu._idempotents_of(v, mathieu.MAX_SCAN_DEFAULT)
+        for b, c, prod in translates(v.ambient, e, variant) if not v._member_coords(prod)
+    ), None)
+    return MathieuVerdict(witness is None, variant.value, "idempotent_criterion", witness)
+
+
+def _assert_walks_agree(v, label):
+    verdicts = decide_all_variants(v)
+    for variant in ALL_VARIANTS:
+        assert verdicts[variant] == _verdicts_by_walk(v, variant), (label, v.basis, variant)
+
+
+def test_span_skipping_walk_equals_the_per_idempotent_walk_on_small_algebras():
+    for entry in _small_f23_entries():
+        for v in all_subspaces(entry.algebra):
+            _assert_walks_agree(v, entry.name)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["mat:3:3", "mat:2:7", "opp:mat:2:5", "dsum:mat:1:3+polyq:3:0,0,1", "polyq:7:1,0,0,1"],
+)
+def test_span_skipping_walk_equals_the_per_idempotent_walk_on_random_subspaces(spec):
+    # half the draws are spans of random rows, most of them refuted; the
+    # other half hold a random sided ideal, whose idempotents the walk
+    # clears in bulk, and one more random row
+    a = parse_algebra_spec(spec)
+    rng = random.Random(f"walk:{spec}")
+    q = a.field.order
+
+    def row():
+        return [rng.randrange(q) for _ in range(a.dim)]
+
+    for draw in range(24):
+        if draw % 2:
+            x = a.element(row())
+            rows = list(theta_ideal(x, rng.choice(ALL_VARIANTS)).basis) + [row()]
+        else:
+            rows = [row() for _ in range(rng.randrange(1, a.dim))]
+        v = span(a, rows)
+        if v.dim < a.dim:
+            _assert_walks_agree(v, spec)
+
+
+def _walked(monkeypatch, v, variant):
+    """The verdict on v and the idempotents whose translates were formed."""
+    walked = []
+
+    def spy(a, e, theta):
+        walked.append(e)
+        return translates(a, e, theta)
+
+    monkeypatch.setattr(mathieu, "translates", spy)
+    verdict = decide_mathieu(v, variant)
+    monkeypatch.undo()
+    return verdict, walked
+
+
+def _matrix_units(a, indices):
+    return span(a, [a._basis_coords(i) for i in indices])
+
+
+def test_walk_forms_translates_of_at_most_dim_w_plus_one_idempotents(monkeypatch):
+    # E_11 = 0 in M_3(F_5): the right variant's witness is the 177th of its
+    # 416 idempotents, and the 176 before it span a space of dimension 6
+    a = matrix_algebra(3, F5)
+    v = _matrix_units(a, range(1, 9))
+    idempotents = mathieu._idempotents_of(v, mathieu.MAX_SCAN_DEFAULT)
+    assert len(idempotents) == 416
+    verdict, walked = _walked(monkeypatch, v, Sidedness.RIGHT)
+    assert len(walked) <= max_theta_ideal(v, Sidedness.RIGHT).dim + 1 == 7
+    assert idempotents.index(verdict.witness.e) == 176 and walked[-1] == verdict.witness.e
+    assert verdict == _verdicts_by_walk(v, Sidedness.RIGHT)
+
+    # the first two columns of M_3(F_3), a left ideal with 46 idempotents
+    a = matrix_algebra(3, F3)
+    v = _matrix_units(a, (0, 1, 3, 4, 6, 7))
+    assert len(mathieu._idempotents_of(v, mathieu.MAX_SCAN_DEFAULT)) == 46
+    verdict, walked = _walked(monkeypatch, v, Sidedness.LEFT)
+    assert verdict.is_mathieu
+    assert len(walked) <= max_theta_ideal(v, Sidedness.LEFT).dim + 1 == 7
