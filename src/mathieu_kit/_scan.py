@@ -255,11 +255,21 @@ def idempotent_coords(ambient: Algebra, basis_rows) -> list[tuple[int, ...]]:
     a time, which refuses sums past int64 before anything is allocated.
     The caller has checked q^r against its budget (:func:`idempotents`
     holds the one check).
+
+    Every vector kept is replayed once through ``Algebra._mul_coords``, and
+    one whose exact square is not itself raises ``ConsistencyError``.  The
+    replay sees only what was kept: a true idempotent that a faulty
+    :func:`batch_mul` square drops is missed.
     """
     out = []
     for vecs in span_blocks(ambient, basis_rows):
         squares = batch_mul(ambient, vecs, vecs)
         out += map(tuple, vecs[:, np.all(squares == vecs, axis=0)].T.tolist())
+    for e in out:
+        if ambient._mul_coords(e, e) != e:
+            raise ConsistencyError(
+                f"{e} of {ambient.label} was kept as an idempotent, but e*e != e"
+            )
     return out
 
 

@@ -149,20 +149,8 @@ class Algebra:
         n = isqrt(self.dim)
         if n * n != self.dim:
             return None
-        F = self.field
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for e in range(n):
-                        vec = self.table[a * n + b][c * n + e]
-                        for k, x in enumerate(vec):
-                            want = F.one if (b == c and k == a * n + e) else F.zero
-                            if x != want:
-                                return None
-        ident = tuple(
-            F.one if (i // n == i % n) else F.zero for i in range(self.dim)
-        )
-        return n if self.unit == ident else None
+        m = matrix_algebra(n, self.field)
+        return n if (self.table, self.unit) == (m.table, m.unit) else None
 
     # -- element helpers -----------------------------------------------------------------
 

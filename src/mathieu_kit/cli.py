@@ -1,5 +1,12 @@
 """Command-line front end.
 
+``suite run`` and ``algebra validate`` print their own output.  Every other
+verb runs in three steps: parse each input it takes once, in the order
+algebra, basis, element, theta (so input errors are reported in that
+order); answer in one branch of an ``if`` chain, as a JSON document, its
+text form and a yes/no; and emit that answer once, with the exit code
+from the yes/no.
+
 Exit codes: 0 on success, 1 when a check verb answers a mathematical "no"
 (or any suite check fails), 2 on usage or input errors.  With ``--json``
 every verb prints machine output (canonical key order); ``suite run`` prints
@@ -138,182 +145,134 @@ def _fmt_basis(field, basis) -> str:
 
 
 def _run(args) -> int:
-    if args.group == "algebra":
-        if args.verb == "validate":
-            try:
-                a = serialize.parse_algebra_spec(args.algebra)
-            except MathieuKitError as exc:
-                _emit(args, {"valid": False, "reason": str(exc)}, f"invalid: {exc}")
-                return CHECK_FALSE
-            _emit(args, {"valid": True, "label": a.label}, f"valid: {a.label}")
-            return CHECK_TRUE
-        a = serialize.parse_algebra_spec(args.algebra)
+    cmd = f"{args.group} {args.verb}"
+    if cmd == "suite run":
+        report = experiments.run_suite(args.name, seed=args.seed, max_scan=args.max_scan)
+        if args.json:
+            for check in report.checks:
+                doc = check.to_dict()
+                if "seed=" in check.instance:
+                    doc["seed"] = report.seed
+                print(serialize.dumps(doc))
+        else:
+            width = max(len(c.check) for c in report.checks)
+            for check in report.checks:
+                status = "pass" if check.passed else "FAIL"
+                print(f"{status}  {check.check:<{width}}  {check.instance}  ({check.millis} ms)")
+                if not check.passed and check.witness is not None:
+                    print(f"      {check.witness}")
+            print(
+                f"{report.suite}: {sum(c.passed for c in report.checks)}/{len(report.checks)} "
+                f"checks passed (seed {report.seed})"
+            )
+        return CHECK_TRUE if report.passed else CHECK_FALSE
+    if cmd == "algebra validate":
+        try:
+            label = serialize.parse_algebra_spec(args.algebra).label
+        except MathieuKitError as exc:
+            _emit(args, {"valid": False, "reason": str(exc)}, f"invalid: {exc}")
+            return CHECK_FALSE
+        _emit(args, {"valid": True, "label": label}, f"valid: {label}")
+        return CHECK_TRUE
+
+    # parse: each input once, in the order algebra, basis, element, theta
+    given = vars(args)
+    a = serialize.parse_algebra_spec(args.algebra) if "algebra" in given else None
+    v = serialize.parse_subspace_spec(a, args.basis) if "basis" in given else None
+    x = serialize.parse_element_spec(a, args.elem) if "elem" in given else None
+    theta = Sidedness.parse(args.theta) if "theta" in given else None
+    f = a.field if a is not None else None
+
+    # answer: the JSON document, the text line(s) and the yes/no of the verb
+    ok = True
+    if cmd == "algebra info":
         doc = serialize.algebra_to_dict(a)
         text = (
             f"{a.label}: dim {a.dim} over {a.field!r}, "
             f"commutative={a.is_commutative}, matrix_size={a.matrix_size}"
         )
-        _emit(args, doc, text)
-        return CHECK_TRUE
-
-    if args.group == "elem":
-        a = serialize.parse_algebra_spec(args.algebra)
-        x = serialize.parse_element_spec(a, args.elem)
-        f = a.field
-        if args.verb == "minpoly":
-            data = minimal_polynomial(x)
-            doc = {
-                "minpoly": data.minpoly.to_strings(),
-                "k": data.k,
-                "h": data.h.to_strings(),
-            }
-            _emit(args, doc, f"minpoly {data.minpoly!r}  k={data.k}  h={data.h!r}")
-            return CHECK_TRUE
-        if args.verb == "classify":
-            cls = classify_element(x)
-            doc = {
-                "nilpotent": cls.nilpotent,
-                "invertible": cls.invertible,
-                "idempotent": cls.idempotent,
-                "quasi_idempotent": cls.quasi_idempotent,
-                "degree": cls.degree,
-            }
-            text = ", ".join(k for k, v in doc.items() if v is True) or "none"
-            _emit(args, doc, f"degree {cls.degree}: {text}")
-            return CHECK_TRUE
-        if args.verb == "pofa":
-            e = build_p_of_a(x)
-            _emit(args, serialize.element_to_list(e), f"p(a) = {_fmt_vec(f, e.coords)}")
-            return CHECK_TRUE
+    elif cmd == "elem minpoly":
+        data = minimal_polynomial(x)
+        doc = {"minpoly": data.minpoly.to_strings(), "k": data.k, "h": data.h.to_strings()}
+        text = f"minpoly {data.minpoly!r}  k={data.k}  h={data.h!r}"
+    elif cmd == "elem classify":
+        cls = classify_element(x)
+        doc = {
+            "nilpotent": cls.nilpotent,
+            "invertible": cls.invertible,
+            "idempotent": cls.idempotent,
+            "quasi_idempotent": cls.quasi_idempotent,
+            "degree": cls.degree,
+        }
+        names = ", ".join(k for k, on in doc.items() if on is True)
+        text = f"degree {cls.degree}: {names or 'none'}"
+    elif cmd == "elem pofa":
+        e = build_p_of_a(x)
+        doc, text = serialize.element_to_list(e), f"p(a) = {_fmt_vec(f, e.coords)}"
+    elif cmd == "elem cycle":
         info = power_cycle(x)
         doc = {"preperiod": info.preperiod, "period": info.period}
-        _emit(args, doc, f"preperiod {info.preperiod}, period {info.period}")
-        return CHECK_TRUE
-
-    if args.group == "space":
-        a = serialize.parse_algebra_spec(args.algebra)
-        f = a.field
-        if args.verb == "theta-ideal":
-            x = serialize.parse_element_spec(a, args.elem)
-            ideal = theta_ideal(x, Sidedness.parse(args.theta))
-            _emit(args, serialize.subspace_to_dict(ideal), _fmt_basis(f, ideal.basis))
-            return CHECK_TRUE
-        v = serialize.parse_subspace_spec(a, args.basis)
-        if args.verb == "check":
-            verdict = decide_mathieu(v, Sidedness.parse(args.theta), args.max_scan)
-            _emit(
-                args,
-                serialize.verdict_to_dict(f, verdict),
-                "true" if verdict.is_mathieu else f"false (witness e={_fmt_vec(f, verdict.witness.e)})",
-            )
-            return CHECK_TRUE if verdict.is_mathieu else CHECK_FALSE
-        if args.verb == "radical-member":
-            x = serialize.parse_element_spec(a, args.elem)
-            ok = radical_member(v, x)
-            _emit(args, {"member": ok}, "true" if ok else "false")
-            return CHECK_TRUE if ok else CHECK_FALSE
-        if args.verb == "radical-enum":
-            members = radical_enumerate(v, args.max_scan)
-            doc = {"count": len(members), "members": [serialize.element_to_list(m) for m in members]}
-            _emit(args, doc, f"{len(members)} elements: " + "; ".join(_fmt_vec(f, m.coords) for m in members))
-            return CHECK_TRUE
-        if args.verb == "certify":
-            x = serialize.parse_element_spec(a, args.elem)
-            cert = certify_radical_membership(v, Sidedness.parse(args.theta), x)
-            _emit(
-                args,
-                serialize.certificate_to_dict(cert),
-                f"N = {cert.exponent}, ideal = {_fmt_basis(f, cert.ideal.basis)}",
-            )
-            return CHECK_TRUE
-        ideal = max_theta_ideal(v, Sidedness.parse(args.theta))
-        _emit(args, serialize.subspace_to_dict(ideal), _fmt_basis(f, ideal.basis))
-        return CHECK_TRUE
-
-    if args.group == "mat":
+        text = f"preperiod {info.preperiod}, period {info.period}"
+    elif cmd == "space check":
+        verdict = decide_mathieu(v, theta, args.max_scan)
+        ok = verdict.is_mathieu
+        doc = serialize.verdict_to_dict(f, verdict)
+        text = "true" if ok else f"false (witness e={_fmt_vec(f, verdict.witness.e)})"
+    elif cmd == "space radical-member":
+        ok = radical_member(v, x)
+        doc, text = {"member": ok}, "true" if ok else "false"
+    elif cmd == "space radical-enum":
+        members = radical_enumerate(v, args.max_scan)
+        doc = {"count": len(members), "members": [serialize.element_to_list(m) for m in members]}
+        text = f"{len(members)} elements: " + "; ".join(_fmt_vec(f, m.coords) for m in members)
+    elif cmd == "space certify":
+        cert = certify_radical_membership(v, theta, x)
+        doc = serialize.certificate_to_dict(cert)
+        text = f"N = {cert.exponent}, ideal = {_fmt_basis(f, cert.ideal.basis)}"
+    elif cmd in ("space max-ideal", "space theta-ideal"):
+        ideal = max_theta_ideal(v, theta) if args.verb == "max-ideal" else theta_ideal(x, theta)
+        doc, text = serialize.subspace_to_dict(ideal), _fmt_basis(f, ideal.basis)
+    elif cmd in ("mat codim1", "mat lines"):
         if args.verb == "codim1":
             report = matrixlab.classify_codim1(args.n, args.q, args.max_scan)
-            doc = report.to_dict()
-            lines = [
-                f"M_{args.n}(F_{args.q}): {report.total_classes} classes, decided by {report.decision}",
-            ]
-            for theta, count in report.per_theta.items():
-                lines.append(f"  {theta:<14} {count} Mathieu class(es)")
-            _emit(args, doc, "\n".join(lines))
-            return CHECK_TRUE
-        if args.verb == "lines":
+            head = f"{report.total_classes} classes, decided by {report.decision}"
+            noun = "class(es)"
+        else:
             report = matrixlab.classify_lines(args.n, args.q, args.max_scan)
-            doc = report.to_dict()
-            lines = [
-                f"M_{args.n}(F_{args.q}): {report.total_lines} lines, "
-                f"{report.quasi_idempotent_lines} quasi-idempotent generated",
-            ]
-            for theta, count in report.per_theta.items():
-                lines.append(f"  {theta:<14} {count} Mathieu line(s)")
-            _emit(args, doc, "\n".join(lines))
-            return CHECK_TRUE
-        a = serialize.parse_algebra_spec(args.algebra)
-        f = a.field
-        if args.verb == "dual":
-            v = serialize.parse_subspace_spec(a, args.basis)
-            dual = matrixlab.trace_dual(v)
-            doc = {
-                "x": serialize.element_to_list(dual.x),
-                "canonical": serialize.element_to_list(dual.canonical),
-            }
-            _emit(args, doc, f"X ~ {_fmt_vec(f, dual.canonical.coords)}")
-            return CHECK_TRUE
-        x = serialize.parse_element_spec(a, args.elem)
-        left, right = matrixlab.witness_idempotents(x)
+            head = (
+                f"{report.total_lines} lines, "
+                f"{report.quasi_idempotent_lines} quasi-idempotent generated"
+            )
+            noun = "line(s)"
+        doc = report.to_dict()
+        text = "\n".join(
+            [f"M_{args.n}(F_{args.q}): {head}"]
+            + [f"  {t:<14} {count} Mathieu {noun}" for t, count in report.per_theta.items()]
+        )
+    elif cmd == "mat dual":
+        dual = matrixlab.trace_dual(v)
         doc = {
-            "a": serialize.element_to_list(left),
-            "b": serialize.element_to_list(right),
+            "x": serialize.element_to_list(dual.x),
+            "canonical": serialize.element_to_list(dual.canonical),
         }
-        _emit(
-            args,
-            doc,
-            f"A = {_fmt_vec(f, left.coords)}\nB = {_fmt_vec(f, right.coords)}",
-        )
-        return CHECK_TRUE
-
-    if args.group == "alg":
-        a = serialize.parse_algebra_spec(args.algebra)
-        if args.verb == "quasi-stable":
-            ok = is_quasi_stable(a, args.max_scan)
-            _emit(args, {"quasi_stable": ok}, "true" if ok else "false")
-            return CHECK_TRUE if ok else CHECK_FALSE
-        if args.verb == "stable":
-            ok = is_stable(a, args.max_scan)
-            _emit(args, {"stable": ok}, "true" if ok else "false")
-            return CHECK_TRUE if ok else CHECK_FALSE
+        text = f"X ~ {_fmt_vec(f, dual.canonical.coords)}"
+    elif cmd == "mat witness":
+        left, right = matrixlab.witness_idempotents(x)
+        doc = {"a": serialize.element_to_list(left), "b": serialize.element_to_list(right)}
+        text = f"A = {_fmt_vec(f, left.coords)}\nB = {_fmt_vec(f, right.coords)}"
+    elif cmd == "alg quasi-stable":
+        ok = is_quasi_stable(a, args.max_scan)
+        doc, text = {"quasi_stable": ok}, "true" if ok else "false"
+    elif cmd == "alg stable":
+        ok = is_stable(a, args.max_scan)
+        doc, text = {"stable": ok}, "true" if ok else "false"
+    else:  # alg find-ms
         found = find_nontrivial_mathieu(a, args.max_scan)
-        _emit(
-            args,
-            serialize.subspace_to_dict(found),
-            f"dim {found.dim}: {_fmt_basis(a.field, found.basis)}",
-        )
-        return CHECK_TRUE
+        doc = serialize.subspace_to_dict(found)
+        text = f"dim {found.dim}: {_fmt_basis(f, found.basis)}"
 
-    # suite run
-    report = experiments.run_suite(args.name, seed=args.seed, max_scan=args.max_scan)
-    if args.json:
-        for check in report.checks:
-            doc = check.to_dict()
-            if "seed=" in check.instance:
-                doc["seed"] = report.seed
-            print(serialize.dumps(doc))
-    else:
-        width = max(len(c.check) for c in report.checks)
-        for check in report.checks:
-            status = "pass" if check.passed else "FAIL"
-            print(f"{status}  {check.check:<{width}}  {check.instance}  ({check.millis} ms)")
-            if not check.passed and check.witness is not None:
-                print(f"      {check.witness}")
-        print(
-            f"{report.suite}: {sum(c.passed for c in report.checks)}/{len(report.checks)} "
-            f"checks passed (seed {report.seed})"
-        )
-    return CHECK_TRUE if report.passed else CHECK_FALSE
+    _emit(args, doc, text)
+    return CHECK_TRUE if ok else CHECK_FALSE
 
 
 def main(argv=None) -> int:

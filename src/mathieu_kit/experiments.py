@@ -79,18 +79,6 @@ from .subspace import (
 
 DEFAULT_SEED = 1234
 
-SUITE_NAMES = (
-    "radical_laws",
-    "idempotent_criterion",
-    "codim1",
-    "lines",
-    "quasi_stable",
-    "stable",
-    "strongly_simple",
-    "closure_laws",
-)
-
-
 # -- catalog ---------------------------------------------------------------------
 
 
@@ -926,6 +914,7 @@ _SUITES = {
     "strongly_simple": _suite_strongly_simple,
     "closure_laws": _suite_closure_laws,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(

@@ -122,12 +122,16 @@ def algebra_from_dict(doc: dict) -> Algebra:
     return make_algebra(f, table, unit, label=doc.get("label", ""))
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def parse_algebra_spec(text: str) -> Algebra:
     """Parse a shorthand spec or ``@file`` JSON document."""
     text = text.strip()
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            return algebra_from_dict(json.load(handle))
+        return algebra_from_dict(_read_json(text[1:]))
     mat = re.fullmatch(r"mat:(\d+):(\d+)", text)
     if mat:
         n, p = int(mat[1]), int(mat[2])
@@ -166,8 +170,7 @@ def element_from(a: Algebra, data) -> Element:
 def parse_element_spec(a: Algebra, text: str) -> Element:
     text = text.strip()
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            return element_from(a, json.load(handle))
+        return element_from(a, _read_json(text[1:]))
     return element_from(a, text.split(","))
 
 
@@ -187,8 +190,7 @@ def subspace_from_dict(a: Algebra, doc) -> Subspace:
 def parse_subspace_spec(a: Algebra, text: str) -> Subspace:
     text = text.strip()
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            return subspace_from_dict(a, json.load(handle))
+        return subspace_from_dict(a, _read_json(text[1:]))
     rows = [row for row in text.split(";") if row.strip()]
     return subspace_from_dict(a, [row.split(",") for row in rows])
 

@@ -39,6 +39,7 @@ from mathieu_kit.errors import (
 )
 from mathieu_kit.experiments import catalog, run_suite
 from mathieu_kit.fields import GF, QQ, Poly
+from test_kernels import _negated_transposed_basis
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -166,6 +167,15 @@ def test_matrix_detection():
     assert opposite(matrix_algebra(2, F3)).matrix_size is None
     assert poly_quotient_algebra(Poly.from_ints(F2, [1, 1, 1])).matrix_size is None
     assert field_algebra(F5).matrix_size == 1
+    for f in (F5, QQ):
+        for n in (1, 2, 3):
+            m = matrix_algebra(n, f)
+            # a raw-table copy is detected from its structure constants
+            assert make_algebra(f, m.table, m.unit).matrix_size == n
+            # -1 != 1 here, so even M_1 on the basis -E^T is not on matrix units
+            assert _negated_transposed_basis(m, n).matrix_size is None
+    sum4 = direct_sum(field_algebra(F5), poly_quotient_algebra(Poly.from_ints(F5, [0, 0, 0, 1])))
+    assert sum4.dim == 4 and sum4.matrix_size is None
 
 
 # -- element arithmetic -------------------------------------------------------------

@@ -240,6 +240,30 @@ def test_usage_errors_exit_2(capsys):
         assert "zero denominator" in err
 
 
+def test_input_errors_are_reported_algebra_then_basis_then_element(capsys):
+    # a malformed basis and a malformed element: the basis is parsed first
+    for verb, theta in (("radical-member", []), ("certify", ["--theta", "two_sided"])):
+        code, out, err = run_cli(
+            capsys, "space", verb, "--algebra", "mat:2:5", "--basis", "1,0,0", *theta,
+            "--elem", "1,2",
+        )
+        assert (code, out) == (2, ""), verb
+        assert "spanning vector length" in err and "expected 4 coordinates" not in err
+    code, _, err = run_cli(
+        capsys, "space", "certify", "--algebra", "bogus", "--basis", "1,0,0",
+        "--theta", "left", "--elem", "1,2",
+    )
+    assert code == 2 and "unrecognized algebra spec" in err
+    # verbs without a basis, or without an algebra, still run
+    code, out, _ = run_cli(
+        capsys, "space", "theta-ideal", "--algebra", "mat:2:2", "--elem", "1,0,0,0",
+        "--theta", "left",
+    )
+    assert code == 0 and out.strip() == "[1, 0, 0, 0]; [0, 0, 1, 0]"
+    code, out, _ = run_cli(capsys, "mat", "codim1", "--n", "2", "--q", "3")
+    assert code == 0 and out.startswith("M_2(F_3): ")
+
+
 MALFORMED_ALGEBRAS = (
     {"direct_sum": [1, 2]},
     [1, 2],

@@ -319,6 +319,25 @@ def test_span_scan_sums_in_its_bound_and_refuses_past_int64(monkeypatch):
         _scan.idempotent_coords(_dual_numbers(PAST_INT64_EDGE), basis)
 
 
+def test_idempotent_scan_replays_what_it_keeps(monkeypatch):
+    # a faulty square that adds 1 to coordinate 0 keeps (2,0,0) and (2,1,0),
+    # which are not idempotent; the exact replay refuses them
+    alg = direct_sum(field_algebra(F3), _dual_numbers(3))
+    batch_mul = _scan.batch_mul
+
+    def faulty(a, x, y):
+        out = batch_mul(a, x, y)
+        out[0] = (out[0] + 1) % 3
+        return out
+
+    assert _scan.idempotent_coords(alg, alg._basis) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    monkeypatch.setattr(_scan, "batch_mul", faulty)
+    with pytest.raises(ConsistencyError, match="kept as an idempotent"):
+        _scan.idempotent_coords(alg, alg._basis)
+    with pytest.raises(ConsistencyError, match="kept as an idempotent"):
+        decide_mathieu(span(alg, alg._basis[:2]), Sidedness.TWO_SIDED)
+
+
 def test_membership_bitmap_sums_in_its_bound_and_refuses_past_int64():
     # N x sums d (p-1)^2 per row; d = 2
     p = INT64_EDGE
