@@ -107,6 +107,7 @@ README_COMMANDS = (
      "--theta", "two_sided"],
     ["mat", "codim1", "--n", "2", "--q", "2"],
     ["--json", "mat", "codim1", "--n", "2", "--q", "3"],
+    ["--json", "mat", "lines", "--n", "3", "--q", "3"],
     ["--json", "elem", "pofa", "--algebra", "mat:2:0", "--elem", "1,0,0,0"],
     ["alg", "quasi-stable", "--algebra", "polyq:2:1,1,1"],
     ["alg", "find-ms", "--algebra", "mat:2:2"],
@@ -146,6 +147,9 @@ def commands() -> list[list[str]]:
     out.append(["--json", "mat", "codim1", "--n", "3", "--q", "5"])
     # scan-mode censuses: every class's verdict comes from the idempotent search
     out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("2", "7"), ("3", "2"))]
+    # the line census: every projective line of M_n(F_q), 9,841 of them on M_3(F_3)
+    out += [["--json", "mat", "lines", "--n", n, "--q", q]
+            for n, q in (("2", "2"), ("2", "3"), ("3", "2"), ("3", "3"))]
     out.append(["--json", "alg", "quasi-stable", "--algebra", "mat:3:3"])
     # algebras off matrix units list their idempotents by one scan of every
     # element; the last is past the budget and refused

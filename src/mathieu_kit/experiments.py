@@ -27,6 +27,7 @@ from functools import cache, lru_cache
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
+from . import _scan
 from .algebra import (
     Algebra,
     AlgebraHom,
@@ -680,6 +681,8 @@ def _suite_lines(seed: int, max_scan: int) -> SuiteReport:
                     report.per_theta[variant.value]
                     == report.total_lines - report.quasi_idempotent_lines
                 )
+            # each nonzero idempotent spans its own line
+            assert report.quasi_idempotent_lines == _scan.matrix_idempotent_count(n, q) - 1
             return report.to_dict()
 
         rec.run("line_census", f"n={n},q={q}", census)

@@ -29,6 +29,17 @@ full n x n matrices (A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0, and
 the same for B against XB) with the products of
 :func:`mathieu_kit._scan.batch_mul`, the kernel that builds the power
 tables, and equal the matrices of :func:`witness_idempotents`.
+
+The line census (:func:`classify_lines`) walks the same canonical
+classes, each a line's basis row with lead entry 1, in the same blocks.
+Both censuses are priced by their class count before the first block is
+built (:func:`_class_count`).  The line census has two routes: the
+quasi-idempotent classes are read off each block's squares from
+:func:`mathieu_kit._scan.batch_mul`, and must be exactly the lines of the
+constructed idempotents (:func:`mathieu_kit._scan.construct_matrix_idempotents`),
+compared as sets of class indices.  One batched translate on each side
+per block, the lead at (r, c), shows that no line is a sided ideal:
+E_ir a (i != r) and a E_ci (i != c) are nonzero and 0 at the lead.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scan
-from .algebra import Algebra, Element, is_quasi_idempotent, matrix_algebra
+from .algebra import Algebra, Element, matrix_algebra
 from .errors import (
     ConsistencyError,
     InfiniteField,
@@ -53,21 +64,8 @@ from .errors import (
     ZeroDual,
 )
 from .fields import GF, Field, Scalar
-from .mathieu import (
-    MAX_SCAN_DEFAULT,
-    _idempotents_of,
-    decide_all_variants,
-    decide_mathieu,
-    line_is_mathieu,
-)
-from .subspace import (
-    ALL_VARIANTS,
-    Sidedness,
-    Subspace,
-    _solution_space,
-    enumerate_subspaces,
-    gaussian_binomial,
-)
+from .mathieu import MAX_SCAN_DEFAULT, _idempotents_of, decide_all_variants, decide_mathieu
+from .subspace import ALL_VARIANTS, Sidedness, Subspace, _solution_space
 
 #: Witness-mode codim-1 censuses re-decide every (total // (SCAN_SAMPLES + 1))-th
 #: class by the idempotent criterion, as a cross-check of the refuting
@@ -352,6 +350,16 @@ class Codim1Report:
         }
 
 
+def _class_count(q: int, d: int, max_scan: int, what: str) -> int:
+    """The (q^d - 1)/(q - 1) classes :func:`_class_blocks` walks: a census's
+    price, checked before its first block is built.  More than
+    ``max_scan`` raise TooLarge, naming the census ``what``."""
+    total = (q**d - 1) // (q - 1)
+    if total > max_scan:
+        raise TooLarge(total, max_scan, what=what)
+    return total
+
+
 def _class_blocks(q: int, d: int):
     """Yield (lead, start, block) for every canonical projective vector of
     F_q^d, lead by lead, in index order.
@@ -430,13 +438,15 @@ def classify_codim1(
     DEFAULT_BLOCK columns (:func:`_census_batches`).  After each call every
     ``stride``-th class of it is re-decided by the idempotent criterion,
     which must find it refuted too.
-    The budget sets only the stride: 1 when a scan of every class fits in
-    ``max_scan`` ("scan"), else ``total // (SCAN_SAMPLES + 1)`` ("witness").
+    The walk is priced first, at one evaluation per class
+    (:func:`_class_count`).  Past that the budget sets only the stride: 1
+    when a scan of every class fits in ``max_scan`` ("scan"), else
+    ``total // (SCAN_SAMPLES + 1)`` ("witness").
     """
     field = GF(q)
     alg = matrix_algebra(n, field)
     d = alg.dim
-    total = (q**d - 1) // (q - 1)
+    total = _class_count(q, d, max_scan, "codim-1 census")
     decision = "scan" if total * q ** (d - 1) <= max_scan else "witness"
     stride = 1 if decision == "scan" else max(total // (SCAN_SAMPLES + 1), 1)
 
@@ -495,33 +505,55 @@ class LinesReport:
 def classify_lines(n: int, q: int, max_scan: int = MAX_SCAN_DEFAULT) -> LinesReport:
     """Evaluate the one-dimensional rule on every projective line of M_n(F_q).
 
-    For n >= 2 no line is a sided ideal, so a line is a Mathieu subspace
-    exactly when its generator is not a quasi-idempotent; the counts are
-    cross-checked against that equivalence per variant and any discrepancy
-    raises ConsistencyError.
+    A line is Mathieu exactly when it is its own sided ideal or its
+    generator is not a quasi-idempotent.  The lines are the codim-1
+    census's canonical classes, walked in the same blocks
+    (:func:`_class_blocks`, priced by :func:`_class_count`): each class a
+    is a line's RREF basis row, lead entry 1, so it is a quasi-idempotent
+    exactly when r = (a^2)[lead] != 0 and a^2 = r a, a test on the block's
+    squares from :func:`_scan.batch_mul`.  For n >= 2 no line is a sided
+    ideal, and each block shows it with one batched translate on each side:
+    with the lead at (r, c), E_ir a (i = r + 1 mod n) is row r of a moved
+    to row i, and a E_ci is column c of a moved to column i; each is
+    nonzero and 0 at the lead, so not a multiple of a.  Every variant's
+    count is then total - quasi.
+
+    Second route: two distinct nonzero idempotents never span the same line
+    (e and c e both idempotent force c = 1), so the quasi-idempotent
+    classes must be exactly the nonzero rows of
+    :func:`_scan.construct_matrix_idempotents`, each scaled by the inverse
+    of its lead, a construction that shares no product with the squares.
+    The two are compared as sets of :func:`_scan.encode` indices.  A
+    translate that fails its test, or sets that differ, raise
+    ConsistencyError.
     """
     if n < 2:
         raise TooSmall("the line census needs n >= 2")
     alg = matrix_algebra(n, GF(q))
-    total = gaussian_binomial(alg.dim, 1, q)
-    if total > max_scan:
-        raise TooLarge(total, max_scan, what="line census")
-    counts = {v.value: 0 for v in ALL_VARIANTS}
-    quasi = 0
-    for line in enumerate_subspaces(alg, 1, max_count=max(total, 1)):
-        gen = Element(alg, line.basis[0])
-        if is_quasi_idempotent(gen):
-            quasi += 1
-        for variant in ALL_VARIANTS:
-            if line_is_mathieu(gen, variant):
-                counts[variant.value] += 1
-    for variant in ALL_VARIANTS:
-        if counts[variant.value] != total - quasi:
-            raise ConsistencyError(
-                f"{variant.value}: {counts[variant.value]} Mathieu lines but "
-                f"{total} - {quasi} quasi-idempotent generated"
-            )
-    return LinesReport(n, q, total, counts, quasi)
+    d = alg.dim
+    total = _class_count(q, d, max_scan, "line census")
+    found = []
+    for lead, _, a in _class_blocks(q, d):
+        square = _scan.batch_mul(alg, a, a)
+        ratio = square[lead]
+        mask = (ratio != 0) & (square == _scan.reduce_mod(ratio * a, q)).all(axis=0)
+        found.append(_scan.encode(q, a[:, mask]))
+        r, c = divmod(lead, n)
+        left, right = np.zeros_like(a), np.zeros_like(a)
+        left[(r + 1) % n * n + r] = right[c * n + (c + 1) % n] = 1  # E_ir, E_ci
+        for side, t in (("left", _scan.batch_mul(alg, left, a)),
+                        ("right", _scan.batch_mul(alg, a, right))):
+            if t[lead].any() or not t.any(axis=0).all():
+                raise ConsistencyError(f"a {side} translate of a line of {alg.label} stays on it")
+    idem = _scan.construct_matrix_idempotents(n, q)
+    idem = idem[idem.any(axis=1)]
+    leads = idem[np.arange(len(idem)), (idem != 0).argmax(axis=1)]
+    want = np.sort(_scan.encode(q, _scan.reduce_mod(idem.T * _inverses(leads, q), q)))
+    found = np.sort(np.concatenate(found))
+    if not np.array_equal(found, want):
+        raise ConsistencyError(f"the squares and the idempotents of {alg.label} differ in lines")
+    quasi = len(found)
+    return LinesReport(n, q, total, {v.value: total - quasi for v in ALL_VARIANTS}, quasi)
 
 
 def mathieu_iff_idempotent_free(v: Subspace, max_scan: int = MAX_SCAN_DEFAULT) -> bool:

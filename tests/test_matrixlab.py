@@ -604,6 +604,103 @@ def test_classify_lines_counts():
         classify_lines(1, 2)
 
 
+@pytest.mark.parametrize("n, q, quasi, total", [(3, 2, 57, 511), (3, 3, 235, 9_841),
+                                                 (3, 5, 1_551, 488_281)])
+def test_classify_lines_known_counts(n, q, quasi, total):
+    # each nonzero idempotent spans a line of its own
+    report = classify_lines(n, q)
+    assert (report.quasi_idempotent_lines, report.total_lines) == (quasi, total)
+    assert quasi == _scan.matrix_idempotent_count(n, q) - 1
+    assert report.per_theta == {v.value: total - quasi for v in ALL_VARIANTS}
+
+
+@pytest.mark.parametrize("census, what", [(classify_codim1, "codim-1"),
+                                          (classify_lines, "line")])
+def test_census_is_priced_by_its_classes_before_the_first_block(monkeypatch, census, what):
+    # M_2(F_3) has 40 classes: admitted at a budget of 40, refused at 39
+    # before any block is built
+    built = []
+
+    def blocks(*args):
+        built.append(args)
+        yield from _class_blocks(*args)
+
+    monkeypatch.setattr(matrixlab, "_class_blocks", blocks)
+    admitted, default = census(2, 3, max_scan=40).to_dict(), census(2, 3).to_dict()
+    assert (admitted["total"], admitted["per_theta"]) == (40, default["per_theta"])
+    built.clear()
+    with pytest.raises(TooLarge, match=f"^{what} census needs 40 evaluations, budget is 39$"):
+        census(2, 3, max_scan=39)
+    assert built == []
+
+
+def _lying_square(column, lie):
+    """A batch_mul whose first square has column ``column`` rewritten by
+    ``lie(square column, class column, p)``."""
+
+    def wrap(f):
+        squares = []
+
+        def product(alg, x, y):
+            out = f(alg, x, y)
+            if x is y:
+                squares.append(x)
+                if len(squares) == 1:
+                    out[:, column] = lie(out[:, column], x[:, column], alg.field.order)
+            return out
+
+        return product
+
+    return wrap
+
+
+def _translate_on_the_line(monkeypatch):
+    """A batch_mul that returns 2a for every product of a class block a
+    with anything else, so each translate lies on a's line."""
+    blocks = []
+
+    def spy(*args):
+        for item in _class_blocks(*args):
+            blocks.append(item[-1])
+            yield item
+
+    monkeypatch.setattr(matrixlab, "_class_blocks", spy)
+
+    def wrap(f):
+        def product(alg, x, y):
+            if x is y:
+                return f(alg, x, y)
+            a = x if any(x is b for b in blocks) else y
+            return _scan.reduce_mod(2 * a, alg.field.order)
+
+        return product
+
+    return wrap
+
+
+# name -> (the faulty batch_mul, given monkeypatch, and the check that catches it)
+LINE_FAULTS = {
+    # column 0 of M_3(F_3)'s first block is E_11, an idempotent; E_12 is
+    # added to its square, so it is no longer a quasi-idempotent
+    "square drops an idempotent": (
+        lambda mp: _lying_square(0, lambda sq, a, p: (sq + np.eye(1, 9, 1, dtype=sq.dtype)[0]) % p),
+        "differ in lines",
+    ),
+    # column 2 is E_11 + 2 E_33, whose square E_11 + E_33 is no multiple of
+    # it; reporting the class itself as its square makes it an idempotent
+    "square adds a line": (lambda mp: _lying_square(2, lambda sq, a, p: a), "differ in lines"),
+    "translate is a multiple of the class": (_translate_on_the_line, "left translate"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LINE_FAULTS))
+def test_line_census_catches_a_faulty_product(monkeypatch, fault):
+    make, message = LINE_FAULTS[fault]
+    _patch_census_product(monkeypatch, make(monkeypatch))
+    with pytest.raises(ConsistencyError, match=message):
+        classify_lines(3, 3)
+
+
 def test_nilpotent_line_counts_as_mathieu_for_every_variant():
     a = matrix_algebra(2, F2)
     line = span(a, [[0, 1, 0, 0]])  # span{E_12}
