@@ -91,6 +91,11 @@ IDEAL_SUBSPACES = REFUTED_SUBSPACES + (
     ("mat:2:0", "1,0,0,0;0,1,0,0"),
     ("mat:2:0", "1,2,0,0;0,0,1,2"),
     ("mat:2:0", "1,0,0,0;0,0,1,0;0,1,0,-1/2"),
+    ("polyq:3:1,0,1", "1,2"),  # F_9, where t*t = 2
+    # t^3 - t/4 = t(t - 1/2)(t + 1/2) over Q: the ideal tA, and a plane holding no ideal
+    ("polyq:0:0,-1/4,0,1", "0,1,0;0,0,1"),
+    ("polyq:0:0,-1/4,0,1", "1,0,0;0,1,2"),
+    ("dsum:mat:2:2+mat:1:2", "1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,1,0"),  # M_2(F_2) + 0
 )
 
 THETA_ELEMENTS = (
@@ -100,6 +105,11 @@ THETA_ELEMENTS = (
     ("polyq:2:0,0,0,1", "0,1,0"),
     ("mat:3:2", "1,0,0,0,0,0,0,0,0"),
     ("mat:2:0", "1/2,0,3,0"),
+    ("polyq:3:1,0,1", "1,2"),
+    ("polyq:3:1,0,1", "0,0"),
+    ("dsum:mat:2:2+mat:1:2", "1,0,0,0,0"),  # generates M_2(F_2) + 0, not the whole algebra
+    ("polyq:0:0,-1/4,0,1", "1/2,1,0"),  # t + 1/2 generates a plane
+    ("polyq:0:0,-1/4,0,1", "0,1,-2"),  # t - 2t^2 generates a line
 )
 
 README_COMMANDS = (
