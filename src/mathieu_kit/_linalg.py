@@ -8,7 +8,10 @@ the canonical representative used for subspace identity throughout.
 Membership is tested one way only: a subspace is the solution set of its
 constraint rows N (:func:`nullspace` of its basis), and ``x`` lies in it
 exactly when N x = 0 (:func:`in_span`).  :func:`reduce_vector` is the
-elimination residual that quotient maps project with.
+elimination residual that quotient maps project with, and
+:func:`extend_echelon` grows an echelon basis one vector at a time for the
+walks that stop early: the generated ideal at full rank, and the
+idempotents already cleared by the criterion.
 
 One body serves F_p and Q alike: every dot product and row operation is
 formed exactly with plain ``+`` and ``*`` and passed once through the
@@ -75,6 +78,24 @@ def reduce_vector(
         if c != 0:
             v = [reduce(x - c * y) for x, y in zip(v, row)]
     return tuple(v)
+
+
+def extend_echelon(field: Field, rows: list, pivots: list, vec: Sequence[Scalar]) -> bool:
+    """Append ``vec`` to an echelon basis unless it lies in the span; whether it did.
+
+    ``rows`` and ``pivots`` grow in place.  ``vec`` is reduced against the
+    rows in order (:func:`reduce_vector`), and a nonzero residual is scaled
+    to 1 at its first nonzero coordinate, which becomes its pivot.  Each
+    appended row is zero at every earlier pivot, so the residual of any
+    vector is zero exactly when it lies in the span of the rows.
+    """
+    residual = reduce_vector(field, rows, pivots, vec)
+    col = next((j for j, x in enumerate(residual) if x != 0), None)
+    if col is not None:
+        inv = field.inv(residual[col])
+        rows.append(tuple(field.mul(inv, x) for x in residual))
+        pivots.append(col)
+    return col is not None
 
 
 def in_span(field: Field, constraints: Sequence[Row], vec: Sequence[Scalar]) -> bool:

@@ -281,21 +281,19 @@ def _verdicts(v: Subspace, idempotents, variants) -> dict[Sidedness, MathieuVerd
 
     Every translate is linear in the idempotent, so the elements whose
     translates all lie in v form a subspace W.  Each variant keeps an
-    echelon basis of the idempotents it has cleared and skips, with no
-    product, every idempotent in their span; a skipped one lies in W and
-    cannot be the first violation.  So each variant walks the translates of
-    at most dim W + 1 idempotents.
+    echelon basis of the idempotents it has cleared
+    (:func:`_linalg.extend_echelon`) and skips, with no product, every
+    idempotent in their span; a skipped one lies in W and cannot be the
+    first violation.  So each variant walks the translates of at most
+    dim W + 1 idempotents.
     """
     a = v.ambient
-    f = a.field
     member = cache(v._member_coords)  # one test per distinct translate, for every variant
     verdicts = {}
     for variant in variants:
         cleared, pivots, witness = [], [], None
         for e in idempotents:
-            residual = _linalg.reduce_vector(f, cleared, pivots, e)
-            col = next((j for j, x in enumerate(residual) if x != 0), None)
-            if col is None:
+            if not _linalg.extend_echelon(a.field, cleared, pivots, e):
                 continue
             witness = next((
                 Witness(e, b, c, prod)
@@ -303,9 +301,6 @@ def _verdicts(v: Subspace, idempotents, variants) -> dict[Sidedness, MathieuVerd
             ), None)
             if witness is not None:
                 break
-            inv = f.inv(residual[col])
-            cleared.append(tuple(f.mul(inv, x) for x in residual))
-            pivots.append(col)
         verdicts[variant] = MathieuVerdict(
             witness is None, variant.value, "idempotent_criterion", witness
         )

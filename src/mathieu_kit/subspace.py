@@ -12,9 +12,11 @@ element means the sum of the left and the right ideal it generates, which for
 a noncommutative algebra need not be an ideal of any kind.  Which basis
 translates of x a variant asks about is decided in one place,
 :func:`translates`; the generated ideal, the ideal check and the refuting
-idempotents of :mod:`mathieu_kit.mathieu` all read that list.  The maximum
-ideal inside a subspace needs only the translates of basis vectors, which
-are the structure constants themselves, and reads them from the table.
+idempotents of :mod:`mathieu_kit.mathieu` all read that list.  The ideal an
+element generates is spanned one translate at a time and stops as soon as
+it is the whole algebra.  The maximum ideal inside a subspace needs only
+the translates of basis vectors, which are the structure constants
+themselves, and reads their nonzero entries from the sparse table.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ class Sidedness(Enum):
     RIGHT = "right"
     PRE_TWO_SIDED = "pre_two_sided"
     TWO_SIDED = "two_sided"
+
+    # members are singletons and compare by identity, so hash by it too
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, tag) -> "Sidedness":
@@ -241,19 +246,35 @@ def theta_ideal(a: Element, variant: Sidedness) -> Subspace:
     """The sided ideal generated by ``a`` (for ``pre_two_sided``: aA + Aa).
 
     The ambient algebra is unital, so ``a`` itself always lies in the span.
+    ``a`` and then its translates, formed one at a time, enter one echelon
+    basis (:func:`_linalg.extend_echelon`); once it has d rows the ideal is
+    the whole algebra and no further translate is formed.
     """
     variant = Sidedness.parse(variant)
-    A = a.algebra
-    gens = [a.coords] + [prod for _, _, prod in translates(A, a.coords, variant)]
-    return Subspace.span(A, gens)
+    A, rows, pivots = a.algebra, [], []
+    for g in itertools.chain((a.coords,), (p for _, _, p in translates(A, a.coords, variant))):
+        if _linalg.extend_echelon(A.field, rows, pivots, g) and len(rows) == A.dim:
+            return Subspace.full(A)
+    return Subspace.span(A, rows)
 
 
-def _pull_back(field: Field, constraints, images) -> list[Coords]:
+def _pull_back(field: Field, constraints, images) -> Iterator[Coords]:
     """Rows N M for the linear map M whose columns are ``images``.
 
-    x satisfies them exactly when M x satisfies the constraint rows N.
+    Each image is sparse: the pairs (k, c) of its nonzero coordinates, as
+    in :meth:`Algebra._sparse_table`.  Each entry of N M is summed exactly
+    over those pairs and reduced once.  x satisfies the rows exactly when
+    M x satisfies the constraint rows N.
     """
-    return [_linalg.matvec(field, images, row) for row in constraints]
+    reduce, zero = field.reduce, field.zero
+    for n in constraints:
+        row = []
+        for image in images:
+            s = 0
+            for k, c in image:
+                s += c * n[k]
+            row.append(reduce(s) if s else zero)
+        yield tuple(row)
 
 
 def _solution_space(a: Algebra, rows) -> Subspace:
@@ -268,10 +289,11 @@ def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
     A one-sided maximum is solved as one linear system: x qualifies when
     each of its d basis translates stays inside ``v``.  The t-th translate
     is linear in x, and its columns, the products of e_t with the basis
-    vectors, are structure constants: row t of the table (left, e_t*e_j)
-    or column t (right, e_j*e_t).  The system is v's constraint rows pulled
-    back along each translate map.  The unit is in the basis span, so the
-    solution set automatically sits inside ``v`` itself.
+    vectors, are structure constants: row t of the sparse table (left,
+    e_t*e_j) or of its transpose (right, e_j*e_t).  The system is v's
+    constraint rows pulled back along each translate map, which reads only
+    the nonzero constants.  The unit is in the basis span, so the solution
+    set automatically sits inside ``v`` itself.
 
     The two-sided maximum is two one-sided steps, the left maximum inside
     the right maximum of ``v``: x lies in it exactly when b*x*c lies in
@@ -288,7 +310,7 @@ def max_theta_ideal(v: Subspace, variant: Sidedness) -> Subspace:
     constraints = v.constraints()
     if not constraints:
         return Subspace.full(A)
-    maps = A.table if variant is Sidedness.LEFT else zip(*A.table)
+    maps = A._sparse_table() if variant is Sidedness.LEFT else zip(*A._sparse_table())
     stacked = [row for images in maps for row in _pull_back(A.field, constraints, images)]
     return _solution_space(A, stacked)
 
@@ -328,7 +350,8 @@ def preimage(hom: AlgebraHom, v: Subspace) -> Subspace:
     """Exact preimage of ``v`` under a verified algebra homomorphism."""
     if v.ambient != hom.codomain:
         raise AlgebraMismatch("subspace does not live in the codomain")
-    images = [hom.apply_coords(e) for e in hom.domain._basis]
+    images = [tuple((k, c) for k, c in enumerate(hom.apply_coords(e)) if c != 0)
+              for e in hom.domain._basis]
     return _solution_space(hom.domain, _pull_back(hom.domain.field, v.constraints(), images))
 
 

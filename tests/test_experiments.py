@@ -6,7 +6,7 @@ import pytest
 from mathieu_kit import _scan, algebra, cli, experiments, mathieu, subspace
 from mathieu_kit.algebra import poly_quotient_algebra
 from mathieu_kit.cli import main
-from mathieu_kit.errors import TooLarge
+from mathieu_kit.errors import ConsistencyError, TooLarge
 from mathieu_kit.experiments import (
     catalog,
     catalog_over,
@@ -47,6 +47,21 @@ def test_catalog_contains_required_entries_with_verified_tags():
     assert "simple" in cat["M3(F5)"].tags
     assert "commutative" not in cat["M2(F2)"].tags
     assert "field_extension" in cat["F4"].tags
+
+
+@pytest.mark.parametrize(
+    "name, tags, message",
+    [
+        ("F2+F2", {"commutative", "direct_sum", "simple"}, "proper ideal from"),
+        ("F2[t]/t2", {"commutative", "local", "simple"}, "proper ideal from"),
+        ("F4", {"commutative", "local", "field_extension"}, "looks simple but is not tagged"),
+    ],
+)
+def test_catalog_refuses_a_wrong_simple_tag(name, tags, message):
+    entry = catalog()[name]
+    wrong = experiments.CatalogEntry(name, entry.algebra, frozenset(tags), entry.provenance)
+    with pytest.raises(ConsistencyError, match=message):
+        experiments._verify_entry(wrong)
 
 
 def test_catalog_over_filters_by_characteristic():

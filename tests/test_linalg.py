@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import sympy
 
-from mathieu_kit._linalg import in_span, nullspace, reduce_vector, rref
+from mathieu_kit._linalg import extend_echelon, in_span, nullspace, reduce_vector, rref
 from mathieu_kit.fields import GF, QQ
 
 F5 = GF(5)
@@ -91,3 +91,18 @@ def test_reduce_vector_detects_membership():
             assert in_span(F5, constraints, vec) == expected
             outside_seen += not expected
     assert outside_seen > 0
+
+
+def test_extend_echelon_keeps_a_basis_of_the_span():
+    rng = random.Random(29)
+    for field, entries in ((F5, lambda r: r.randrange(5)),
+                           (QQ, lambda r: Fraction(r.randint(-2, 2), r.randint(1, 3)))):
+        for _ in range(25):
+            cols = rng.randrange(1, 6)
+            vecs = random_matrix(rng, rng.randrange(1, 8), cols, entries)
+            rows, pivots = [], []
+            added = [extend_echelon(field, rows, pivots, v) for v in vecs]
+            assert sum(added) == len(rows) == len(rref(field, vecs)[0])
+            assert rref(field, rows) == rref(field, vecs)
+            assert all(rows[i][p] == 1 for i, p in enumerate(pivots))
+            assert all(rows[j][p] == 0 for i, p in enumerate(pivots) for j in range(i + 1, len(rows)))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import types
@@ -5,8 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from mathieu_kit._linalg import nullspace, reduce_vector, rref
-from mathieu_kit.algebra import AlgebraHom, matrix_algebra, opposite, poly_quotient_algebra
+from mathieu_kit._linalg import matvec, nullspace, reduce_vector, rref
+from mathieu_kit.algebra import (
+    AlgebraHom,
+    direct_sum,
+    field_algebra,
+    matrix_algebra,
+    opposite,
+    poly_quotient_algebra,
+)
 from mathieu_kit.errors import (
     AlgebraMismatch,
     FieldMismatch,
@@ -34,9 +42,25 @@ from mathieu_kit.subspace import (
     quotient_algebra,
     span,
     theta_ideal,
+    translates,
 )
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
+
+
+def f9():
+    return poly_quotient_algebra(Poly.from_ints(F3, [1, 0, 1]))  # t*t = 2
+
+
+def q_cubic():
+    # t^3 - t/4 = t(t - 1/2)(t + 1/2) over Q
+    return poly_quotient_algebra(Poly(QQ, [0, Fraction(-1, 4), 0, 1]))
+
+
+def assert_same_subspace(got, want, *context):
+    assert got.basis == want.basis, context
+    assert got.pivots == want.pivots, context
+    assert got.constraints() == want.constraints(), context
 
 
 def trace_zero_plane(alg):
@@ -215,6 +239,111 @@ def test_theta_ideal_contains_generator_and_absorbs():
                         assert ideal.member(
                             a._mul_coords(row, a._basis_coords(i))
                         )
+
+
+def test_theta_ideal_equals_the_span_of_every_translate():
+    rng = random.Random(33)
+    mq = matrix_algebra(2, QQ)
+    cases = [
+        (a, list(a.elements()))
+        for a in (
+            matrix_algebra(2, F2),
+            opposite(matrix_algebra(2, F2)),
+            direct_sum(field_algebra(F2), field_algebra(F2)),
+            poly_quotient_algebra(Poly.from_ints(F2, [0, 0, 0, 1])),
+            f9(),
+        )
+    ]
+    cases.append((mq, [mq.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                   if rng.random() < 0.6 else 0 for _ in range(4)])
+                       for _ in range(40)]))
+    for a, elements in cases:
+        for x in elements:
+            for variant in ALL_VARIANTS:
+                gens = [x.coords] + [prod for _, _, prod in translates(a, x.coords, variant)]
+                assert_same_subspace(
+                    theta_ideal(x, variant), Subspace.span(a, gens), a.label, x.coords, variant
+                )
+
+
+def test_theta_ideal_stops_forming_translates_at_full_rank(monkeypatch):
+    seen = []
+
+    def spy(a, x, variant):
+        for item in translates(a, x, variant):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(subspace, "translates", spy)
+    m3 = matrix_algebra(3, F2)
+    assert theta_ideal(m3.one(), Sidedness.TWO_SIDED).is_full
+    assert 0 < len(seen) < m3.dim**2
+    # a proper ideal is only known once every translate is in
+    seen.clear()
+    a = direct_sum(matrix_algebra(2, F2), matrix_algebra(1, F2))
+    ideal = theta_ideal(a.element([1, 0, 0, 0, 0]), Sidedness.TWO_SIDED)
+    assert ideal.dim == 4 and len(seen) == a.dim**2
+
+
+def dense_max_theta_ideal(v, variant):
+    """The maximum ideal pulled back through the dense table, one dot product per entry."""
+    a = v.ambient
+    if variant is Sidedness.TWO_SIDED:
+        return dense_max_theta_ideal(dense_max_theta_ideal(v, Sidedness.RIGHT), Sidedness.LEFT)
+    if variant is Sidedness.PRE_TWO_SIDED:
+        return dense_max_theta_ideal(v, Sidedness.LEFT) + dense_max_theta_ideal(v, Sidedness.RIGHT)
+    if not v.constraints():
+        return Subspace.full(a)
+    maps = a.table if variant is Sidedness.LEFT else zip(*a.table)
+    rows = [matvec(a.field, images, n) for images in maps for n in v.constraints()]
+    return subspace._solution_space(a, rows)
+
+
+def test_max_theta_ideal_and_preimage_match_the_dense_pullback():
+    rng = random.Random(7)
+    dsum = direct_sum(matrix_algebra(2, F2), matrix_algebra(1, F2))
+    cases = [(a, all_subspaces(a)) for a in (f9(), opposite(matrix_algebra(2, F2)), dsum)]
+    qa = q_cubic()
+    cases.append((qa, [span(qa, [[Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                                  for _ in range(3)] for _ in range(rng.randrange(4))])
+                       for _ in range(30)]
+                      + [span(qa, [[0, 1, 0], [0, 0, 1]]), span(qa, [[0, 1, 2]])]))
+    for a, spaces in cases:
+        for v in spaces:
+            for variant in ALL_VARIANTS:
+                assert_same_subspace(
+                    max_theta_ideal(v, variant), dense_max_theta_ideal(v, variant),
+                    a.label, v.basis, variant,
+                )
+    assert max_theta_ideal(span(qa, [[0, 1, 0], [0, 0, 1]]), Sidedness.TWO_SIDED).dim == 2
+
+    cat = catalog()
+    homs = [
+        AlgebraHom(cat["F2[t]/t3"].algebra, cat["F2[t]/t2"].algebra, [[1, 0, 0], [0, 1, 0]]),
+        AlgebraHom(cat["F2+F2"].algebra, cat["F2"].algebra, [[0, 1]]),
+        AlgebraHom(cat["F4"].algebra, cat["F4"].algebra, [[1, 1], [0, 1]]),
+        AlgebraHom(cat["F3[t]/t2-t"].algebra, cat["F3"].algebra, [[1, 1]]),
+        AlgebraHom(cat["F2"].algebra, cat["F2[t]/t2"].algebra, [[1], [0]]),
+    ]
+    for hom in homs:
+        images = [hom.apply_coords(e) for e in hom.domain._basis]
+        for v in all_subspaces(hom.codomain):
+            rows = [matvec(hom.domain.field, images, n) for n in v.constraints()]
+            assert_same_subspace(
+                preimage(hom, v), subspace._solution_space(hom.domain, rows), v.basis
+            )
+
+
+def test_sidedness_lookups_hash_by_identity():
+    assert Sidedness.__hash__ is object.__hash__
+    by_variant = {v: v.value for v in ALL_VARIANTS}
+    lookup = functools.cache(lambda v: v.value.upper())
+    for v in ALL_VARIANTS:
+        parsed = Sidedness.parse(v.value)
+        assert parsed is v and hash(parsed) == hash(v)
+        assert by_variant[parsed] == v.value
+        assert lookup(parsed) == lookup(v) == v.value.upper()
+    assert lookup.cache_info().currsize == len(ALL_VARIANTS)
 
 
 def test_max_theta_ideal_spec_points():
