@@ -189,7 +189,8 @@ class Algebra:
         """The nonzero structure constants, cached on the instance.
 
         Entry [i][j] holds the pairs (k, c) with c = table[i][j][k] != 0, k
-        ascending; the reference product and ``_scan.batch_mul`` both read it.
+        ascending; the reference product, ``_scan.batch_mul`` and the
+        maximum-ideal pullback of :mod:`mathieu_kit.subspace` read it.
         """
         if self._sparse is None:
             self._sparse = tuple(
