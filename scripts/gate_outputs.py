@@ -155,6 +155,8 @@ def commands() -> list[list[str]]:
             for name, budget in (("radical_laws", "8"), ("radical_laws", "100"),
                                  ("closure_laws", "8"), ("idempotent_criterion", "8"))]
     out.append(["--json", "mat", "codim1", "--n", "3", "--q", "5"])
+    # witness-mode censuses; n = 4 repairs its columns over six index pairs
+    out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("3", "3"), ("4", "2"))]
     # scan-mode censuses: every class's verdict comes from the idempotent search
     out += [["--json", "mat", "codim1", "--n", n, "--q", q] for n, q in (("2", "7"), ("3", "2"))]
     # the line census: every projective line of M_n(F_q), 9,841 of them on M_3(F_3)

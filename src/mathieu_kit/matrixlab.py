@@ -21,14 +21,17 @@ class, in the narrowest signed dtype that holds n (p-1)^2.  It is written
 in that layout and dtype from one table of its low digits
 (:func:`_class_blocks`).  The kernel reads a full block in place, with no
 copy; the short blocks of the high leads are concatenated into one call.
-Both refuting idempotents come from one construction
-(:func:`_witness_2x2_columns`), run once on the whole block at the first
+The kernel builds the left refuting idempotent A only
+(:func:`_witness_2x2_columns`), once on the whole block at the first
 index pair, (0, 1), and again on the next pair for just the columns that
-are scalar there, gathered, until none is left.  They are checked on the
-full n x n matrices (A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0, and
-the same for B against XB) with the products of
-:func:`mathieu_kit._scan.batch_mul`, the kernel that builds the power
-tables, and equal the matrices of :func:`witness_idempotents`.
+are scalar there, gathered, until none is left.  A is checked on the full
+n x n matrices (A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0) with the
+products of :func:`mathieu_kit._scan.batch_mul`, the kernel that builds
+the power tables, and equals the A of :func:`witness_idempotents`.  The
+right refutation of X needs no second check: the construction is
+scale-invariant, so B(X) = A(canon X^T)^T, and X -> canon(X^T) is an
+involution on the non-identity classes, all of which the census walks,
+so every B is the transpose of an A it verifies on another class.
 
 The line census (:func:`classify_lines`) walks the same canonical
 classes, each a line's basis row with lead entry 1, in the same blocks.
@@ -178,7 +181,9 @@ def witness_idempotents(x: Element) -> tuple[Element, Element]:
 
     B is the transpose of the construction applied to the transpose of x.
     Defined for nonzero x not proportional to the identity, n >= 2.
-    :func:`_batch_witnesses` builds the same matrices for a block of duals.
+    :func:`_batch_witnesses` builds the same A for a block of duals, and
+    only A: the construction is scale-invariant, so B is the batched A of
+    the class canon(x^T), transposed, which the codim-1 census also walks.
     """
     alg = x.algebra
     n = _require_matrix(alg)
@@ -218,61 +223,58 @@ def _inverses(v: np.ndarray, p: int) -> np.ndarray:
 
 
 def _witness_2x2_columns(a, b, c, d, p: int):
-    """:func:`_witness_2x2` on (B,) residue vectors, for A and B at once.
+    """:func:`_witness_2x2` on (B,) residue vectors: the entries (mm, mk,
+    km, kk) of A's construction on X' = [[a, b], [c, d]].
 
-    Returns ``(left, right)``, each the entries (mm, mk, km, kk): ``left``
-    of the construction on X' = [[a, b], [c, d]], ``right`` of it on the
-    transpose [[a, c], [b, d]], which B places transposed.  One
-    construction serves both: the third case (b = c = 0, so a != d), with
-    s = (d - a)^-1, s d and -s a, is the same on both sides, and the
-    inverses of b and c are computed once.  Every case is computed for
-    every column, and each entry is the sum of the case values times the
-    disjoint 0/1 case masks, so a case that does not hold reads a harmless
-    inverse of 0 and contributes nothing.
+    Every case is computed for every column, and each entry is the sum of
+    the case values times the disjoint 0/1 case masks, so a case that does
+    not hold reads a harmless inverse of 0 and contributes nothing.
     """
     s, inv_b, inv_c = _inverses(np.stack([_scan.reduce_mod(d - a, p), b, c]), p)
+    case1 = b != 0
+    case2 = ~case1 & (c != 0)
     case3 = (b == 0) & (c == 0)
     sd = case3 * _scan.reduce_mod(s * d, p)
     nsa = case3 * _scan.reduce_mod(-s * a, p)
-
-    def side(first, second, inv_first, inv_second):
-        case1 = first != 0
-        case2 = ~case1 & (second != 0)
-        return (
-            case1 + sd,
-            case2 * _scan.reduce_mod(-inv_second * d, p) + sd,
-            case1 * _scan.reduce_mod(-a * inv_first, p) + nsa,
-            case2 + nsa,
-        )
-
-    return side(b, c, inv_b, inv_c), side(c, b, inv_c, inv_b)
+    return (
+        case1 + sd,
+        case2 * _scan.reduce_mod(-inv_c * d, p) + sd,
+        case1 * _scan.reduce_mod(-a * inv_b, p) + nsa,
+        case2 + nsa,
+    )
 
 
-def _batch_witnesses(alg: Algebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The refuting idempotents (A, B) of every dual in a block, verified.
+def _batch_witnesses(alg: Algebra, x: np.ndarray) -> np.ndarray:
+    """The left refuting idempotent A of every dual in a block, verified.
 
     ``alg`` is M_n(F_p) on matrix units, and ``x`` an (n*n, count) block
     over F_p, column-major: row i*n + j holds entry (i, j) of every dual,
     and no column is a scalar matrix.
-    Returns the matrices :func:`witness_idempotents` builds, as two blocks
-    in the same layout, in the narrowest signed dtype that holds n (p-1)^2
+    Returns the A that :func:`witness_idempotents` builds, as a block in
+    the same layout, in the narrowest signed dtype that holds n (p-1)^2
     (:func:`_scan.exact_dtype`); ``x`` is cast to it, and a block already
     in it is read in place, not copied.  Every step is arithmetic on whole
-    rows.  A is the 2x2 case analysis on a column's first non-scalar index
-    pair (m, k), on a = x_mm, b = x_mk, c = x_km, d = x_kk, and B, the
-    transpose of the construction on X^T, is the same analysis with b and c
-    swapped, placed transposed (:func:`_witness_2x2_columns` builds both).
-    It runs once on the whole block at pair (0, 1), reading those rows as
-    views and writing its entries straight into the rows of A and B.  The
-    columns scalar on that pair (3,906 of M_3(F_5)'s 488,281 classes) read
-    the harmless inverse of 0 there; they are gathered and rebuilt on the
-    next pair, their columns of A and B zeroed before the pair's rows are
-    written, and so on until no column is left.  A column scalar on every
-    pair raises ConsistencyError.  On the full n x n matrices it checks
-    A^2 = A, A != 0, A != I, AX != 0, Tr(AX) = 0 and B^2 = B, B != 0,
-    B != I, XB != 0, Tr(XB) = 0, with the products AX, XB, AA and BB taken
-    by :func:`_scan.batch_mul` in ``alg``; any failure raises
+    rows.  A is the 2x2 case analysis (:func:`_witness_2x2_columns`) on a
+    column's first non-scalar index pair (m, k), on a = x_mm, b = x_mk,
+    c = x_km, d = x_kk.  It runs once on the whole block at pair (0, 1),
+    reading those rows as views and writing its entries straight into the
+    rows of A.  The columns scalar on that pair (3,906 of M_3(F_5)'s
+    488,281 classes) read the harmless inverse of 0 there; they are
+    gathered and rebuilt on the next pair, their columns of A zeroed
+    before the pair's rows are written, and so on until no column is
+    left.  A column scalar on every pair raises ConsistencyError.  On the
+    full n x n matrices it checks A^2 = A, A != 0, A != I, AX != 0 and
+    Tr(AX) = 0, with the products AX and AA taken by
+    :func:`_scan.batch_mul` in ``alg``; any failure raises
     ConsistencyError.
+
+    B, the right refuting idempotent of :func:`witness_idempotents`, is
+    not built: the construction and its first non-scalar pair are
+    scale-invariant, so B(X) = A(canon X^T)^T, and the checks on A at
+    canon(X^T) are those on B at X, transposed (Tr(XB) = Tr(A X^T) up to
+    a nonzero scale).  X -> canon(X^T) is an involution on the
+    non-identity classes, and :func:`classify_codim1` checks that its
+    calls refuted every one of them.
 
     Bound: every sum is of n products of residues, at most n (p-1)^2, and
     must fit int64.  A larger bound (from n = 2 at p = 2,147,483,659, the
@@ -285,18 +287,15 @@ def _batch_witnesses(alg: Algebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     x = x.astype(dt, copy=False)
 
     # every column is built on pair (0, 1); the columns scalar on a pair are
-    # gathered and rebuilt on the next, and the test is symmetric, so X^T
-    # shares it
-    wa, wb = np.empty_like(x), np.empty_like(x)
+    # gathered and rebuilt on the next
+    wa = np.empty_like(x)
     cols = slice(None)
     for m, k in itertools.combinations(range(n), 2):
-        mm, mk, km, kk = m * (n + 1), m * n + k, k * n + m, k * (n + 1)
+        rows = mm, mk, km, kk = m * (n + 1), m * n + k, k * n + m, k * (n + 1)
         xs = x[:, cols]
-        left, right = _witness_2x2_columns(xs[mm], xs[mk], xs[km], xs[kk], p)
-        for w, rows, entries in ((wa, (mm, mk, km, kk), left), (wb, (mm, km, mk, kk), right)):
-            w[:, cols] = 0
-            for r, v in zip(rows, entries):
-                w[r, cols] = v
+        wa[:, cols] = 0
+        for r, v in zip(rows, _witness_2x2_columns(xs[mm], xs[mk], xs[km], xs[kk], p)):
+            wa[r, cols] = v
         scalar = (xs[mk] == 0) & (xs[km] == 0) & (xs[mm] == xs[kk])
         if not scalar.any():
             break
@@ -305,19 +304,16 @@ def _batch_witnesses(alg: Algebra, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ConsistencyError("scalar matrix slipped into the refutation batch")
 
     ident = np.eye(n, dtype=dt).reshape(n * n, 1)
-    for name, w, wx in (
-        ("A", wa, _scan.batch_mul(alg, wa, x)),
-        ("B", wb, _scan.batch_mul(alg, x, wb)),
-    ):
-        if not np.array_equal(_scan.batch_mul(alg, w, w), w):
-            raise ConsistencyError(f"constructed {name} is not idempotent")
-        if not (w.any(axis=0).all() and (w != ident).any(axis=0).all()):
-            raise ConsistencyError(f"constructed idempotent {name} is trivial")
-        if not wx.any(axis=0).all():
-            raise ConsistencyError(f"idempotent {name} annihilates the dual vector")
-        if _scan.reduce_mod(np.add.reduce(wx[:: n + 1], axis=0, dtype=dt), p).any():
-            raise ConsistencyError(f"refuting idempotent {name} left the hyperplane")
-    return wa, wb
+    wx = _scan.batch_mul(alg, wa, x)
+    if not np.array_equal(_scan.batch_mul(alg, wa, wa), wa):
+        raise ConsistencyError("constructed A is not idempotent")
+    if not (wa.any(axis=0).all() and (wa != ident).any(axis=0).all()):
+        raise ConsistencyError("constructed idempotent A is trivial")
+    if not wx.any(axis=0).all():
+        raise ConsistencyError("idempotent A annihilates the dual vector")
+    if _scan.reduce_mod(np.add.reduce(wx[:: n + 1], axis=0, dtype=dt), p).any():
+        raise ConsistencyError("refuting idempotent A left the hyperplane")
+    return wa
 
 
 # -- classification reports --------------------------------------------------------------
@@ -432,12 +428,15 @@ def classify_codim1(
 
     The trace hyperplane (X the identity) is decided by the idempotent
     criterion, and its verdicts are the census's counts.  The other classes
-    are walked in canonical blocks and refuted by their verified refuting
-    idempotents (:func:`_batch_witnesses`), one kernel call per full block
-    and one for each run of short blocks, concatenated, that together fit
-    DEFAULT_BLOCK columns (:func:`_census_batches`).  After each call every
-    ``stride``-th class of it is re-decided by the idempotent criterion,
-    which must find it refuted too.
+    are walked in canonical blocks and refuted by their verified left
+    refuting idempotents A (:func:`_batch_witnesses`), one kernel call per
+    full block and one for each run of short blocks, concatenated, that
+    together fit DEFAULT_BLOCK columns (:func:`_census_batches`).  The
+    right refutation of class X is A of class canon(X^T), transposed; that
+    map is an involution on the non-identity classes, so the closing count
+    (every one of the total - 1 refuted) covers both sides.  After each
+    call every ``stride``-th class of it is re-decided by the idempotent
+    criterion, which must find it refuted too.
     The walk is priced first, at one evaluation per class
     (:func:`_class_count`).  Past that the budget sets only the stride: 1
     when a scan of every class fits in ``max_scan`` ("scan"), else

@@ -181,11 +181,10 @@ def test_batch_refute_agrees_with_scalar_construction():
         classes = 0
         for _, _, block in _class_blocks(q, d):
             block = block[:, ~np.all(block == ident[:, None], axis=0)]
-            a, b = _batch_witnesses(alg, block)
-            for col, am, bm in zip(block.T, a.T, b.T):
-                wa, wb = witness_idempotents(alg.element(tuple(col.tolist())))
+            a = _batch_witnesses(alg, block)
+            for col, am in zip(block.T, a.T):
+                wa, _ = witness_idempotents(alg.element(tuple(col.tolist())))
                 assert tuple(am.tolist()) == wa.coords
-                assert tuple(bm.tolist()) == wb.coords
             classes += block.shape[1]
         assert classes == (q**d - 1) // (q - 1) - 1
     with pytest.raises(ConsistencyError):
@@ -235,13 +234,39 @@ def test_batch_witnesses_match_scalar_construction_at_dtype_boundaries(n, p, dty
     seen = {_first_pair_and_case(x.tolist()) for x in xs}
     assert {case for _, case in seen} == {1, 2, 3}
     assert {pair for pair, _ in seen} == set(itertools.combinations(range(n), 2))
-    a, b = _batch_witnesses(matrix_algebra(n, GF(p)), _column_block(xs))
-    assert a.dtype == b.dtype == dtype  # never float, never wider than needed
+    a = _batch_witnesses(matrix_algebra(n, GF(p)), _column_block(xs))
+    assert a.dtype == dtype  # never float, never wider than needed
     alg = matrix_algebra(n, GF(p))
-    for x, am, bm in zip(xs, a.T, b.T):
-        wa, wb = witness_idempotents(alg.element(tuple(int(c) for c in x.reshape(-1))))
+    for x, am in zip(xs, a.T):
+        wa, _ = witness_idempotents(alg.element(tuple(int(c) for c in x.reshape(-1))))
         assert am.tolist() == list(wa.coords)
-        assert bm.tolist() == list(wb.coords)
+
+
+def _transposed(block, n):
+    """Every column of an (n*n, count) block, as an n x n matrix, transposed."""
+    return block.reshape(n, n, -1).transpose(1, 0, 2).reshape(n * n, -1)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 5), (3, 2), (4, 2)])
+def test_census_right_witness_is_the_left_witness_of_the_transposed_class(n, q):
+    # the census builds only A; B of class X must be A of class canon(X^T),
+    # transposed, and that class must be one the census walks
+    alg = matrix_algebra(n, GF(q))
+    d = n * n
+    classes = np.concatenate([block for _, _, block in _class_blocks(q, d)], axis=1)
+    classes = classes[:, ~np.all(classes == np.eye(n, dtype=classes.dtype).reshape(d, 1), axis=0)]
+    xt = _transposed(classes.astype(np.int64), n)
+    leads = xt[(xt != 0).argmax(axis=0), np.arange(xt.shape[1])]
+    canon = xt * matrixlab._inverses(leads, q) % q
+    codes = _scan.encode(q, classes)
+    order = np.argsort(codes)
+    at = order[np.searchsorted(codes, _scan.encode(q, canon), sorter=order)]
+    assert np.array_equal(classes[:, at], canon)  # canon(X^T) is a census class
+    assert np.array_equal(at[at], np.arange(len(at)))  # X -> canon(X^T) is an involution
+    b = _transposed(_batch_witnesses(alg, classes)[:, at], n)
+    for x, bm in zip(classes.T, b.T):
+        _, wb = witness_idempotents(alg.element(tuple(x.tolist())))
+        assert tuple(bm.tolist()) == wb.coords
 
 
 def _duals_first_nonscalar_at(rng, n, p, pair, count):
@@ -262,11 +287,10 @@ def _duals_first_nonscalar_at(rng, n, p, pair, count):
 
 
 def _assert_witnesses_match_scalar_construction(alg, xs):
-    a, b = _batch_witnesses(alg, _column_block(xs))
-    for x, am, bm in zip(xs, a.T, b.T):
-        wa, wb = witness_idempotents(alg.element(tuple(x.reshape(-1).tolist())))
+    a = _batch_witnesses(alg, _column_block(xs))
+    for x, am in zip(xs, a.T):
+        wa, _ = witness_idempotents(alg.element(tuple(x.reshape(-1).tolist())))
         assert am.tolist() == list(wa.coords)
-        assert bm.tolist() == list(wb.coords)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -308,12 +332,11 @@ def test_batch_witnesses_bound_refuses_before_it_wraps():
     alg = matrix_algebra(2, GF(p))
     # one column per case of the 2x2 construction, with inverses to compute
     xs = np.array([[[3, 5], [7, p - 2]], [[2, 0], [9, 4]], [[3, 0], [0, p - 1]]])
-    a, b = _batch_witnesses(alg, _column_block(xs))
-    assert a.dtype == b.dtype == np.int64
-    for x, am, bm in zip(xs, a.T, b.T):
-        wa, wb = witness_idempotents(alg.element(tuple(x.reshape(-1).tolist())))
+    a = _batch_witnesses(alg, _column_block(xs))
+    assert a.dtype == np.int64
+    for x, am in zip(xs, a.T):
+        wa, _ = witness_idempotents(alg.element(tuple(x.reshape(-1).tolist())))
         assert am.tolist() == list(wa.coords)
-        assert bm.tolist() == list(wb.coords)
 
 
 def _patch_census_product(monkeypatch, make):
@@ -375,12 +398,13 @@ def _check_census_kernel_calls(monkeypatch, n, q, widths):
             assert x is own[0]
         else:
             assert not any(np.shares_memory(x, block) for block in built)
-    # each call's products AX, XB, AA, BB take its block itself as X, and
-    # every operand and product is in the block's dtype, so none is cast
-    assert len(products) == 4 * len(handed)
+    # each call's products AX and AA, in that order, take its block itself
+    # as X, and every operand and product is in the block's dtype, so none
+    # is cast
+    assert len(products) == 2 * len(handed)
     for i, x in enumerate(handed):
-        (_, ax, _), (xb, _, _) = products[4 * i : 4 * i + 2]
-        assert ax is x and xb is x
+        (a, ax, _), (aa, a2, _) = products[2 * i : 2 * i + 2]
+        assert ax is x and a is aa is a2
     assert set().union(*(dtypes for _, _, dtypes in products)) == {dtype}
 
 
@@ -391,7 +415,8 @@ def test_census_kernel_reads_the_class_block_in_place(monkeypatch):
 
 def test_census_kernel_takes_full_blocks_alone_and_short_ones_together(monkeypatch):
     # M_3(F_5): the full blocks one call each (the first less the identity),
-    # then its last eight blocks, 15,625 + 3,906 classes, in one
+    # then its last eight blocks, 15,625 + 3,906 classes, in one; two
+    # products per call, 18 in all
     widths = [62_499] + [62_500] * 5 + [15_625, 62_500, 35_156]
     _check_census_kernel_calls(monkeypatch, 3, 5, widths)
 
@@ -401,32 +426,10 @@ def _bump_entry_00(out, p):
     return out
 
 
-def _fault_on_second_call(fault):
-    def wrap(f):
-        calls = []  # one count per patched kernel, so each test starts afresh
-
-        def faulty(*args):
-            calls.append(args)
-            out = f(*args)
-            return fault(out, *args) if len(calls) == 2 else out
-
-        return faulty
-
-    return wrap
-
-
-def _fault_sides(left=lambda v, *args: v, right=lambda v, *args: v):
-    """A fault for _witness_2x2_columns: ``left`` and ``right`` rewrite the
-    entries of A's and B's 2x2 construction, given the kernel's arguments."""
-
-    def wrap(f):
-        def faulty(*args):
-            a_side, b_side = f(*args)
-            return left(a_side, *args), right(b_side, *args)
-
-        return faulty
-
-    return wrap
+def _fault_entries(fault):
+    """A fault for _witness_2x2_columns: ``fault`` rewrites the entries of
+    A's 2x2 construction, given the kernel's arguments."""
+    return lambda f: lambda *args: fault(f(*args), *args)
 
 
 # name -> (kernel, fault, the check that must catch it)
@@ -451,33 +454,18 @@ WITNESS_FAULTS = {
     # [[1, 0], [t, 0]] stays idempotent for every t, so only the trace tells
     "wrong case-1 value": (
         "_witness_2x2_columns",
-        _fault_sides(
-            left=lambda v, a, b, c, d, p: (v[0], v[1], (v[2] + (b != 0)) % p, v[3])
-        ),
+        _fault_entries(lambda v, a, b, c, d, p: (v[0], v[1], (v[2] + (b != 0)) % p, v[3])),
         "A left the hyperplane",
     ),
     "zero case values": (
         "_witness_2x2_columns",
-        _fault_sides(left=lambda v, *args: tuple(e * 0 for e in v)),
+        _fault_entries(lambda v, *args: tuple(e * 0 for e in v)),
         "A is trivial",
     ),
     "identity case values": (
         "_witness_2x2_columns",
-        _fault_sides(
-            left=lambda v, *args: tuple(e * 0 + i for e, i in zip(v, (1, 0, 0, 1)))
-        ),
+        _fault_entries(lambda v, *args: tuple(e * 0 + i for e, i in zip(v, (1, 0, 0, 1)))),
         "A is trivial",
-    ),
-    "zero case values for B only": (
-        "_witness_2x2_columns",
-        _fault_sides(right=lambda v, *args: tuple(e * 0 for e in v)),
-        "B is trivial",
-    ),
-    "B's product with the dual corrupts its trace": (
-        "batch_mul",
-        # calls: AX, XB, AA, BB
-        _fault_on_second_call(lambda out, a, x, y: _bump_entry_00(out, a.field.order)),
-        "B left the hyperplane",
     ),
 }
 
