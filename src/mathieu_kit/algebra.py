@@ -36,7 +36,9 @@ from .fields import Field, Poly, Scalar, poly_ext_gcd, poly_split_at_zero
 
 Coords = tuple[Scalar, ...]
 
-#: Products an algebra keeps in its memo; past it they are computed, not kept.
+#: Entries each of an algebra's two memos keeps: its products, and the
+#: elements by index that ``mathieu.radical_enumerate`` returns.  Past it
+#: they are computed or built, not kept.
 PRODUCT_MEMO_CAP = 1 << 14
 
 
@@ -57,6 +59,7 @@ class Algebra:
         "_product_bound",
         "_idempotents",
         "_products",
+        "_element_memo",
     )
 
     def __init__(self, field: Field, table, unit, label: str = "", check: bool = True):
@@ -91,6 +94,7 @@ class Algebra:
         self._product_bound = None
         self._idempotents = None
         self._products: dict[tuple[Coords, Coords], Coords] = {}
+        self._element_memo: dict[int, Element] = {}
         if check:
             self._verify()
 

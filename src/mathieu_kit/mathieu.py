@@ -46,7 +46,11 @@ everything here is decided exactly:
   (``_scan.span_bitmap``), so a warm query costs M's size and one read of
   the window; only the radical's own indices are decoded into
   coordinates, and ``_radical_coords`` returns those tuples to callers
-  that need no ``Element``.
+  that need no ``Element``.  The ``Element``s that ``radical_enumerate``
+  returns come from the algebra's bounded memo, keyed by element index:
+  every entry was built from an index decoded by ``_scan.digits``, only
+  the indices it does not hold are decoded and built, and it holds at
+  most ``PRODUCT_MEMO_CAP`` (16,384) Elements, about 4 MB.
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -58,12 +62,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _linalg, _scan
 from .algebra import (
+    PRODUCT_MEMO_CAP,
     Algebra,
     Coords,
     Element,
@@ -166,14 +172,47 @@ def radical_enumerate(
     """The exact radical of ``v`` as a list of elements, by full enumeration.
 
     The elements of :func:`_radical_coords`, in its lexicographic
-    coordinate order.
+    coordinate order, read from the algebra's bounded memo of elements by
+    index.  The indices it does not hold are decoded in one
+    :func:`_scan.digits` call and built, and, the query having succeeded,
+    kept while the memo holds fewer than ``PRODUCT_MEMO_CAP`` elements
+    (16,384, about 4 MB).  Elements are immutable values, so results
+    share them; each call returns a new list.
     """
     a = v.ambient
-    return [Element(a, c) for c in _radical_coords(v, max_scan)]
+    alive = _radical_indices(v, max_scan)
+    memo, idx = a._element_memo, alive.tolist()
+    try:
+        return list(map(memo.__getitem__, idx))
+    except KeyError:  # not every element is kept yet
+        pass
+    new = [i for i in idx if i not in memo]
+    fresh = np.array(new, dtype=alive.dtype)
+    built = list(map(Element, repeat(a), _coords_at(a, fresh)))
+    room = max(PRODUCT_MEMO_CAP - len(memo), 0)
+    memo.update(zip(new[:room], built))
+    out = list(map(memo.get, idx))
+    # past the cap, the elements not kept go straight to their places
+    for k, x in zip(alive.searchsorted(fresh[room:]).tolist(), built[room:]):
+        out[k] = x
+    return out
 
 
 def _radical_coords(v: Subspace, max_scan: int) -> list[Coords]:
-    """The exact radical of ``v`` as coordinate tuples, in lexicographic order.
+    """The exact radical of ``v`` as coordinate tuples, in lexicographic order:
+    the indices of :func:`_radical_indices`, decoded."""
+    return list(_coords_at(v.ambient, _radical_indices(v, max_scan)))
+
+
+def _coords_at(a: Algebra, indices: np.ndarray):
+    """The coordinate tuples of the elements of ``a`` at ``indices``, as an
+    iterator."""
+    return zip(*_scan.digits(a.field.order, a.dim, indices).tolist())
+
+
+def _radical_indices(v: Subspace, max_scan: int) -> np.ndarray:
+    """The element indices of the exact radical of ``v``, ascending, so in
+    lexicographic coordinate order.
 
     The algebra's power table is priced, and built or read from its cache,
     first.  Then a bitmap of ``v`` over the element indices is set from
@@ -183,20 +222,19 @@ def _radical_coords(v: Subspace, max_scan: int) -> list[Coords]:
     one (d, size) table: the element is in the radical when all of its
     column lies in ``v`` (see the module docstring).  The test exits early:
     a^d is read for every element, and each later stored power only for
-    the elements whose powers so far all lie in ``v``.  Only the members'
-    indices are decoded back into coordinates, straight to tuples.
+    the elements whose powers so far all lie in ``v``.
     """
     a = v.ambient
     if not a.field.is_finite:
         raise InfiniteField("radical enumeration needs a finite field")
-    p, d = a.field.order, a.dim
+    d = a.dim
     chunks = list(_scan.power_chunks(a, max_scan))
     in_v = _scan.span_bitmap(a, v.basis)
     window = np.concatenate([c.rows.reshape(d, c.count) for c in chunks], axis=1)
     alive = np.flatnonzero(in_v.take(window[0]))
     for power in window[1:]:
         alive = alive[in_v.take(power.take(alive))]
-    return list(zip(*_scan.digits(p, d, alive).tolist()))
+    return alive
 
 
 def certify_radical_membership(

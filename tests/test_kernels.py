@@ -14,6 +14,7 @@ import pytest
 
 from mathieu_kit import _scan, mathieu
 from mathieu_kit.algebra import (
+    PRODUCT_MEMO_CAP,
     Algebra,
     direct_sum,
     elem_power,
@@ -754,10 +755,10 @@ def test_power_build_catches_every_random_product_error(monkeypatch, n, field):
         monkeypatch.undo()
 
 
-def test_power_build_checks_every_stored_index(monkeypatch):
-    # one stored index of M_2(F_3)'s element 7, which the three-element
-    # replay (elements 0, 40 and 80) does not sample, changed after the
-    # encoding: only a decode of the whole window sees it
+def _corrupt_a_stored_index(monkeypatch):
+    """Change one stored index of M_2(F_3)'s element 7, which the
+    three-element replay (elements 0, 40 and 80) does not sample, after
+    the encoding: only a decode of the whole window sees it."""
     chunk_of = _scan.PowerChunk
 
     def corrupted(start, count, rows):
@@ -766,10 +767,23 @@ def test_power_build_checks_every_stored_index(monkeypatch):
         return chunk_of(start, count, rows)
 
     monkeypatch.setattr(_scan, "PowerChunk", corrupted)
+
+
+def test_power_build_checks_every_stored_index(monkeypatch):
+    _corrupt_a_stored_index(monkeypatch)
     alg = matrix_algebra(2, F3)
     with pytest.raises(ConsistencyError, match="stored power indices"):
         list(_scan.power_chunks(alg, max_scan=10**7))
     assert alg._power_data is None
+
+
+def test_radical_enumerate_catches_corrupt_power_data(monkeypatch):
+    # the same corruption met by a radical query, which keeps no element
+    _corrupt_a_stored_index(monkeypatch)
+    alg = matrix_algebra(2, F3)
+    with pytest.raises(ConsistencyError, match="stored power indices"):
+        radical_enumerate(Subspace.zero(alg))
+    assert alg._power_data is None and alg._element_memo == {}
 
 
 SLOW_CYCLE_CHILD = """
@@ -788,7 +802,8 @@ if {refuse_at} is not None:
     except TooLarge as exc:
         print("TooLarge", exc)
 print([x.coords for x in radical_enumerate(zero)])
-print("peak_rss_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")))
 """
 
 #: algebra: (its radical of zero, a budget between its size and the
@@ -836,6 +851,17 @@ def test_power_table_blocks_bound_the_peak_memory():
     lines = _zero_radical_in_child("matrix_algebra(4, GF(2))")
     radical = ast.literal_eval(lines[0])
     assert len(radical) == 4096 and radical == sorted(set(radical))
+    assert int(lines[1].split()[1]) < 200 << 10  # KiB: under 200 MiB
+
+
+def test_child_peak_memory_is_the_childs_own():
+    # getrusage's ru_maxrss carries the spawning process's peak over exec,
+    # so with 256 MiB touched here it would read past the 200 MiB bound;
+    # the child's VmHWM is its own high-water mark
+    ballast = np.ones(256 << 20, dtype=np.uint8)
+    lines = _zero_radical_in_child("matrix_algebra(4, GF(2))")
+    assert ballast.all()
+    assert len(ast.literal_eval(lines[0])) == 4096
     assert int(lines[1].split()[1]) < 200 << 10  # KiB: under 200 MiB
 
 
@@ -987,6 +1013,84 @@ def test_power_tables_refuse_indices_past_int64(monkeypatch):
     with pytest.raises(TooLarge, match="int64 element indices"):
         radical_enumerate(Subspace.zero(alg), max_scan=alg.size * (2 * alg.dim - 1))
     assert alg._power_data is None
+
+
+# -- the element memo -------------------------------------------------------------------------------
+
+MEMO_ALGEBRAS = {
+    "M_3(F_3)": lambda: matrix_algebra(3, F3),
+    "M_2(F_11)": lambda: matrix_algebra(2, GF(11)),
+    "F_31[t]/(t^2)": lambda: poly_quotient_algebra(Poly.from_ints(GF(31), [0, 0, 1])),
+}
+
+
+def _element_index(x):
+    """The lexicographic index of element ``x``, the key of its memo entry."""
+    p = x.algebra.field.order
+    return sum(c * p**i for i, c in enumerate(reversed(x.coords)))
+
+
+@pytest.mark.parametrize("name", list(MEMO_ALGEBRAS))
+def test_radical_elements_read_from_the_memo_equal_fresh_ones(name):
+    # the zero subspace, a line, a hyperplane and the full space, queried
+    # in an order that repeats each and overlaps them all: every radical
+    # holds the nilpotent cone, the full space's holds every element
+    warm = MEMO_ALGEBRAS[name]()
+    rng = np.random.default_rng(7)
+    queries = [
+        Subspace.zero(warm), _random_subspace(warm, rng, 1),
+        _random_subspace(warm, rng, warm.dim - 1), Subspace.full(warm),
+    ]
+    memo, seen = warm._element_memo, set()
+    for v in [queries[k] for k in (0, 1, 2, 0, 3, 2, 1, 3)]:
+        want = mathieu._radical_coords(v, 10**7)
+        got = radical_enumerate(v)
+        assert [x.coords for x in got] == want, v.basis
+        fresh = span(MEMO_ALGEBRAS[name](), v.basis)
+        assert [x.coords for x in radical_enumerate(fresh)] == want, v.basis
+        # each kept element is read back, not rebuilt
+        assert all(x.algebra is warm and memo.get(_element_index(x), x) is x for x in got)
+        seen.update(map(_element_index, got))
+    assert len(memo) == min(len(seen), PRODUCT_MEMO_CAP)
+    assert all(x.coords == element_coords(warm, i) for i, x in memo.items())
+
+
+def test_element_memo_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(mathieu, "PRODUCT_MEMO_CAP", 50)
+    alg = matrix_algebra(2, F3)  # 81 elements, 9 of them nilpotent
+    zero, full = Subspace.zero(alg), Subspace.full(alg)
+    nilpotent = radical_enumerate(zero)
+    everything = radical_enumerate(full)
+    assert [x.coords for x in everything] == [x.coords for x in alg.elements()]
+    memo = alg._element_memo
+    assert len(memo) == 50 and {_element_index(x) for x in nilpotent} <= set(memo)
+    # past the cap the elements are built and not kept
+    again = radical_enumerate(full)
+    assert again == everything and again[-1] is not everything[-1]
+    assert radical_enumerate(zero) == nilpotent and len(memo) == 50
+
+
+def test_each_radical_query_returns_a_new_list():
+    alg = matrix_algebra(2, F3)
+    zero = Subspace.zero(alg)
+    first, second = radical_enumerate(zero), radical_enumerate(zero)
+    assert first is not second and first == second
+    first.clear()
+    assert radical_enumerate(zero) == second and len(second) == 9
+
+
+def test_radical_refusals_leave_the_element_memo_empty():
+    # refused before the table is built, and again once it is cached by a
+    # query that returns tuples, which keeps no element
+    alg = matrix_algebra(2, F3)
+    zero = Subspace.zero(alg)
+    with pytest.raises(TooLarge, match="power scan"):
+        radical_enumerate(zero, max_scan=100)
+    assert alg._element_memo == {}
+    assert len(mathieu._radical_coords(zero, 10**7)) == 9
+    with pytest.raises(TooLarge, match="power scan"):
+        radical_enumerate(zero, max_scan=100)
+    assert alg._power_data is not None and alg._element_memo == {}
 
 
 def test_decided_subspaces_refuse_the_same_idempotent_budget():
