@@ -94,7 +94,7 @@ class Algebra:
         self._product_bound = None
         self._idempotents = None
         self._products: dict[tuple[Coords, Coords], Coords] = {}
-        self._element_memo: dict[int, Element] = {}
+        self._element_memo = None  # see mathieu.radical_enumerate
         if check:
             self._verify()
 

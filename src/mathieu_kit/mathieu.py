@@ -50,7 +50,9 @@ everything here is decided exactly:
   returns come from the algebra's bounded memo, keyed by element index:
   every entry was built from an index decoded by ``_scan.digits``, only
   the indices it does not hold are decoded and built, and it holds at
-  most ``PRODUCT_MEMO_CAP`` (16,384) Elements, about 4 MB.
+  most ``PRODUCT_MEMO_CAP`` (16,384) Elements, about 4 MB, and a 2-byte
+  place for each element index.  Results share the kept Elements, and
+  the kept Elements refer back to their algebra.
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -173,28 +175,40 @@ def radical_enumerate(
 
     The elements of :func:`_radical_coords`, in its lexicographic
     coordinate order, read from the algebra's bounded memo of elements by
-    index.  The indices it does not hold are decoded in one
-    :func:`_scan.digits` call and built, and, the query having succeeded,
-    kept while the memo holds fewer than ``PRODUCT_MEMO_CAP`` elements
-    (16,384, about 4 MB).  Elements are immutable values, so results
-    share them; each call returns a new list.
+    index: a list of the kept elements and, for each element index, a
+    place in it (2 bytes an index).  The indices it does not hold are
+    decoded in one :func:`_scan.digits` call and built, and, the query
+    having succeeded, kept while the memo holds fewer than
+    ``PRODUCT_MEMO_CAP`` elements (16,384, about 4 MB).  A query whose
+    elements are all kept decodes nothing.  Each call returns a new list,
+    but its elements are shared with earlier and later results on the
+    same algebra, so a caller must not assign to their ``coords`` or
+    ``algebra``.  The kept elements refer back to the algebra, so an
+    algebra that has answered a query is freed, with its power table and
+    its memo, by Python's cyclic garbage collector, not as soon as its
+    last reference goes: a loop that builds and drops many algebras
+    should call ``gc.collect()``.
     """
     a = v.ambient
     alive = _radical_indices(v, max_scan)
-    memo, idx = a._element_memo, alive.tolist()
-    try:
-        return list(map(memo.__getitem__, idx))
-    except KeyError:  # not every element is kept yet
-        pass
-    new = [i for i in idx if i not in memo]
-    fresh = np.array(new, dtype=alive.dtype)
-    built = list(map(Element, repeat(a), _coords_at(a, fresh)))
-    room = max(PRODUCT_MEMO_CAP - len(memo), 0)
-    memo.update(zip(new[:room], built))
-    out = list(map(memo.get, idx))
-    # past the cap, the elements not kept go straight to their places
-    for k, x in zip(alive.searchsorted(fresh[room:]).tolist(), built[room:]):
-        out[k] = x
+    # the memo: for each element index, the place of its element in the
+    # list kept, or 0, where kept holds None
+    where, kept = a._element_memo or (
+        np.zeros(a.size, _scan.exact_dtype(PRODUCT_MEMO_CAP)), [None]
+    )
+    at = where[alive].astype(np.intp)
+    miss = at == 0
+    fresh = alive[miss]
+    n = len(kept)
+    if fresh.size:  # a decode of no index still costs a pass per coordinate
+        kept += map(Element, repeat(a), _coords_at(a, fresh))
+        at[miss] = np.arange(n, len(kept))
+    out = list(map(kept.__getitem__, at.tolist()))
+    # the list keeps the new elements while there is room, and no others
+    new = fresh[: max(PRODUCT_MEMO_CAP + 1 - n, 0)]
+    del kept[n + new.size :]
+    where[new] = np.arange(n, n + new.size)
+    a._element_memo = where, kept
     return out
 
 

@@ -1,12 +1,14 @@
 """The vectorized kernels against the pure-Python reference arithmetic."""
 
 import ast
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -783,7 +785,7 @@ def test_radical_enumerate_catches_corrupt_power_data(monkeypatch):
     alg = matrix_algebra(2, F3)
     with pytest.raises(ConsistencyError, match="stored power indices"):
         radical_enumerate(Subspace.zero(alg))
-    assert alg._power_data is None and alg._element_memo == {}
+    assert alg._power_data is None and alg._element_memo is None
 
 
 SLOW_CYCLE_CHILD = """
@@ -1030,6 +1032,19 @@ def _element_index(x):
     return sum(c * p**i for i, c in enumerate(reversed(x.coords)))
 
 
+def _kept(alg):
+    """The algebra's element memo as a dict from index to Element, after
+    checking its layout: a list that holds None and then each kept element
+    once, and the place in it of each element index, or 0."""
+    if alg._element_memo is None:
+        return {}
+    where, kept = alg._element_memo
+    assert type(kept) is list and kept[0] is None and len(where) == alg.size
+    held = np.flatnonzero(where)
+    assert sorted(where[held].tolist()) == list(range(1, len(kept)))
+    return {i: kept[where[i]] for i in held.tolist()}
+
+
 @pytest.mark.parametrize("name", list(MEMO_ALGEBRAS))
 def test_radical_elements_read_from_the_memo_equal_fresh_ones(name):
     # the zero subspace, a line, a hyperplane and the full space, queried
@@ -1041,14 +1056,17 @@ def test_radical_elements_read_from_the_memo_equal_fresh_ones(name):
         Subspace.zero(warm), _random_subspace(warm, rng, 1),
         _random_subspace(warm, rng, warm.dim - 1), Subspace.full(warm),
     ]
-    memo, seen = warm._element_memo, set()
+    seen = set()
     for v in [queries[k] for k in (0, 1, 2, 0, 3, 2, 1, 3)]:
         want = mathieu._radical_coords(v, 10**7)
+        before = _kept(warm)
         got = radical_enumerate(v)
         assert [x.coords for x in got] == want, v.basis
         fresh = span(MEMO_ALGEBRAS[name](), v.basis)
         assert [x.coords for x in radical_enumerate(fresh)] == want, v.basis
-        # each kept element is read back, not rebuilt
+        # each kept element is read back, not rebuilt, and stays kept
+        memo = _kept(warm)
+        assert all(memo[i] is x for i, x in before.items())
         assert all(x.algebra is warm and memo.get(_element_index(x), x) is x for x in got)
         seen.update(map(_element_index, got))
     assert len(memo) == min(len(seen), PRODUCT_MEMO_CAP)
@@ -1062,12 +1080,21 @@ def test_element_memo_stops_at_its_cap(monkeypatch):
     nilpotent = radical_enumerate(zero)
     everything = radical_enumerate(full)
     assert [x.coords for x in everything] == [x.coords for x in alg.elements()]
-    memo = alg._element_memo
+    memo = _kept(alg)
     assert len(memo) == 50 and {_element_index(x) for x in nilpotent} <= set(memo)
     # past the cap the elements are built and not kept
     again = radical_enumerate(full)
     assert again == everything and again[-1] is not everything[-1]
-    assert radical_enumerate(zero) == nilpotent and len(memo) == 50
+    assert all(x is memo[_element_index(x)] for x in again if _element_index(x) in memo)
+    assert radical_enumerate(zero) == nilpotent and _kept(alg) == memo
+    # the memo's places are as narrow as the cap; those of the 961 elements
+    # built here are not
+    big = MEMO_ALGEBRAS["F_31[t]/(t^2)"]()
+    for _ in range(2):
+        assert [x.coords for x in radical_enumerate(Subspace.full(big))] == [
+            x.coords for x in big.elements()
+        ]
+    assert len(_kept(big)) == 50
 
 
 def test_each_radical_query_returns_a_new_list():
@@ -1086,11 +1113,32 @@ def test_radical_refusals_leave_the_element_memo_empty():
     zero = Subspace.zero(alg)
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=100)
-    assert alg._element_memo == {}
+    assert alg._element_memo is None
     assert len(mathieu._radical_coords(zero, 10**7)) == 9
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=100)
-    assert alg._power_data is not None and alg._element_memo == {}
+    assert alg._power_data is not None and alg._element_memo is None
+
+
+class _WeakAlgebra(Algebra):
+    """An Algebra that takes weak references, and nothing else new."""
+
+
+def test_a_dropped_algebra_is_collected_with_its_element_memo():
+    # the kept elements refer back to their algebra: the cycle must be one
+    # the garbage collector can see through, or a dropped algebra and its
+    # power table would stay for the life of the process
+    m = matrix_algebra(2, F3)
+    alg = _WeakAlgebra(m.field, m.table, m.unit, check=False)
+    result = radical_enumerate(Subspace.full(alg))
+    assert len(_kept(alg)) == 81
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is not None  # the returned elements still hold it
+    del result
+    gc.collect()
+    assert ref() is None
 
 
 def test_decided_subspaces_refuse_the_same_idempotent_budget():
