@@ -34,7 +34,8 @@ kernel copies its operands into another layout.  The codim-1 census
 copies only what it gathers or joins: the columns its witness
 construction rebuilds on a later index pair, and its short blocks,
 concatenated into one call.  An algebra's power table is built once, in
-blocks of at most DEFAULT_BLOCK powers, and cached on it: for every
+blocks of at most DEFAULT_BLOCK powers, and kept on it through
+``Algebra.derived``, the one reader of what an algebra keeps: for every
 element it keeps the window a^d .. a^(2d-1), d the dimension, each power
 as the index of its element, so a radical query on a subspace V reads
 membership in V for the stored powers by indexing one bitmap over the
@@ -50,9 +51,10 @@ back into coordinates by :func:`digits`, the one decoder of indices
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
 with one rule for every algebra: check V's q^dim V vectors against the
-budget, then filter the algebra's own idempotents by V's constraint rows
-N x = 0 if they are listed, or if listing them costs no more than scanning
-V; otherwise scan V.  M_n(F_q) on matrix units lists them by construction
+budget, then filter the algebra's own idempotents, kept on it through
+``Algebra.derived``, by V's constraint rows N x = 0 if they are listed, or
+if listing them costs no more than scanning V; otherwise scan V.  M_n(F_q)
+on matrix units lists them by construction
 (:func:`construct_matrix_idempotents`), every other algebra by one scan of
 all its elements.
 """
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra
-from .errors import ConsistencyError, InfiniteField, TooLarge
+from .errors import ConsistencyError, InfiniteField, charge
 from .subspace import gaussian_binomial
 
 DEFAULT_BLOCK = 1 << 16
@@ -142,8 +144,7 @@ def sum_dtype(bound: int, what: str) -> np.dtype:
     the sums), so a kernel that calls this before it allocates refuses
     instead of wrapping.
     """
-    if bound >= 1 << 63:
-        raise TooLarge(bound, (1 << 63) - 1, what=f"int64 {what}")
+    charge(bound, (1 << 63) - 1, f"int64 {what}")
     return exact_dtype(bound)
 
 
@@ -168,7 +169,7 @@ def batch_mul(a: Algebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     matrices at once: viewed as (n, n, B), XY is the sum over k of the
     broadcast products of column k of X, (n, 1, B), and row k of Y,
     (1, n, B).  Every other algebra reads its nonzero structure constants
-    from ``a._sparse_table()``, the cache the reference arithmetic
+    from ``a._sparse_table()``, the table the reference arithmetic
     multiplies with: each constant c = table[i][j][k] adds x_i * y_j * c to
     output row k, in (i, j, k) order, one (B,)-row pass per constant.
 
@@ -207,17 +208,20 @@ def product_dtype(a: Algebra) -> np.dtype:
     """:func:`sum_dtype` of :func:`batch_mul`'s bound n_k (p-1)^2 in ``a``.
 
     n_k, the most nonzero structure constants that feed one output
-    coordinate, is counted once from ``a._sparse_table()`` and cached on
-    ``a``; a bound past int64 raises ``TooLarge`` on every call.
+    coordinate, is counted once from ``a._sparse_table()`` and kept as
+    ``a.derived("product_bound")``; a bound past int64 raises ``TooLarge``
+    on every call.
     """
-    if a._product_bound is None:
+
+    def bound():
         feeds = [0] * a.dim
         for row in a._sparse_table():
             for entries in row:
                 for k, _ in entries:
                     feeds[k] += 1
-        a._product_bound = max(feeds) * (a.field.order - 1) ** 2
-    return sum_dtype(a._product_bound, f"product sums of {a.label}")
+        return max(feeds) * (a.field.order - 1) ** 2
+
+    return sum_dtype(a.derived("product_bound", bound), f"product sums of {a.label}")
 
 
 def span_blocks(a: Algebra, basis_rows):
@@ -302,29 +306,31 @@ def idempotents(
     ``constraints`` are V's rows N with x in V iff N x = 0.  The one budget
     check comes first: V's q^r vectors past ``max_scan`` raise ``TooLarge``,
     whichever route then runs.  The algebra's own idempotents are listed
-    and cached on it when that costs no more than scanning V (the
-    :func:`matrix_idempotent_count` rows of the construction, checked by
-    :func:`_check_idempotents`, or a scan of all q^dim elements), and a
-    listed algebra is filtered by N x = 0.  Otherwise V is scanned.
+    and kept as ``a.derived("idempotents")`` when that costs no more than
+    scanning V (the :func:`matrix_idempotent_count` rows of the
+    construction, checked by :func:`_check_idempotents`, or a scan of all
+    q^dim elements), and a listed algebra is filtered by N x = 0.
+    Otherwise V is scanned.
     """
     p = a.field.order
     total = p ** len(basis_rows)
-    if total > max_scan:
-        raise TooLarge(total, max_scan, what=f"idempotent scan in {a.label}")
-    if a._idempotents is None:
-        n = a.matrix_size
-        if (a.size if n is None else matrix_idempotent_count(n, p)) > total:
-            return sorted(idempotent_coords(a, basis_rows))
+    charge(total, max_scan, f"idempotent scan in {a.label}")
+    n = a.matrix_size
+
+    def listed():
         store = exact_dtype(p - 1)
         if n is None:
             # on the standard basis, scan order is coordinate order
-            rows = np.array(idempotent_coords(a, a._basis), dtype=store)
-        else:
-            built = construct_matrix_idempotents(n, p)
-            rows = built[np.lexsort(built.T[::-1])].astype(store)
-            _check_idempotents(a, rows)
-        a._idempotents = rows
-    rows = a._idempotents
+            return np.array(idempotent_coords(a, a._basis), dtype=store)
+        built = construct_matrix_idempotents(n, p)
+        rows = built[np.lexsort(built.T[::-1])].astype(store)
+        _check_idempotents(a, rows)
+        return rows
+
+    listing_is_cheaper = (a.size if n is None else matrix_idempotent_count(n, p)) <= total
+    rows = a.derived("idempotents", listed if listing_is_cheaper else None)
+    if rows is None:
+        return sorted(idempotent_coords(a, basis_rows))
     return [tuple(e) for e in rows[membership_bitmap(rows.T, constraints, p)].tolist()]
 
 
@@ -555,23 +561,19 @@ def power_chunks(a: Algebra, max_scan: int):
     So does an algebra whose last index, size - 1, does not fit int64, the
     widest dtype its indices are encoded and decoded in, whatever the
     budget.  The table is built once, in blocks of DEFAULT_BLOCK // (2d-1) elements
-    (at most DEFAULT_BLOCK powers each), and cached on ``a``; it holds
-    size * d indices, fewer than the budget it was priced at.
+    (at most DEFAULT_BLOCK powers each), and kept as
+    ``a.derived("power_table")``; it holds size * d indices, fewer than the
+    budget it was priced at.
     """
     if not a.field.is_finite:
         raise InfiniteField("power scans need a finite field")
     size, horizon = a.size, 2 * a.dim - 1
-    needed = size * horizon
-    if needed > max_scan:
-        raise TooLarge(needed, max_scan, what=f"power scan of {a.label}")
-    if size > 1 << 63:
-        raise TooLarge(size, 1 << 63, what=f"int64 element indices of {a.label}")
-    if a._power_data is None:
-        step = DEFAULT_BLOCK // horizon
-        a._power_data = [
-            build_power_chunk(a, s, min(s + step, size)) for s in range(0, size, step)
-        ]
-    yield from a._power_data
+    charge(size * horizon, max_scan, f"power scan of {a.label}")
+    charge(size, 1 << 63, f"int64 element indices of {a.label}")
+    step = DEFAULT_BLOCK // horizon
+    yield from a.derived("power_table", lambda: [
+        build_power_chunk(a, s, min(s + step, size)) for s in range(0, size, step)
+    ])
 
 
 def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ._linalg import matvec
 from .errors import (
@@ -36,9 +36,11 @@ from .fields import Field, Poly, Scalar, poly_ext_gcd, poly_split_at_zero
 
 Coords = tuple[Scalar, ...]
 
-#: Entries each of an algebra's two memos keeps: its products, and the
-#: elements by index that ``mathieu.radical_enumerate`` returns.  Past it
-#: they are computed or built, not kept.
+#: Entries each of an algebra's two memos keeps: its products (the plain
+#: ``_products`` dict of :meth:`Algebra._mul_coords`, the hottest path), and
+#: the elements by index that ``mathieu.radical_enumerate`` returns (kept
+#: through :meth:`Algebra.derived`).  Past it they are computed or built,
+#: not kept.
 PRODUCT_MEMO_CAP = 1 << 14
 
 
@@ -52,14 +54,8 @@ class Algebra:
         "unit",
         "label",
         "_basis",
-        "_sparse",
-        "_commutative",
-        "_matrix_size",
-        "_power_data",
-        "_product_bound",
-        "_idempotents",
         "_products",
-        "_element_memo",
+        "_derived",
     )
 
     def __init__(self, field: Field, table, unit, label: str = "", check: bool = True):
@@ -87,14 +83,8 @@ class Algebra:
             tuple(field.one if j == i else field.zero for j in range(dim))
             for i in range(dim)
         )
-        self._sparse = None
-        self._commutative: Optional[bool] = None
-        self._matrix_size: Optional[int] = -1  # -1 = not yet detected
-        self._power_data = None
-        self._product_bound = None
-        self._idempotents = None
         self._products: dict[tuple[Coords, Coords], Coords] = {}
-        self._element_memo = None  # see mathieu.radical_enumerate
+        self._derived: dict[str, object] = {}
         if check:
             self._verify()
 
@@ -132,22 +122,34 @@ class Algebra:
 
     # -- structure ---------------------------------------------------------------------
 
+    def derived(self, key: str, build: Optional[Callable[[], object]] = None):
+        """The structure ``key`` derived from this algebra, kept for its life.
+
+        This is the one place an algebra keeps what is derived from it
+        (all but the product memo of :meth:`_mul_coords`).  On a miss,
+        ``build()`` makes it and it is kept; a build that raises keeps
+        nothing.  With no ``build``, a miss returns None and builds nothing.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            if build is None:
+                return None
+            value = self._derived[key] = build()
+            return value
+
     @property
     def is_commutative(self) -> bool:
-        if self._commutative is None:
-            self._commutative = all(
-                self.table[i][j] == self.table[j][i]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
-            )
-        return self._commutative
+        return self.derived("commutative", lambda: all(
+            self.table[i][j] == self.table[j][i]
+            for i in range(self.dim)
+            for j in range(i + 1, self.dim)
+        ))
 
     @property
     def matrix_size(self) -> Optional[int]:
         """n if this is M_n on the matrix-unit basis, else None."""
-        if self._matrix_size == -1:
-            self._matrix_size = self._detect_matrix()
-        return self._matrix_size
+        return self.derived("matrix_size", self._detect_matrix)
 
     def _detect_matrix(self) -> Optional[int]:
         n = isqrt(self.dim)
@@ -190,21 +192,16 @@ class Algebra:
     # -- products ------------------------------------------------------------------------
 
     def _sparse_table(self):
-        """The nonzero structure constants, cached on the instance.
+        """The nonzero structure constants, kept through :meth:`derived`.
 
         Entry [i][j] holds the pairs (k, c) with c = table[i][j][k] != 0, k
         ascending; the reference product, ``_scan.batch_mul`` and the
         maximum-ideal pullback of :mod:`mathieu_kit.subspace` read it.
         """
-        if self._sparse is None:
-            self._sparse = tuple(
-                tuple(
-                    tuple((k, c) for k, c in enumerate(vec) if c != 0)
-                    for vec in row
-                )
-                for row in self.table
-            )
-        return self._sparse
+        return self.derived("sparse", lambda: tuple(
+            tuple(tuple((k, c) for k, c in enumerate(vec) if c != 0) for vec in row)
+            for row in self.table
+        ))
 
     def _mul_coords(self, x: Coords, y: Coords) -> Coords:
         """x*y from the structure constants, each coordinate summed exactly
@@ -555,7 +552,7 @@ def matrix_algebra(n: int, field: Field) -> Algebra:
     unit = tuple(F.one if (i // n == i % n) else F.zero for i in range(d))
     name = f"M_{n}({F!r})"
     alg = Algebra(F, table, unit, label=name, check=False)
-    alg._matrix_size = n
+    alg.derived("matrix_size", lambda: n)
     return alg
 
 

@@ -44,12 +44,17 @@ CHECK_TRUE, CHECK_FALSE, USAGE_ERROR = 0, 1, 2
 
 
 def _scan_budget(text: str) -> int:
+    """A budget is a non-negative integer; anything else is a usage error."""
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
+        n = -1
+    if n < 0:
         raise argparse.ArgumentTypeError(
-            f"invalid budget {text!r} (from --max-scan or MATHIEU_KIT_MAX_SCAN)"
-        ) from None
+            f"invalid budget {text!r}, not a non-negative integer "
+            "(from --max-scan or MATHIEU_KIT_MAX_SCAN)"
+        )
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:

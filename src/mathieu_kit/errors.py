@@ -100,6 +100,12 @@ class TooLarge(MathieuKitError, ValueError):
         super().__init__(f"{what} needs {needed} evaluations, budget is {limit}")
 
 
+def charge(needed, limit, what: str) -> None:
+    """Raise :class:`TooLarge` when ``needed`` is past the budget ``limit``."""
+    if needed > limit:
+        raise TooLarge(needed, limit, what=what)
+
+
 # --- decision procedures ----------------------------------------------------
 
 

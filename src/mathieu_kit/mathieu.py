@@ -36,23 +36,24 @@ everything here is decided exactly:
   directions.  Nilpotent elements always qualify.  Since k + e <= d = dim A,
   the fixed window a^d, ..., a^(2d-1) decides it for every element at once,
   nilpotent ones included, with no minimal polynomial at all.
-  ``radical_enumerate`` reads that window from the algebra's one cached
-  power table, which stores a^d, ..., a^(2d-1) for every element as
-  element indices; each product of a^1, ..., a^(2d-1) was recomputed
-  exactly from the dense structure constants, and every stored index
-  decoded and compared, when the table was built (see
-  ``_scan.build_power_chunk``).  Membership in M is a bitmap over the
+  ``radical_enumerate`` reads that window from the algebra's one power
+  table, kept on it through ``Algebra.derived``, which stores a^d, ...,
+  a^(2d-1) for every element as element indices; each product of a^1,
+  ..., a^(2d-1) was recomputed exactly from the dense structure
+  constants, and every stored index decoded and compared, when the table
+  was built (see ``_scan.build_power_chunk``).  Membership in M is a bitmap over the
   element indices, set from M's own q^dim M elements
   (``_scan.span_bitmap``), so a warm query costs M's size and one read of
   the window; only the radical's own indices are decoded into
   coordinates, and ``_radical_coords`` returns those tuples to callers
   that need no ``Element``.  The ``Element``s that ``radical_enumerate``
-  returns come from the algebra's bounded memo, keyed by element index:
-  every entry was built from an index decoded by ``_scan.digits``, only
-  the indices it does not hold are decoded and built, and it holds at
-  most ``PRODUCT_MEMO_CAP`` (16,384) Elements, about 4 MB, and a 2-byte
-  place for each element index.  Results share the kept Elements, and
-  the kept Elements refer back to their algebra.
+  returns come from the algebra's bounded memo, keyed by element index
+  and kept through the same reader: every entry was built from an index
+  decoded by ``_scan.digits``, only the indices it does not hold are
+  decoded and built, and it holds at most ``PRODUCT_MEMO_CAP`` (16,384)
+  Elements, about 4 MB, and a 2-byte place for each element index.
+  Results share the kept Elements, and the kept Elements refer back to
+  their algebra.
 
 Over the rationals the scans are impossible and only the element-level
 operations are offered: the window-based ``radical_member``, the
@@ -89,8 +90,8 @@ from .errors import (
     NotInRadical,
     NotMathieu,
     OnlyTrivial,
-    TooLarge,
     ZeroElement,
+    charge,
 )
 from .subspace import (
     ALL_VARIANTS,
@@ -192,10 +193,10 @@ def radical_enumerate(
     a = v.ambient
     alive = _radical_indices(v, max_scan)
     # the memo: for each element index, the place of its element in the
-    # list kept, or 0, where kept holds None
-    where, kept = a._element_memo or (
+    # list kept, or 0, where kept holds None; updated in place below
+    where, kept = a.derived("elements", lambda: (
         np.zeros(a.size, _scan.exact_dtype(PRODUCT_MEMO_CAP)), [None]
-    )
+    ))
     at = where[alive].astype(np.intp)
     miss = at == 0
     fresh = alive[miss]
@@ -208,7 +209,6 @@ def radical_enumerate(
     new = fresh[: max(PRODUCT_MEMO_CAP + 1 - n, 0)]
     del kept[n + new.size :]
     where[new] = np.arange(n, n + new.size)
-    a._element_memo = where, kept
     return out
 
 
@@ -228,12 +228,13 @@ def _radical_indices(v: Subspace, max_scan: int) -> np.ndarray:
     """The element indices of the exact radical of ``v``, ascending, so in
     lexicographic coordinate order.
 
-    The algebra's power table is priced, and built or read from its cache,
-    first.  Then a bitmap of ``v`` over the element indices is set from
-    v's own q^dim v elements (:func:`_scan.span_bitmap`), and read for the
-    stored window a^d .. a^(2d-1) of every element through its element
-    indices, which the chunks store power-major and which are read here as
-    one (d, size) table: the element is in the radical when all of its
+    The algebra's power table is priced, and built or read through
+    ``Algebra.derived``, first.  Then a bitmap of ``v`` over the element
+    indices is set from v's own q^dim v elements
+    (:func:`_scan.span_bitmap`), and read for the stored window a^d ..
+    a^(2d-1) of every element through its element indices, which the
+    chunks store power-major and which are read here as one (d, size)
+    table: the element is in the radical when all of its
     column lies in ``v`` (see the module docstring).  The test exits early:
     a^d is read for every element, and each later stored power only for
     the elements whose powers so far all lie in ``v``.
@@ -440,8 +441,7 @@ def _oracle(v: Subspace, variants, max_scan: int) -> dict[Sidedness, bool]:
     for variant in variants:
         t = {Sidedness.PRE_TWO_SIDED: 2 * d, Sidedness.TWO_SIDED: d + d * d}.get(variant, d)
         price = v.size() * a.size * (1 + t)
-        if price > max_scan:
-            raise TooLarge(price, max_scan, what=f"oracle walk of {a.label}")
+        charge(price, max_scan, f"oracle walk of {a.label}")
     left, right, two = Sidedness.LEFT, Sidedness.RIGHT, Sidedness.TWO_SIDED
     pre = Sidedness.PRE_TWO_SIDED in variants
     holds = {s: s in variants or pre and s is not two for s in (left, right, two)}

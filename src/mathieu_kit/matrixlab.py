@@ -61,10 +61,10 @@ from .errors import (
     NotMatrixAlgebra,
     NotProper,
     ScalarDual,
-    TooLarge,
     TooSmall,
     WrongCodimension,
     ZeroDual,
+    charge,
 )
 from .fields import GF, Field, Scalar
 from .mathieu import MAX_SCAN_DEFAULT, _idempotents_of, decide_all_variants, decide_mathieu
@@ -351,8 +351,7 @@ def _class_count(q: int, d: int, max_scan: int, what: str) -> int:
     price, checked before its first block is built.  More than
     ``max_scan`` raise TooLarge, naming the census ``what``."""
     total = (q**d - 1) // (q - 1)
-    if total > max_scan:
-        raise TooLarge(total, max_scan, what=what)
+    charge(total, max_scan, what)
     return total
 
 

@@ -33,7 +33,7 @@ from .errors import (
     AlgebraMismatch,
     InfiniteField,
     NotAnIdeal,
-    TooLarge,
+    charge,
 )
 from .fields import Field
 
@@ -437,8 +437,7 @@ def enumerate_subspaces(
         return iter(())
     q = F.order
     count = gaussian_binomial(d, r, q)
-    if count > max_count:
-        raise TooLarge(count, max_count, what=f"subspace enumeration over {a.label}")
+    charge(count, max_count, f"subspace enumeration over {a.label}")
 
     def with_pivots(pivots: tuple[int, ...]) -> Iterator[Subspace]:
         pivot_set = set(pivots)
@@ -466,7 +465,6 @@ def all_subspaces(
 ) -> Iterator[Subspace]:
     """Every subspace of every dimension, zero subspace first."""
     total = sum(gaussian_binomial(a.dim, r, a.field.order) for r in range(a.dim + 1))
-    if total > max_count:
-        raise TooLarge(total, max_count, what=f"subspace enumeration over {a.label}")
+    charge(total, max_count, f"subspace enumeration over {a.label}")
     for r in range(a.dim + 1):
         yield from enumerate_subspaces(a, r, max_count=max_count)

@@ -1,11 +1,14 @@
 import itertools
+import pathlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mathieu_kit import _scan
 from mathieu_kit.algebra import (
     PRODUCT_MEMO_CAP,
     Algebra,
@@ -39,6 +42,8 @@ from mathieu_kit.errors import (
 )
 from mathieu_kit.experiments import catalog, run_suite
 from mathieu_kit.fields import GF, QQ, Poly
+from mathieu_kit.mathieu import _idempotents_of, radical_enumerate
+from mathieu_kit.subspace import Subspace
 from test_kernels import _negated_transposed_basis
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -473,3 +478,104 @@ def test_idempotent_criterion_computes_each_product_once(monkeypatch):
     monkeypatch.setattr(Algebra, "_mul_coords", counting)
     assert run_suite("idempotent_criterion").passed
     assert computed and set(computed.values()) == {1}
+
+
+# -- what an algebra keeps: Algebra.derived ------------------------------------------------------
+
+
+def _unprimed_m2_f3():
+    """M_2(F_3) with nothing derived yet, not even its matrix size."""
+    m = matrix_algebra(2, F3)
+    return Algebra(F3, m.table, m.unit, label="M_2(F_3)", check=False)
+
+
+#: Each kept structure, read through the module that owns it.
+DERIVED_READS = {
+    "sparse": lambda a: a._sparse_table(),
+    "commutative": lambda a: a.is_commutative,
+    "matrix_size": lambda a: a.matrix_size,
+    "product_bound": lambda a: _scan.product_dtype(a),
+    "power_table": lambda a: list(_scan.power_chunks(a, 10**7)),
+    "idempotents": lambda a: _idempotents_of(Subspace.full(a), 10**7),
+    "elements": lambda a: radical_enumerate(Subspace.zero(a)),
+}
+
+
+def _spy_builds(monkeypatch, alg, key, fail_first=False):
+    """Count the builds of ``key`` on ``alg`` through ``Algebra.derived``;
+    with ``fail_first`` the first one raises before it builds anything."""
+    builds = []
+    derived = Algebra.derived
+
+    def spying(self, k, build=None):
+        if self is alg and k == key and build is not None:
+            inner = build
+
+            def build():
+                builds.append(k)
+                if fail_first and len(builds) == 1:
+                    raise RuntimeError("this build fails")
+                return inner()
+
+        return derived(self, k, build)
+
+    monkeypatch.setattr(Algebra, "derived", spying)
+    return builds
+
+
+@pytest.mark.parametrize("key", list(DERIVED_READS))
+def test_each_derived_structure_is_built_once_and_only_on_success(monkeypatch, key):
+    read = DERIVED_READS[key]
+    alg = _unprimed_m2_f3()
+    # a read with no builder never builds
+    assert alg.derived(key) is None and alg.derived(key) is None
+    builds = _spy_builds(monkeypatch, alg, key, fail_first=True)
+    with pytest.raises(RuntimeError, match="this build fails"):
+        read(alg)
+    assert builds == [key] and alg.derived(key) is None  # a failed build keeps nothing
+    first = read(alg)
+    kept = alg.derived(key)
+    assert builds == [key, key] and kept is not None
+    # the second read builds nothing and reads what the first kept
+    assert read(alg) == first
+    assert builds == [key, key] and alg.derived(key) is kept
+    assert alg.derived(key, lambda: pytest.fail("kept, so not built")) is kept
+
+
+def test_matrix_algebra_primes_its_matrix_size(monkeypatch):
+    monkeypatch.setattr(Algebra, "_detect_matrix", lambda self: pytest.fail("primed"))
+    assert matrix_algebra(3, F2).matrix_size == 3
+    assert matrix_algebra(3, F2).derived("matrix_size") == 3
+
+
+def test_radical_queries_build_the_power_table_only_in_the_first(monkeypatch):
+    alg = matrix_algebra(2, F3)
+    built = []
+    build = _scan.build_power_chunk
+
+    def counting(a, start, stop):
+        built.append((start, stop))
+        return build(a, start, stop)
+
+    monkeypatch.setattr(_scan, "build_power_chunk", counting)
+    first = radical_enumerate(Subspace.zero(alg))
+    assert built == [(0, 81)]
+    assert radical_enumerate(Subspace.full(alg)) and radical_enumerate(Subspace.zero(alg)) == first
+    assert built == [(0, 81)]
+
+
+def test_only_algebra_names_what_an_algebra_keeps():
+    # every derived structure is kept through Algebra.derived: no module but
+    # algebra.py names its dict, and the slots it replaced are gone
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "mathieu_kit"
+    deleted = ("_sparse", "_commutative", "_matrix_size", "_product_bound",
+               "_power_data", "_idempotents", "_element_memo")
+    named = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(("_derived",) + deleted))
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        found = set(named.findall(path.read_text()))
+        if path.name == "algebra.py":
+            found.discard("_derived")
+        assert not found, f"{path.name} names {sorted(found)}"
+    assert not set(deleted) & set(Algebra.__slots__)

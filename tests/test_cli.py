@@ -318,7 +318,11 @@ def test_env_var_mirrors_max_scan(capsys, monkeypatch):
 
 
 def test_malformed_env_max_scan_is_a_usage_error(capsys, monkeypatch):
-    for raw in ("abc", "1e7"):
+    # a negative budget is malformed too, and 0 is a budget
+    code, out, err = run_cli(capsys, "--max-scan", "-1", "alg", "find-ms", "--algebra", "mat:2:2")
+    assert (code, out) == (2, "") and "'-1'" in err
+    assert run_cli(capsys, "--max-scan", "0", "algebra", "info", "--algebra", "mat:2:2")[0] == 0
+    for raw in ("abc", "1e7", "-5"):
         monkeypatch.setenv("MATHIEU_KIT_MAX_SCAN", raw)
         code, out, err = run_cli(capsys, "algebra", "info", "--algebra", "mat:2:2")
         assert code == 2

@@ -160,7 +160,7 @@ def test_batch_mul_sums_in_its_bound_and_refuses_past_int64():
     for _ in range(2):
         with pytest.raises(TooLarge, match="int64 product sums"):
             _scan.batch_mul(alg, x, x)
-    assert alg._product_bound == 2 * (p - 1) ** 2
+    assert alg.derived("product_bound") == 2 * (p - 1) ** 2
 
 
 @pytest.mark.parametrize(
@@ -376,7 +376,7 @@ def test_constructed_idempotents_match_full_scan(n, q):
     full_basis = [alg._basis_coords(i) for i in range(alg.dim)]
     scanned = _scan.idempotent_coords(alg, full_basis)
     built = _all_idempotents(alg)
-    assert alg._idempotents.dtype == _scan.exact_dtype(q - 1) == np.int8
+    assert alg.derived("idempotents").dtype == _scan.exact_dtype(q - 1) == np.int8
     assert _scan.construct_matrix_idempotents(n, q).dtype == _scan.exact_dtype(n * (q - 1) ** 2)
     assert built == sorted(scanned)
     assert len(built) == _scan.matrix_idempotent_count(n, q)
@@ -424,7 +424,7 @@ def test_listed_idempotents_are_stored_signed():
     alg = matrix_algebra(2, GF(131))
     upper = span(alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     got = _idempotents_of(upper, 10**7)
-    assert alg._idempotents.dtype == np.int16
+    assert alg.derived("idempotents").dtype == np.int16
     want = [(0, 0, 0, 0), (1, 0, 0, 1)]
     want += [(1, b, 0, 0) for b in range(131)] + [(0, b, 0, 1) for b in range(131)]
     assert got == sorted(want)
@@ -437,7 +437,7 @@ def test_constructed_idempotents_have_the_formula_count():
     alg = matrix_algebra(4, F3)
     built = _all_idempotents(alg, max_scan=3**16)
     assert len(built) == _scan.matrix_idempotent_count(4, 3) == 1 + 40 * 27 * 2 + 130 * 81 + 1
-    assert alg._idempotents.tolist() == [list(e) for e in built]
+    assert alg.derived("idempotents").tolist() == [list(e) for e in built]
 
 
 IDEMPOTENT_ALGEBRAS = ALGEBRAS[:4] + [
@@ -466,9 +466,9 @@ def test_idempotent_scan_matches_bruteforce(monkeypatch, alg):
         if p**r <= 256:
             slow = [x.coords for x in v.elements() if (x * x).coords == x.coords]
             assert scanned == sorted(slow)
-        built = alg._idempotents is not None or cost <= p**r
+        built = alg.derived("idempotents") is not None or cost <= p**r
         assert _idempotents_of(v, max_scan=10**7) == scanned
-        assert (alg._idempotents is not None) == built
+        assert (alg.derived("idempotents") is not None) == built
         subspaces.append(v.basis)
         expected.append(scanned)
     # the list is built by now (at r = dim at the latest), and every
@@ -505,7 +505,7 @@ def test_idempotent_build_catches_a_faulty_construction(monkeypatch, fault, n, q
     alg = matrix_algebra(n, GF(q))
     with pytest.raises(ConsistencyError):
         decide_mathieu(trace_orthogonal(alg.one()), Sidedness.TWO_SIDED)
-    assert alg._idempotents is None
+    assert alg.derived("idempotents") is None
 
 
 def test_census_hyperplane_is_decided_without_a_scan(monkeypatch):
@@ -519,7 +519,7 @@ def test_census_hyperplane_is_decided_without_a_scan(monkeypatch):
     verdicts = decide_all_variants(v)
     assert all(verdict.is_mathieu for verdict in verdicts.values())
     assert _idempotents_of(v, max_scan=10**7) == [(0,) * 9]
-    assert len(alg._idempotents) == 1552
+    assert len(alg.derived("idempotents")) == 1552
 
 
 def test_refusals_and_small_subspaces_build_nothing():
@@ -527,18 +527,18 @@ def test_refusals_and_small_subspaces_build_nothing():
     v = trace_orthogonal(alg.one())
     with pytest.raises(TooLarge):
         decide_mathieu(v, Sidedness.LEFT, max_scan=5**8 - 1)
-    assert alg._idempotents is None
+    assert alg.derived("idempotents") is None
     # a line of M_4(F_7) has 7 vectors; the algebra has 7,117,252 idempotents
     alg = matrix_algebra(4, GF(7))
     assert _scan.matrix_idempotent_count(4, 7) == 7_117_252
     line = span(alg, [[1, 2] + [0] * 13 + [3]])
     assert decide_mathieu(line, Sidedness.TWO_SIDED).is_mathieu
-    assert alg._idempotents is None
+    assert alg.derived("idempotents") is None
     # F_65537[t]/(t^2) has 65537^2 elements, past the default budget
     alg = poly_quotient_algebra(Poly.from_ints(GF(65537), [0, 0, 1]))
     with pytest.raises(TooLarge):
         is_quasi_stable(alg)
-    assert alg._idempotents is None
+    assert alg.derived("idempotents") is None
 
 
 def element_coords(alg, index):
@@ -720,7 +720,7 @@ def test_build_replay_catches_a_faulty_kernel(monkeypatch, kernel):
     alg = matrix_algebra(2, F3)
     with pytest.raises(ConsistencyError):
         list(_scan.power_chunks(alg, max_scan=10**7))
-    assert alg._power_data is None
+    assert alg.derived("power_table") is None
 
 
 @pytest.mark.parametrize("row", [7, 40, 55])
@@ -732,7 +732,7 @@ def test_power_build_catches_a_fault_in_one_row(monkeypatch, row):
     alg = matrix_algebra(2, F3)
     with pytest.raises(ConsistencyError, match="dense structure constants"):
         list(_scan.power_chunks(alg, max_scan=10**7))
-    assert alg._power_data is None
+    assert alg.derived("power_table") is None
 
 
 @pytest.mark.parametrize(
@@ -753,7 +753,7 @@ def test_power_build_catches_every_random_product_error(monkeypatch, n, field):
         _fault_every_product(monkeypatch, error, row)
         with pytest.raises(ConsistencyError, match="dense structure constants"):
             list(_scan.power_chunks(alg, max_scan=10**7))
-        assert alg._power_data is None
+        assert alg.derived("power_table") is None
         monkeypatch.undo()
 
 
@@ -776,7 +776,7 @@ def test_power_build_checks_every_stored_index(monkeypatch):
     alg = matrix_algebra(2, F3)
     with pytest.raises(ConsistencyError, match="stored power indices"):
         list(_scan.power_chunks(alg, max_scan=10**7))
-    assert alg._power_data is None
+    assert alg.derived("power_table") is None
 
 
 def test_radical_enumerate_catches_corrupt_power_data(monkeypatch):
@@ -785,7 +785,7 @@ def test_radical_enumerate_catches_corrupt_power_data(monkeypatch):
     alg = matrix_algebra(2, F3)
     with pytest.raises(ConsistencyError, match="stored power indices"):
         radical_enumerate(Subspace.zero(alg))
-    assert alg._power_data is None and alg._element_memo is None
+    assert alg.derived("power_table") is None and alg.derived("elements") is None
 
 
 SLOW_CYCLE_CHILD = """
@@ -909,7 +909,7 @@ def test_radical_enumerate_matches_the_definition():
                     if _cycle_radical_member(v.member, x)
                 ]
                 assert got == cycle, (alg.label, v.basis)
-        assert alg._power_data is not None
+        assert alg.derived("power_table") is not None
 
 
 # name: (algebra factory, basis of a subalgebra or ideal, whose radical holds
@@ -952,7 +952,7 @@ def test_radical_enumerate_matches_the_definition_on_samples(name):
             x = alg.element(element_coords(alg, rng.randrange(alg.size)))
             assert radical_member(v, x) == (x.coords in inside), (name, v.basis, x.coords)
     keys = np.int32 if alg.size > 1 << 15 else np.int16
-    assert {c.rows.dtype for c in alg._power_data} == {np.dtype(keys)}
+    assert {c.rows.dtype for c in alg.derived("power_table")} == {np.dtype(keys)}
 
 
 #: the index of (1, 0, 0, 1), the unit of M_2(F_3), which stores d = 4
@@ -967,7 +967,7 @@ def test_cached_power_rows_refuse_writes():
     zero = Subspace.zero(alg)
     nilpotent = radical_enumerate(zero)
     assert len(nilpotent) == 9  # 3^(n^2 - n) nilpotent matrices
-    chunk = alg._power_data[0]
+    chunk = alg.derived("power_table")[0]
     with pytest.raises(ValueError, match="read-only"):
         chunk.rows[UNIT :: chunk.count] = 0
     assert radical_enumerate(zero) == nilpotent
@@ -991,7 +991,7 @@ def test_radical_refusals_come_before_any_membership_work(monkeypatch):
         radical_enumerate(zero, max_scan=100)
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=80)
-    assert alg._power_data is None
+    assert alg.derived("power_table") is None
 
 
 def test_cached_power_tables_refuse_the_same_budget():
@@ -999,7 +999,7 @@ def test_cached_power_tables_refuse_the_same_budget():
     alg = poly_quotient_algebra(Poly.from_ints(GF(131), [0, 0, 1]))
     zero = Subspace.zero(alg)
     assert len(radical_enumerate(zero)) == 131
-    assert alg._power_data is not None
+    assert alg.derived("power_table") is not None
     with pytest.raises(TooLarge, match="power scan .* needs 51483 evaluations, budget is 34322"):
         radical_enumerate(zero, max_scan=34_322)
 
@@ -1014,7 +1014,7 @@ def test_power_tables_refuse_indices_past_int64(monkeypatch):
     assert alg.size - 1 > np.iinfo(np.int64).max
     with pytest.raises(TooLarge, match="int64 element indices"):
         radical_enumerate(Subspace.zero(alg), max_scan=alg.size * (2 * alg.dim - 1))
-    assert alg._power_data is None
+    assert alg.derived("power_table") is None
 
 
 # -- the element memo -------------------------------------------------------------------------------
@@ -1036,9 +1036,9 @@ def _kept(alg):
     """The algebra's element memo as a dict from index to Element, after
     checking its layout: a list that holds None and then each kept element
     once, and the place in it of each element index, or 0."""
-    if alg._element_memo is None:
+    if alg.derived("elements") is None:
         return {}
-    where, kept = alg._element_memo
+    where, kept = alg.derived("elements")
     assert type(kept) is list and kept[0] is None and len(where) == alg.size
     held = np.flatnonzero(where)
     assert sorted(where[held].tolist()) == list(range(1, len(kept)))
@@ -1113,11 +1113,11 @@ def test_radical_refusals_leave_the_element_memo_empty():
     zero = Subspace.zero(alg)
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=100)
-    assert alg._element_memo is None
+    assert alg.derived("elements") is None
     assert len(mathieu._radical_coords(zero, 10**7)) == 9
     with pytest.raises(TooLarge, match="power scan"):
         radical_enumerate(zero, max_scan=100)
-    assert alg._power_data is not None and alg._element_memo is None
+    assert alg.derived("power_table") is not None and alg.derived("elements") is None
 
 
 class _WeakAlgebra(Algebra):
