@@ -171,6 +171,15 @@ def commands() -> list[list[str]]:
     # M_3(F_5) has 488,281 lines; the search stops at the second one
     out += [["--json", "alg", "find-ms", "--algebra", spec]
             for spec in ("dsum:mat:1:3+mat:1:3", "mat:3:5")]
+    # the line enumeration is charged to --max-scan: M_2(F_2)'s 15 lines
+    # are refused at 5, M_4(F_3)'s 21,523,360 answered at 10^8 and M_3(F_7)'s
+    # 6,725,601 at the default
+    out += [["--json", *budget, "alg", "find-ms", "--algebra", spec]
+            for budget, spec in ((["--max-scan", "5"], "mat:2:2"),
+                                 (["--max-scan", "100000000"], "mat:4:3"), ([], "mat:3:7"))]
+    # E_11 = 0 in M_4(F_3): 3^15 vectors, priced at the 12,692 idempotents it filters
+    out.append(["--json", "space", "check", "--algebra", "mat:4:3", "--basis",
+                _units(4, range(1, 16)), "--theta", "two_sided"])
     out += [["--json", "mat", "witness", "--algebra", spec, "--elem", elem]
             for spec, elem in WITNESS_ELEMENTS]
     out += [["--json", "space", "radical-enum", "--algebra", spec, "--basis", ""]

@@ -50,10 +50,11 @@ back into coordinates by :func:`digits`, the one decoder of indices
 (:func:`coeff_block` is :func:`digits` of an index range).
 
 :func:`idempotents` is the one source of the idempotents of a subspace V,
-with one rule for every algebra: check V's q^dim V vectors against the
-budget, then filter the algebra's own idempotents, kept on it through
-``Algebra.derived``, by V's constraint rows N x = 0 if they are listed, or
-if listing them costs no more than scanning V; otherwise scan V.  M_n(F_q)
+with one rule for every algebra: check the cheaper of listing the
+algebra's own idempotents and scanning V's q^dim V vectors against the
+budget, then filter that list, kept on the algebra through
+``Algebra.derived``, by V's constraint rows N x = 0 if it is kept, or if
+it costs no more than scanning V; otherwise scan V.  M_n(F_q)
 on matrix units lists them by construction
 (:func:`construct_matrix_idempotents`), every other algebra by one scan of
 all its elements.
@@ -303,19 +304,21 @@ def idempotents(
 ) -> list[tuple[int, ...]]:
     """Every idempotent of the subspace V = span(``basis_rows``), sorted.
 
-    ``constraints`` are V's rows N with x in V iff N x = 0.  The one budget
-    check comes first: V's q^r vectors past ``max_scan`` raise ``TooLarge``,
-    whichever route then runs.  The algebra's own idempotents are listed
-    and kept as ``a.derived("idempotents")`` when that costs no more than
-    scanning V (the :func:`matrix_idempotent_count` rows of the
-    construction, checked by :func:`_check_idempotents`, or a scan of all
-    q^dim elements), and a listed algebra is filtered by N x = 0.
-    Otherwise V is scanned.
+    ``constraints`` are V's rows N with x in V iff N x = 0.  The algebra's
+    own list costs its rows: the :func:`matrix_idempotent_count` rows of
+    the construction on M_n, checked by :func:`_check_idempotents`, or a
+    scan of all q^dim elements otherwise.  The list is built and kept as
+    ``a.derived("idempotents")`` when it costs no more than V's q^r
+    vectors, and a listed algebra is filtered by N x = 0; otherwise V is
+    scanned.  The one budget check comes first, at the smaller of the two
+    costs, so whichever route then runs, and whether or not the list is
+    already kept, the same ``max_scan`` is refused with ``TooLarge``.
     """
     p = a.field.order
     total = p ** len(basis_rows)
-    charge(total, max_scan, f"idempotent scan in {a.label}")
     n = a.matrix_size
+    listing = a.size if n is None else matrix_idempotent_count(n, p)
+    charge(min(listing, total), max_scan, f"idempotent scan in {a.label}")
 
     def listed():
         store = exact_dtype(p - 1)
@@ -327,8 +330,7 @@ def idempotents(
         _check_idempotents(a, rows)
         return rows
 
-    listing_is_cheaper = (a.size if n is None else matrix_idempotent_count(n, p)) <= total
-    rows = a.derived("idempotents", listed if listing_is_cheaper else None)
+    rows = a.derived("idempotents", listed if listing <= total else None)
     if rows is None:
         return sorted(idempotent_coords(a, basis_rows))
     return [tuple(e) for e in rows[membership_bitmap(rows.T, constraints, p)].tolist()]

@@ -27,9 +27,8 @@ from .algebra import (
     minimal_polynomial,
     power_cycle,
 )
-from .errors import MathieuKitError
+from .errors import MAX_SCAN_DEFAULT, MathieuKitError
 from .mathieu import (
-    MAX_SCAN_DEFAULT,
     certify_radical_membership,
     decide_mathieu,
     find_nontrivial_mathieu,
@@ -71,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         # so a malformed MATHIEU_KIT_MAX_SCAN is a usage error, --help never
         # reads it and an explicit --max-scan wins
         default=os.environ.get("MATHIEU_KIT_MAX_SCAN") or str(MAX_SCAN_DEFAULT),
-        help="budget for exhaustive element scans (default 10^7, "
-        "or MATHIEU_KIT_MAX_SCAN)",
+        help="budget for every exhaustive job, in evaluations of the route "
+        "it runs (default 10^7, or MATHIEU_KIT_MAX_SCAN)",
     )
     groups = parser.add_subparsers(dest="group", required=True)
 

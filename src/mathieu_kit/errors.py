@@ -91,8 +91,13 @@ class InvertibleInput(MathieuKitError, ValueError):
 # --- guardrails -------------------------------------------------------------
 
 
+#: The one budget of every exhaustive job, in evaluations of the route it
+#: runs (``--max-scan`` / ``MATHIEU_KIT_MAX_SCAN`` on the command line).
+MAX_SCAN_DEFAULT = 10**7
+
+
 class TooLarge(MathieuKitError, ValueError):
-    """An exhaustive scan would exceed its configured budget."""
+    """An exhaustive job would exceed its configured budget."""
 
     def __init__(self, needed, limit, what="scan"):
         self.needed = needed

@@ -42,10 +42,9 @@ from .algebra import (
     opposite,
     poly_quotient_algebra,
 )
-from .errors import ConsistencyError, MathieuKitError, OnlyTrivial
+from .errors import MAX_SCAN_DEFAULT, ConsistencyError, MathieuKitError, OnlyTrivial, charge
 from .fields import GF, Poly
 from .mathieu import (
-    MAX_SCAN_DEFAULT,
     _cycle_radical_member,
     _idempotents_of,
     _nontrivial_idempotents,
@@ -75,6 +74,7 @@ from .subspace import (
     preimage,
     quotient_algebra,
     span,
+    subspace_count,
     theta_ideal,
 )
 
@@ -291,9 +291,10 @@ def _fact_table(max_scan: int) -> SimpleNamespace:
     * ``minimal_polynomial(x)``: the minimal polynomial of an element x.
 
     ``table(a)`` maps each subspace of ``a``, in ``all_subspaces`` order, to
-    its verdicts.  A refusal (``TooLarge``) raises and is not kept, so each
-    check records the refusal of the first fact it needs that is over
-    budget, and the other checks still run.
+    its verdicts; their enumeration is charged to ``max_scan`` too.  A
+    refusal (``TooLarge``) raises and is not kept, so each check records
+    the refusal of the first fact it needs that is over budget, and the
+    other checks still run.
     """
     idempotents = cache(lambda v: _idempotents_of(v, max_scan))
     verdicts = cache(lambda v: _verdicts(v, idempotents(v), ALL_VARIANTS))
@@ -304,7 +305,7 @@ def _fact_table(max_scan: int) -> SimpleNamespace:
         maxima=cache(lambda v: max_theta_ideals(v, one_sided)),
         radical=cache(lambda v: _radical_coords(v, max_scan)),
         minimal_polynomial=cache(minimal_polynomial),
-        table=cache(lambda a: {v: verdicts(v) for v in all_subspaces(a)}),
+        table=cache(lambda a: {v: verdicts(v) for v in all_subspaces(a, max_scan)}),
     )
 
 
@@ -513,7 +514,7 @@ def _suite_radical_laws(seed: int, max_scan: int) -> SuiteReport:
     def window_small():
         for entry in f23:
             if entry.algebra.dim <= 3:
-                for v in all_subspaces(entry.algebra):
+                for v in all_subspaces(entry.algebra, max_scan):
                     members = set(v.coord_vectors())
                     assert radical(v) == sorted(_radical_of_set(entry.algebra, members))
 
@@ -580,7 +581,7 @@ def _suite_idempotent_criterion(seed: int, max_scan: int) -> SuiteReport:
     for name in ["F2+F2", "F2[t]/t3", "F4", "M2(F2)", "F3+F3"]:
 
         def tame_radical(a=cat[name].algebra):
-            for v in all_subspaces(a):
+            for v in all_subspaces(a, max_scan):
                 nontrivial = [e for e in facts.idempotents(v) if any(e) and e != a.unit]
                 rad = [Element(a, x) for x in radical(v)]
                 tame = all(_nilpotent_or_invertible(minpoly(x)) for x in rad)
@@ -689,7 +690,7 @@ def _suite_lines(seed: int, max_scan: int) -> SuiteReport:
 
         def oracle_per_line(n=n, q=q):
             a = matrix_algebra(n, GF(q))
-            for line in enumerate_subspaces(a, 1):
+            for line in enumerate_subspaces(a, 1, max_scan):
                 gen = Element(a, line.basis[0])
                 for variant, brute in oracle_all_variants(line, max_scan).items():
                     rule = line_is_mathieu(gen, variant)
@@ -737,7 +738,7 @@ def _suite_quasi_stable(seed: int, max_scan: int) -> SuiteReport:
             a = entry.algebra
             by_definition = all(
                 oracle_mathieu(v, variant, max_scan)
-                for v in all_subspaces(a)
+                for v in all_subspaces(a, max_scan)
                 if not v.contains_unit()
                 for variant in ALL_VARIANTS
             )
@@ -765,7 +766,7 @@ def _suite_stable(seed: int, max_scan: int) -> SuiteReport:
             a = entry.algebra
             by_definition = all(
                 is_theta_ideal(v, Sidedness.TWO_SIDED)
-                for v in all_subspaces(a)
+                for v in all_subspaces(a, max_scan)
                 if not v.contains_unit()
             )
             assert is_stable(a, max_scan) == by_definition
@@ -830,21 +831,28 @@ def enumerate_all_mathieu(
 ) -> LatticeReport:
     """Exhaustive sweep of every subspace; reports the Mathieu lattice extremes.
 
-    Priced by its subspace count: more than 212, the count of F_3^4, raises
-    ``TooLarge`` before any subspace is built, so every algebra of dimension
-    <= 4 over F_2 or F_3 is swept.  Verifies that a maximal nontrivial
-    Mathieu subspace exists whenever dim >= 2, and that in a matrix algebra
-    the minimal nonzero ones are exactly the lines with non-quasi-idempotent
-    generators.
+    Priced at the square of its subspace count, the size of its pairwise
+    containment walks: past ``max_scan`` it raises ``TooLarge`` before any
+    subspace is built.  At the default budget every algebra of dimension
+    <= 4 over F_2, F_3 or F_5 is swept, and M_3(F_2) is refused.  Verifies
+    that a maximal nontrivial Mathieu subspace exists whenever dim >= 2,
+    and that in a matrix algebra the minimal nonzero ones are exactly the
+    lines with non-quasi-idempotent generators.
     """
     variant = Sidedness.parse(variant)
-    return _lattice(a, variant, lambda v: {variant: decide_mathieu(v, variant, max_scan)})
+    return _lattice(
+        a, variant, lambda v: {variant: decide_mathieu(v, variant, max_scan)}, max_scan
+    )
 
 
-def _lattice(a: Algebra, variant: Sidedness, verdicts: Callable) -> LatticeReport:
+def _lattice(
+    a: Algebra, variant: Sidedness, verdicts: Callable, max_scan: int
+) -> LatticeReport:
     """The sweep of :func:`enumerate_all_mathieu`, reading the verdict on
-    each subspace v from ``verdicts(v)``, a map from variants to verdicts."""
-    subspaces = list(all_subspaces(a, max_count=212))
+    each subspace v from ``verdicts(v)``, a map from variants to verdicts,
+    priced first at the square of the subspace count."""
+    charge(subspace_count(a) ** 2, max_scan, f"subspace lattice of {a.label}")
+    subspaces = list(all_subspaces(a, max_scan))
     mathieu = [v for v in subspaces if verdicts(v)[variant].is_mathieu]
     nontrivial = [v for v in mathieu if 0 < v.dim < a.dim]
     maximal = [
@@ -863,7 +871,7 @@ def _lattice(a: Algebra, variant: Sidedness, verdicts: Callable) -> LatticeRepor
     if a.matrix_size is not None and a.matrix_size >= 2:
         expected = {
             line.basis
-            for line in enumerate_subspaces(a, 1)
+            for line in enumerate_subspaces(a, 1, max_scan)
             if not is_quasi_idempotent(Element(a, line.basis[0]))
         }
         got = {v.basis for v in minimal}
@@ -885,12 +893,12 @@ def _suite_closure_laws(seed: int, max_scan: int) -> SuiteReport:
         for variant in ALL_VARIANTS:
 
             def extremes(a=a, variant=variant):
-                return _lattice(a, variant, verdicts).to_dict()
+                return _lattice(a, variant, verdicts, max_scan).to_dict()
 
             rec.run("lattice_extremes", f"{entry.name}/{variant.value}", extremes)
 
     def maximal_census(a=catalog()["M2(F2)"].algebra):
-        report = _lattice(a, Sidedness.TWO_SIDED, verdicts)
+        report = _lattice(a, Sidedness.TWO_SIDED, verdicts, max_scan)
         trace_zero = span(a, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]])
         off_plane = [
             w

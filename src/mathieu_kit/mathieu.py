@@ -10,13 +10,13 @@ everything here is decided exactly:
   criterion is equivalent to the definition, and a failing idempotent is a
   replayable refutation since its powers are constant.  The idempotents of
   M come from one function, ``_scan.idempotents``, with one rule for every
-  algebra, after one budget check on the q^dim M vectors of M.  Each
-  algebra lists its own idempotents once, when that costs no more than
-  scanning M: by construction for M_n(F_q) (one per image and
-  complementary kernel, checked when built), by one scan of every element
-  otherwise.  Once listed, they are filtered by M's constraint rows
-  N x = 0; until then M's q^dim M vectors are scanned.  Both routes give
-  the same sorted list.  Every translate is linear in the idempotent, so
+  algebra.  Each algebra lists its own idempotents once, when that costs
+  no more than scanning M's q^dim M vectors: by construction for M_n(F_q)
+  (one per image and complementary kernel, checked when built), by one
+  scan of every element otherwise.  Once listed, they are filtered by M's
+  constraint rows N x = 0; until then M's q^dim M vectors are scanned.
+  Both routes give the same sorted list, and the search is priced once,
+  first, at the cheaper of the list and the scan of M.  Every translate is linear in the idempotent, so
   the elements whose translates all lie in M form a subspace W_theta; the
   walk skips, with no product, each idempotent in the span of those it has
   already cleared, and so forms the translates of at most dim W_theta + 1
@@ -82,6 +82,7 @@ from .algebra import (
     power_cycle,
 )
 from .errors import (
+    MAX_SCAN_DEFAULT,
     AlgebraMismatch,
     ConsistencyError,
     InfiniteField,
@@ -102,8 +103,6 @@ from .subspace import (
     theta_ideal,
     translates,
 )
-
-MAX_SCAN_DEFAULT = 10**7
 
 
 @dataclass(frozen=True)
@@ -510,17 +509,19 @@ def find_nontrivial_mathieu(
     Guaranteed to exist whenever dim >= 2 over a field; raises
     :class:`OnlyTrivial` exactly in dimension 1 (the base field itself).
     Lines are searched first through the one-dimensional rule, then higher
-    dimensions through the full decision.
+    dimensions through the full decision.  Each dimension's enumeration is
+    charged its subspace count, and each decision its idempotent search,
+    to the one budget ``max_scan``.
     """
     if not a.field.is_finite:
         raise InfiniteField("the search scans subspaces of a finite algebra")
     if a.dim == 1:
         raise OnlyTrivial(f"{a.label} has only trivial Mathieu subspaces")
-    for line in enumerate_subspaces(a, 1):
+    for line in enumerate_subspaces(a, 1, max_scan):
         if line_is_mathieu(Element(a, line.basis[0]), Sidedness.TWO_SIDED):
             return line
     for r in range(2, a.dim):
-        for v in enumerate_subspaces(a, r):
+        for v in enumerate_subspaces(a, r, max_scan):
             if decide_mathieu(v, Sidedness.TWO_SIDED, max_scan).is_mathieu:
                 return v
     raise ConsistencyError(

@@ -35,8 +35,9 @@ so every B is the transpose of an A it verifies on another class.
 
 The line census (:func:`classify_lines`) walks the same canonical
 classes, each a line's basis row with lead entry 1, in the same blocks.
-Both censuses are priced by their class count before the first block is
-built (:func:`_class_count`).  The line census has two routes: the
+Both censuses are priced by their class count, the number of lines
+:func:`mathieu_kit.subspace.gaussian_binomial` gives, before the first
+block is built.  The line census has two routes: the
 quasi-idempotent classes are read off each block's squares from
 :func:`mathieu_kit._scan.batch_mul`, and must be exactly the lines of the
 constructed idempotents (:func:`mathieu_kit._scan.construct_matrix_idempotents`),
@@ -56,6 +57,7 @@ import numpy as np
 from . import _scan
 from .algebra import Algebra, Element, matrix_algebra
 from .errors import (
+    MAX_SCAN_DEFAULT,
     ConsistencyError,
     InfiniteField,
     NotMatrixAlgebra,
@@ -67,8 +69,8 @@ from .errors import (
     charge,
 )
 from .fields import GF, Field, Scalar
-from .mathieu import MAX_SCAN_DEFAULT, _idempotents_of, decide_all_variants, decide_mathieu
-from .subspace import ALL_VARIANTS, Sidedness, Subspace, _solution_space
+from .mathieu import _idempotents_of, decide_all_variants, decide_mathieu
+from .subspace import ALL_VARIANTS, Sidedness, Subspace, _solution_space, gaussian_binomial
 
 #: Witness-mode codim-1 censuses re-decide every (total // (SCAN_SAMPLES + 1))-th
 #: class by the idempotent criterion, as a cross-check of the refuting
@@ -346,15 +348,6 @@ class Codim1Report:
         }
 
 
-def _class_count(q: int, d: int, max_scan: int, what: str) -> int:
-    """The (q^d - 1)/(q - 1) classes :func:`_class_blocks` walks: a census's
-    price, checked before its first block is built.  More than
-    ``max_scan`` raise TooLarge, naming the census ``what``."""
-    total = (q**d - 1) // (q - 1)
-    charge(total, max_scan, what)
-    return total
-
-
 def _class_blocks(q: int, d: int):
     """Yield (lead, start, block) for every canonical projective vector of
     F_q^d, lead by lead, in index order.
@@ -436,15 +429,17 @@ def classify_codim1(
     (every one of the total - 1 refuted) covers both sides.  After each
     call every ``stride``-th class of it is re-decided by the idempotent
     criterion, which must find it refuted too.
-    The walk is priced first, at one evaluation per class
-    (:func:`_class_count`).  Past that the budget sets only the stride: 1
-    when a scan of every class fits in ``max_scan`` ("scan"), else
-    ``total // (SCAN_SAMPLES + 1)`` ("witness").
+    The walk is priced first, at one evaluation per class, the
+    (q^d - 1)/(q - 1) lines of F_q^d (:func:`gaussian_binomial`).  Past
+    that the budget sets only the stride: 1 when a scan of every class fits
+    in ``max_scan`` ("scan"), else ``total // (SCAN_SAMPLES + 1)``
+    ("witness").
     """
     field = GF(q)
     alg = matrix_algebra(n, field)
     d = alg.dim
-    total = _class_count(q, d, max_scan, "codim-1 census")
+    total = gaussian_binomial(d, 1, q)
+    charge(total, max_scan, "codim-1 census")
     decision = "scan" if total * q ** (d - 1) <= max_scan else "witness"
     stride = 1 if decision == "scan" else max(total // (SCAN_SAMPLES + 1), 1)
 
@@ -506,7 +501,8 @@ def classify_lines(n: int, q: int, max_scan: int = MAX_SCAN_DEFAULT) -> LinesRep
     A line is Mathieu exactly when it is its own sided ideal or its
     generator is not a quasi-idempotent.  The lines are the codim-1
     census's canonical classes, walked in the same blocks
-    (:func:`_class_blocks`, priced by :func:`_class_count`): each class a
+    (:func:`_class_blocks`, priced at one evaluation per class, the
+    :func:`gaussian_binomial` count of lines): each class a
     is a line's RREF basis row, lead entry 1, so it is a quasi-idempotent
     exactly when r = (a^2)[lead] != 0 and a^2 = r a, a test on the block's
     squares from :func:`_scan.batch_mul`.  For n >= 2 no line is a sided
@@ -529,7 +525,8 @@ def classify_lines(n: int, q: int, max_scan: int = MAX_SCAN_DEFAULT) -> LinesRep
         raise TooSmall("the line census needs n >= 2")
     alg = matrix_algebra(n, GF(q))
     d = alg.dim
-    total = _class_count(q, d, max_scan, "line census")
+    total = gaussian_binomial(d, 1, q)
+    charge(total, max_scan, "line census")
     found = []
     for lead, _, a in _class_blocks(q, d):
         square = _scan.batch_mul(alg, a, a)

@@ -29,15 +29,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import _linalg
 from .algebra import Algebra, AlgebraHom, Coords, Element
-from .errors import (
-    AlgebraMismatch,
-    InfiniteField,
-    NotAnIdeal,
-    charge,
-)
+from .errors import MAX_SCAN_DEFAULT, AlgebraMismatch, InfiniteField, NotAnIdeal, charge
 from .fields import Field
-
-MAX_SUBSPACES_DEFAULT = 10**6
 
 
 class Sidedness(Enum):
@@ -416,7 +409,7 @@ def gaussian_binomial(d: int, r: int, q: int) -> int:
 
 
 def enumerate_subspaces(
-    a: Algebra, r: int, max_count: int = MAX_SUBSPACES_DEFAULT
+    a: Algebra, r: int, max_scan: int = MAX_SCAN_DEFAULT
 ) -> Iterator[Subspace]:
     """All r-dimensional subspaces, exactly once each, as a lazy generator.
 
@@ -425,9 +418,10 @@ def enumerate_subspaces(
     reproducible.  Each pivot pattern's RREF matrices, built in
     lexicographic order of their free entries, are already in that order,
     so the streams of all patterns are merged (``heapq.merge``) and a
-    subspace is built only when it is reached.  Refuses (``TooLarge``) at
-    call time, before anything is built, when the Gaussian-binomial count
-    exceeds ``max_count``.
+    subspace is built only when it is reached.  Priced at its
+    Gaussian-binomial count, one evaluation a subspace, and refused
+    (``TooLarge``) at call time, before anything is built, past
+    ``max_scan``.
     """
     F = a.field
     if not F.is_finite:
@@ -437,7 +431,7 @@ def enumerate_subspaces(
         return iter(())
     q = F.order
     count = gaussian_binomial(d, r, q)
-    charge(count, max_count, f"subspace enumeration over {a.label}")
+    charge(count, max_scan, f"subspace enumeration over {a.label}")
 
     def with_pivots(pivots: tuple[int, ...]) -> Iterator[Subspace]:
         pivot_set = set(pivots)
@@ -460,11 +454,14 @@ def enumerate_subspaces(
     )
 
 
-def all_subspaces(
-    a: Algebra, max_count: int = MAX_SUBSPACES_DEFAULT
-) -> Iterator[Subspace]:
-    """Every subspace of every dimension, zero subspace first."""
-    total = sum(gaussian_binomial(a.dim, r, a.field.order) for r in range(a.dim + 1))
-    charge(total, max_count, f"subspace enumeration over {a.label}")
+def all_subspaces(a: Algebra, max_scan: int = MAX_SCAN_DEFAULT) -> Iterator[Subspace]:
+    """Every subspace of every dimension, zero subspace first, priced at
+    their count (:func:`subspace_count`)."""
+    charge(subspace_count(a), max_scan, f"subspace enumeration over {a.label}")
     for r in range(a.dim + 1):
-        yield from enumerate_subspaces(a, r, max_count=max_count)
+        yield from enumerate_subspaces(a, r, max_scan)
+
+
+def subspace_count(a: Algebra) -> int:
+    """Number of subspaces of every dimension of a finite-field algebra."""
+    return sum(gaussian_binomial(a.dim, r, a.field.order) for r in range(a.dim + 1))

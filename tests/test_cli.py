@@ -162,6 +162,21 @@ def test_alg_verbs(capsys):
     assert json.loads(out)["basis"] == [["0", "0", "1", "0"]]
 
 
+def test_find_ms_charges_its_subspace_enumeration_to_max_scan(capsys):
+    # M_2(F_2) has 15 lines, each one evaluation of the enumeration
+    code, out, err = run_cli(capsys, "--max-scan", "5", "alg", "find-ms", "--algebra", "mat:2:2")
+    assert (code, out) == (2, "")
+    assert "subspace enumeration over M_2(F(2)) needs 15 evaluations, budget is 5" in err
+    # M_4(F_3) has 21,523,360 lines: past the default budget, inside this one
+    code, out, _ = run_cli(
+        capsys, "--max-scan", "100000000", "alg", "find-ms", "--algebra", "mat:4:3"
+    )
+    assert code == 0 and out.strip() == "dim 1: [" + "0, " * 14 + "1, 0]"
+    # M_3(F_7) has 6,725,601 lines, inside the default budget
+    code, out, _ = run_cli(capsys, "alg", "find-ms", "--algebra", "mat:3:7")
+    assert code == 0 and out.strip() == "dim 1: [0, 0, 0, 0, 0, 0, 0, 1, 0]"
+
+
 def test_mat_dual_and_witness(capsys):
     code, out, _ = run_cli(
         capsys,

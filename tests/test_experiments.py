@@ -108,14 +108,22 @@ def test_lattice_of_dim_one_algebra():
 
 
 def test_lattice_guardrail():
-    # priced by the subspace count, with the 212 subspaces of F_3^4 as the limit
-    with pytest.raises(TooLarge, match="needs 1120 evaluations, budget is 212"):
-        enumerate_all_mathieu(catalog()["M2(F5)"].algebra, Sidedness.TWO_SIDED)
+    # priced at the square of the subspace count, the size of its pairwise
+    # containment walks, against the one budget max_scan
+    m2_f5 = catalog()["M2(F5)"].algebra
+    with pytest.raises(TooLarge, match=r"lattice of M2\(F5\) needs 1254400 .* budget is 1254399"):
+        enumerate_all_mathieu(m2_f5, Sidedness.TWO_SIDED, max_scan=1120**2 - 1)
+    assert enumerate_all_mathieu(m2_f5, Sidedness.TWO_SIDED).total_subspaces == 1120
+    # M_3(F_2) has 8,283,458 subspaces: refused at the default budget
+    with pytest.raises(TooLarge, match="needs 68615676437764 evaluations, budget is 10000000"):
+        enumerate_all_mathieu(catalog()["M3(F2)"].algebra, Sidedness.TWO_SIDED)
     with pytest.raises(TooLarge):
         enumerate_all_mathieu(catalog()["M3(F3)"].algebra, Sidedness.TWO_SIDED)
+    # F_2[t]/(t^5) has 374 subspaces: refused one evaluation short of 374^2
     f2_5 = poly_quotient_algebra(Poly.from_ints(GF(2), [0] * 5 + [1]))
-    with pytest.raises(TooLarge, match="needs 374 evaluations, budget is 212"):
-        enumerate_all_mathieu(f2_5, Sidedness.TWO_SIDED)
+    with pytest.raises(TooLarge, match="needs 139876 evaluations, budget is 139875"):
+        enumerate_all_mathieu(f2_5, Sidedness.TWO_SIDED, max_scan=374**2 - 1)
+    assert enumerate_all_mathieu(f2_5, Sidedness.TWO_SIDED, max_scan=374**2).total_subspaces == 374
     # a small lattice over a larger prime is answered: F_5 has 2 subspaces
     report = enumerate_all_mathieu(catalog()["F5"].algebra, Sidedness.TWO_SIDED)
     assert report.total_subspaces == 2

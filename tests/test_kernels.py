@@ -523,11 +523,17 @@ def test_census_hyperplane_is_decided_without_a_scan(monkeypatch):
 
 
 def test_refusals_and_small_subspaces_build_nothing():
+    # the trace hyperplane has 5^8 vectors, M_3(F_5) 1,552 idempotents: the
+    # search is priced at the cheaper list, cold and warm alike
     alg = matrix_algebra(3, F5)
     v = trace_orthogonal(alg.one())
-    with pytest.raises(TooLarge):
-        decide_mathieu(v, Sidedness.LEFT, max_scan=5**8 - 1)
+    with pytest.raises(TooLarge, match=r"M_3\(F\(5\)\) needs 1552 evaluations, budget is 1551"):
+        decide_mathieu(v, Sidedness.LEFT, max_scan=1551)
     assert alg.derived("idempotents") is None
+    assert decide_mathieu(v, Sidedness.LEFT, max_scan=1552).is_mathieu
+    assert len(alg.derived("idempotents")) == 1552
+    with pytest.raises(TooLarge, match="needs 1552 evaluations, budget is 1551"):
+        decide_mathieu(v, Sidedness.LEFT, max_scan=1551)
     # a line of M_4(F_7) has 7 vectors; the algebra has 7,117,252 idempotents
     alg = matrix_algebra(4, GF(7))
     assert _scan.matrix_idempotent_count(4, 7) == 7_117_252
@@ -539,6 +545,52 @@ def test_refusals_and_small_subspaces_build_nothing():
     with pytest.raises(TooLarge):
         is_quasi_stable(alg)
     assert alg.derived("idempotents") is None
+
+
+def test_idempotent_search_is_priced_at_the_list_it_filters():
+    # E_11 = 0 in M_4(F_3) has 3^15 = 14,348,907 vectors, past the default
+    # budget; the algebra lists only 12,692 idempotents
+    alg = matrix_algebra(4, F3)
+    v = span(alg, [[int(j == i) for j in range(16)] for i in range(1, 16)])
+    assert _scan.matrix_idempotent_count(4, 3) == 12_692
+    with pytest.raises(TooLarge, match="needs 12692 evaluations, budget is 12691"):
+        _idempotents_of(v, max_scan=12_691)
+    assert alg.derived("idempotents") is None
+    found = _idempotents_of(v, mathieu.MAX_SCAN_DEFAULT)
+    kept = [tuple(e) for e in alg.derived("idempotents").tolist()]
+    assert found == [e for e in kept if e[0] == 0] and len(found) == 4708
+
+
+def test_every_charge_is_to_the_one_budget():
+    # every exhaustive job is charged to max_scan, or to the int64 bound of
+    # a kernel's dtype, and only errors.py defines a budget default
+    package = Path(SRC) / "mathieu_kit"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    int64_bounds = {(1 << 63) - 1, 1 << 63}
+    charges, defaults = 0, []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "charge":
+                limit = node.args[1]
+                charges += 1
+                if isinstance(limit, ast.Name):
+                    assert limit.id == "max_scan", f"{path.name}:{node.lineno}"
+                else:
+                    assert not any(isinstance(n, ast.Name) for n in ast.walk(limit))
+                    value = eval(compile(ast.Expression(limit), path.name, "eval"))
+                    assert value in int64_bounds, f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.arg):
+                assert node.arg != "max_count", f"{path.name}: a second budget"
+        defaults += [
+            (path.name, target.id)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_DEFAULT")
+        ]
+    assert charges >= 10
+    assert defaults == [("errors.py", "MAX_SCAN_DEFAULT")]
 
 
 def element_coords(alg, index):

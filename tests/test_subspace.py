@@ -510,10 +510,19 @@ def test_enumerate_subspaces_is_the_sorted_rref_list(d, r, q):
 
 
 def test_enumerate_guardrail_and_infinite_field():
-    # both refusals come at call time, before anything is built
+    # both refusals come at call time, before anything is built; an
+    # enumeration is priced at its count, 130 planes in M_2(F_3)
     a = matrix_algebra(2, F3)
-    with pytest.raises(TooLarge):
-        enumerate_subspaces(a, 2, max_count=10)
+    assert gaussian_binomial(4, 2, 3) == 130
+    with pytest.raises(TooLarge, match=r"M_2\(F\(3\)\) needs 130 evaluations, budget is 129"):
+        enumerate_subspaces(a, 2, max_scan=129)
+    assert len(list(enumerate_subspaces(a, 2, max_scan=130))) == 130
+    # every subspace of M_2(F_2): 1 + 15 + 35 + 15 + 1
+    b = matrix_algebra(2, F2)
+    assert subspace.subspace_count(b) == 67
+    with pytest.raises(TooLarge, match="needs 67 evaluations, budget is 66"):
+        next(all_subspaces(b, max_scan=66))
+    assert len(list(all_subspaces(b, max_scan=67))) == 67
     with pytest.raises(InfiniteField):
         enumerate_subspaces(matrix_algebra(2, QQ), 1)
 
