@@ -16,11 +16,31 @@ matrices.  Sums are reduced with :func:`reduce_mod`.
 
 The kernels are plumbing for the decision procedures; the pure-Python
 element arithmetic in :mod:`mathieu_kit.algebra` is the reference they are
-tested against.  When a power chunk is built, every product in it is
-recomputed exactly from the dense structure constants, in a loop that
-:func:`batch_mul` does not share, every stored index is decoded and
-compared with its power, and three of its elements are replayed with the
-reference arithmetic.
+tested against.  The runtime checks, each of which raises
+``ConsistencyError`` before anything is kept, are:
+
+* every :func:`batch_mul` product that a kept table or list is built from
+  is recomputed by :func:`_check_products`, the one exact product check,
+  from the dense structure constants in a loop that :func:`batch_mul`
+  does not share: the powers of a power chunk, and the squares of every
+  block an idempotent scan filters, kept and dropped vectors alike;
+* the constructed idempotents of M_n are squared by the same check, and
+  their rows must be distinct and as many as M_n has
+  (:func:`_check_idempotents`);
+* a power chunk's stored indices are decoded by :func:`digits` and must
+  equal its powers, so :func:`encode` and :func:`digits` are checked on
+  the window (:func:`_check_window`), and three elements of each chunk
+  are replayed with the reference arithmetic, which checks
+  :func:`coeff_block` on them.
+
+Only the tests catch a fault in :func:`span_blocks` (or in the
+:func:`coeff_block` digits it combines), which lists a subspace's vectors
+for a scan or a bitmap, in :func:`encode` on those vectors, and in
+:func:`membership_bitmap` and :func:`span_bitmap`: none of them has a
+second route at runtime.  The census products of
+:mod:`mathieu_kit.matrixlab` are not given to :func:`_check_products`
+either: their second routes are the sampled re-decision and the
+constructed-line set.
 
 Element blocks enumerate coefficient tuples in ascending lexicographic
 order (most significant digit first), which is the canonical scan order for
@@ -261,20 +281,18 @@ def idempotent_coords(ambient: Algebra, basis_rows) -> list[tuple[int, ...]]:
     The caller has checked q^r against its budget (:func:`idempotents`
     holds the one check).
 
-    Every vector kept is replayed once through ``Algebra._mul_coords``, and
-    one whose exact square is not itself raises ``ConsistencyError``.  The
-    replay sees only what was kept: a true idempotent that a faulty
-    :func:`batch_mul` square drops is missed.
+    Every block's squares are recomputed by :func:`_check_products` before
+    the block is filtered, so a faulty :func:`batch_mul` square raises
+    ``ConsistencyError`` whether it would keep a false idempotent or drop
+    a true one.  A fault in :func:`span_blocks`, which lists the vectors,
+    is caught only by the tests, which compare the scan with a walk of
+    the subspace's elements in the reference arithmetic.
     """
     out = []
     for vecs in span_blocks(ambient, basis_rows):
         squares = batch_mul(ambient, vecs, vecs)
+        _check_products(ambient, vecs, vecs, squares)
         out += map(tuple, vecs[:, np.all(squares == vecs, axis=0)].T.tolist())
-    for e in out:
-        if ambient._mul_coords(e, e) != e:
-            raise ConsistencyError(
-                f"{e} of {ambient.label} was kept as an idempotent, but e*e != e"
-            )
     return out
 
 
@@ -289,6 +307,12 @@ def span_bitmap(a: Algebra, basis_rows) -> np.ndarray:
     refused before the bitmap or any block is allocated.  Indices are
     exact in int64 for algebras of at most 2^63 elements;
     :func:`power_chunks` refuses larger ones.
+
+    No runtime check recomputes the bitmap, so a fault in
+    :func:`span_blocks` or :func:`encode` here gives a wrong radical
+    without an error; only the tests catch it, by comparing the bitmap
+    with :func:`membership_bitmap` over every element and the radicals
+    with the pure-Python reference.
     """
     if len(basis_rows) == a.dim:
         return np.ones(a.size, dtype=bool)
@@ -390,17 +414,20 @@ def construct_matrix_idempotents(n: int, p: int) -> np.ndarray:
 def _check_idempotents(a: Algebra, rows: np.ndarray) -> None:
     """Raise ``ConsistencyError`` unless ``rows`` are exactly a's idempotents.
 
-    Every row squares to itself (batched matmul, one block at a time), the
-    sorted rows are distinct, and there are :func:`matrix_idempotent_count`
-    of them.  An algebra of at most IDEMPOTENT_RESCAN_LIMIT elements is
-    also scanned in full, a route that shares nothing with the construction, and
-    must give the same rows.
+    Every row squares to itself, checked by :func:`_check_products` from
+    the dense structure constants, one DEFAULT_BLOCK of rows at a time; the
+    sorted rows are distinct; and there are :func:`matrix_idempotent_count`
+    of them.  Distinct idempotents as many as a's are all of a's, so a row
+    that is not idempotent, a repeated row and a missing row each raise
+    ``ConsistencyError``, at every size.  An algebra of at most
+    IDEMPOTENT_RESCAN_LIMIT elements is also scanned in full, a route that
+    shares nothing with the construction, and must give the same rows,
+    which also checks their order.
     """
     n, p = a.matrix_size, a.field.order
     for s in range(0, len(rows), DEFAULT_BLOCK):
-        mats = rows[s : s + DEFAULT_BLOCK].reshape(-1, n, n).astype(np.int64)
-        if not np.array_equal(np.matmul(mats, mats) % p, mats):
-            raise ConsistencyError(f"a constructed matrix of {a.label} is not idempotent")
+        block = rows[s : s + DEFAULT_BLOCK].T
+        _check_products(a, block, block, block)
     if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
         raise ConsistencyError(f"a constructed idempotent of {a.label} appears twice")
     want = matrix_idempotent_count(n, p)
@@ -454,7 +481,7 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     stack[0] = coeff_block(p, d, start, stop)
     for m in range(1, horizon):
         stack[m] = batch_mul(a, stack[m - 1], stack[0])
-    _check_products(a, stack)
+    _check_products(a, stack[:-1], stack[0], stack[1:])
     rows = encode(p, stack[d - 1 :]).reshape(-1).astype(exact_dtype(a.size - 1), copy=False)
     rows.flags.writeable = False
     chunk = PowerChunk(start, stop - start, rows)
@@ -463,43 +490,55 @@ def build_power_chunk(a: Algebra, start: int, stop: int) -> PowerChunk:
     return chunk
 
 
-def _check_products(a: Algebra, stack: np.ndarray) -> None:
-    """Raise ``ConsistencyError`` unless every product in ``stack`` is right.
+def _check_products(a: Algebra, x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless ``xy`` is the product x y in ``a``,
+    column by column.
 
-    ``stack`` is (2d-1, d, B): the (d, B) blocks of a^1 .. a^(2d-1) of a
-    block of elements a, as residues.  Every stored a^m (m >= 2) is
-    recomputed as a^(m-1) a from the nonzero constants of the dense
-    ``a.table``, not from the sparse table that :func:`batch_mul` loops
-    over, one pass over a (2d-2, B) block per constant, and must equal the
-    stored block in every coordinate.  For d = 1 there is no product.
+    This is the one exact check of a batched product.  ``x``, ``y`` and
+    ``xy`` are blocks of residues of shape (..., d, B) that broadcast
+    together to ``xy``'s shape, such as a (2d-2, d, B) stack of powers
+    times its (d, B) first power.  x y is recomputed from the nonzero
+    constants of the dense ``a.table``, not from the sparse table that
+    :func:`batch_mul` loops over, one pass over a (..., B) block per
+    constant, and must equal ``xy`` in every coordinate; the first column
+    that differs is named.  It sees any wrong product it is given, so a
+    faulty :func:`batch_mul` square that drops a true idempotent from a
+    scan is caught as surely as one that keeps a false one.
+
+    It checks only the products it is given: the census products of
+    :mod:`mathieu_kit.matrixlab` are not, since checking them all takes a
+    ``mat codim1 --n 3 --q 5`` census from 35 to 59 ms in process (2-vCPU
+    Xeon VM).
 
     Exactness: each term is at most (p-1)^2 (x_i * y_j, reduced mod p and
     then multiplied by c only when c != 1), so coordinate k's sum is at
     most n_k (p-1)^2, n_k the number of nonzero constants with that k.  The
     check runs in :func:`exact_dtype` of that bound, exact while it is
     below 2^63.  The bound is counted here from the dense table, apart from
-    :func:`product_dtype`'s count; a stack already in its dtype is read in
-    place.
+    :func:`product_dtype`'s count; operands already in its dtype, such as
+    a power stack, are read in place.
     """
     p = a.field.order
     nonzero = np.argwhere(np.array(a.table, dtype=np.int64))  # rows (i, j, k), ascending
-    n_k = int(np.bincount(nonzero[:, 2], minlength=1).max())
-    xs = stack.astype(exact_dtype(n_k * (p - 1) ** 2), copy=False)
-    want = np.zeros_like(xs[1:])
-    term = np.empty_like(want[:, 0])
+    dtype = exact_dtype(int(np.bincount(nonzero[:, 2], minlength=1).max()) * (p - 1) ** 2)
+    xs, ys = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    want = np.zeros(xy.shape, dtype=dtype)
+    term = np.empty_like(want[..., 0, :])
     for i, j, k in nonzero.tolist():
-        np.multiply(xs[:-1, i], xs[0, j], out=term)
+        np.multiply(xs[..., i, :], ys[..., j, :], out=term)
         c = a.table[i][j][k]
         if c != 1:
             reduce_mod(term, p)
             term *= c
-        want[:, k] += term
-    bad = (reduce_mod(want, p) != xs[1:]).any(axis=(0, 1))
+        want[..., k, :] += term
+    bad = (reduce_mod(want, p) != xy).any(axis=-2)
     if bad.any():
-        b = int(np.argmax(bad))
+        *lead, b = np.unravel_index(np.argmax(bad), bad.shape)
+        at = (*lead, slice(None), b)
+        u, v = (tuple(np.broadcast_to(w, xy.shape)[at].tolist()) for w in (x, y))
         raise ConsistencyError(
-            f"power kernel and the dense structure constants disagree on "
-            f"{tuple(stack[0, :, b].tolist())} in {a.label}"
+            f"a batched product and the dense structure constants disagree on "
+            f"{u} * {v} in {a.label}"
         )
 
 
@@ -585,11 +624,20 @@ def membership_bitmap(rows: np.ndarray, constraints, p: int) -> np.ndarray:
     elements by index instead (:func:`span_bitmap`).
 
     Exactness: each row of N x sums d products of residues, at most
-    d (p-1)^2; N and ``rows`` are multiplied in :func:`sum_dtype` of that
-    bound, which refuses one past int64 before anything is allocated.
+    d (p-1)^2; N and ``rows`` are multiplied by ``einsum`` in
+    :func:`sum_dtype` of that bound, which refuses one past int64 before
+    anything is allocated.  ``einsum`` is about ten times faster than
+    ``@`` on integers once the list is long (8 rows of N by 12,692 int8
+    columns: 0.19 against 1.9 ms, 2-vCPU Xeon VM).
+
+    No runtime check recomputes the bitmap: a wrong one filters the right
+    idempotents wrongly, and only the tests catch it, by comparing the
+    filter with a scan of each subspace and this bitmap with
+    :func:`span_bitmap`.
     """
     if not constraints:
         return np.ones(rows.shape[1], dtype=bool)
     dtype = sum_dtype(len(rows) * (p - 1) ** 2, "membership sums")
     n = np.array(constraints, dtype=dtype)
-    return np.all(reduce_mod(n @ rows.astype(dtype, copy=False), p) == 0, axis=0)
+    sums = np.einsum("cd,db->cb", n, rows.astype(dtype, copy=False))
+    return np.all(reduce_mod(sums, p) == 0, axis=0)

@@ -16,11 +16,14 @@ everything here is decided exactly:
   scan of every element otherwise.  Once listed, they are filtered by M's
   constraint rows N x = 0; until then M's q^dim M vectors are scanned.
   Both routes give the same sorted list, and the search is priced once,
-  first, at the cheaper of the list and the scan of M.  Every translate is linear in the idempotent, so
-  the elements whose translates all lie in M form a subspace W_theta; the
-  walk skips, with no product, each idempotent in the span of those it has
-  already cleared, and so forms the translates of at most dim W_theta + 1
-  idempotents per variant, with the same first violation.
+  first, at the cheaper of the list and the scan of M.  Every square a
+  scan filters, kept or dropped, is recomputed exactly
+  (``_scan._check_products``).  Every translate is linear in the
+  idempotent, so the elements whose translates all lie in M form a
+  subspace W_theta; the walk skips, with no product, each idempotent in
+  the span of those it has already cleared, and so forms the translates
+  of at most dim W_theta + 1 idempotents per variant, with the same first
+  violation.
 * ``oracle_mathieu`` is the deliberately naive definition-level check, kept
   free of the theory above so the two can be compared on everything small.
   It lists the elements of M once and reads membership from that set, not

@@ -270,6 +270,16 @@ def _batch_witnesses(alg: Algebra, x: np.ndarray) -> np.ndarray:
     :func:`_scan.batch_mul` in ``alg``; any failure raises
     ConsistencyError.
 
+    These checks catch a wrong A, whatever built it, and a faulty product
+    that makes a right A fail one of them.  They do not catch a faulty
+    product that makes a wrong A pass (a square that returns its operand,
+    say): the products are not recomputed by ``_scan._check_products``,
+    which would take the M_3(F_5) census from 35 to 59 ms in process
+    (2-vCPU Xeon VM).  That escape is left to the census's second route,
+    the idempotent criterion on every class or a fixed sample of them
+    (:func:`classify_codim1`), and to the tests, which compare A with
+    :func:`witness_idempotents` class by class.
+
     B, the right refuting idempotent of :func:`witness_idempotents`, is
     not built: the construction and its first non-scalar pair are
     scale-invariant, so B(X) = A(canon X^T)^T, and the checks on A at
@@ -520,6 +530,14 @@ def classify_lines(n: int, q: int, max_scan: int = MAX_SCAN_DEFAULT) -> LinesRep
     The two are compared as sets of :func:`_scan.encode` indices.  A
     translate that fails its test, or sets that differ, raise
     ConsistencyError.
+
+    The squares and translates are not recomputed by
+    ``_scan._check_products`` (see :func:`_batch_witnesses` for its cost).
+    A faulty square that adds or drops a quasi-idempotent class, and so
+    changes a count, is caught at runtime by the constructed lines.  A
+    faulty translate is caught when it makes a translate fail its test
+    (one on the class's own line, say); one that makes a translate pass
+    changes no count, and goes unseen at runtime and in the tests.
     """
     if n < 2:
         raise TooSmall("the line census needs n >= 2")

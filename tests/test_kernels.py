@@ -322,9 +322,9 @@ def test_span_scan_sums_in_its_bound_and_refuses_past_int64(monkeypatch):
         _scan.idempotent_coords(_dual_numbers(PAST_INT64_EDGE), basis)
 
 
-def test_idempotent_scan_replays_what_it_keeps(monkeypatch):
+def test_idempotent_scan_checks_every_square(monkeypatch):
     # a faulty square that adds 1 to coordinate 0 keeps (2,0,0) and (2,1,0),
-    # which are not idempotent; the exact replay refuses them
+    # which are not idempotent; the exact check of the squares refuses them
     alg = direct_sum(field_algebra(F3), _dual_numbers(3))
     batch_mul = _scan.batch_mul
 
@@ -335,9 +335,9 @@ def test_idempotent_scan_replays_what_it_keeps(monkeypatch):
 
     assert _scan.idempotent_coords(alg, alg._basis) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
     monkeypatch.setattr(_scan, "batch_mul", faulty)
-    with pytest.raises(ConsistencyError, match="kept as an idempotent"):
+    with pytest.raises(ConsistencyError, match="dense structure constants"):
         _scan.idempotent_coords(alg, alg._basis)
-    with pytest.raises(ConsistencyError, match="kept as an idempotent"):
+    with pytest.raises(ConsistencyError, match="dense structure constants"):
         decide_mathieu(span(alg, alg._basis[:2]), Sidedness.TWO_SIDED)
 
 
@@ -438,6 +438,43 @@ def test_constructed_idempotents_have_the_formula_count():
     built = _all_idempotents(alg, max_scan=3**16)
     assert len(built) == _scan.matrix_idempotent_count(4, 3) == 1 + 40 * 27 * 2 + 130 * 81 + 1
     assert alg.derived("idempotents").tolist() == [list(e) for e in built]
+
+
+def _drop_idempotent(monkeypatch, e):
+    """Add 1 to coordinate 0 of every ``_scan.batch_mul`` square of the
+    idempotent ``e``, so a scan that trusts its squares drops ``e``."""
+    batch_mul = _scan.batch_mul
+    col = np.array(e)[:, None]
+
+    def faulty(a, x, y):
+        out = batch_mul(a, x, y)
+        hit = (x == col).all(axis=0) & (y == col).all(axis=0)
+        out[0, hit] = (out[0, hit] + 1) % a.field.order
+        return out
+
+    monkeypatch.setattr(_scan, "batch_mul", faulty)
+
+
+def test_a_square_that_drops_an_idempotent_is_caught(monkeypatch):
+    # a check of only the vectors a scan keeps never sees a dropped one:
+    # without E_11 the E_11 line of M_2(F_2) would have no nonzero
+    # idempotent and pass as Mathieu, though E_11's ideal leaves it
+    alg = direct_sum(field_algebra(F3), _dual_numbers(3))
+    assert (1, 0, 0) in _scan.idempotent_coords(alg, alg._basis)
+    _drop_idempotent(monkeypatch, (1, 0, 0))
+    dropped = r"on \(1, 0, 0\) \* \(1, 0, 0\)"
+    with pytest.raises(ConsistencyError, match=dropped):
+        _scan.idempotent_coords(alg, alg._basis)
+    with pytest.raises(ConsistencyError, match=dropped):
+        _all_idempotents(alg)  # the listing route of a non-matrix algebra
+    assert alg.derived("idempotents") is None
+    monkeypatch.undo()
+
+    m2 = matrix_algebra(2, F2)
+    assert not decide_mathieu(span(m2, [[1, 0, 0, 0]]), Sidedness.TWO_SIDED).is_mathieu
+    _drop_idempotent(monkeypatch, (1, 0, 0, 0))
+    with pytest.raises(ConsistencyError, match=r"on \(1, 0, 0, 0\) \* \(1, 0, 0, 0\)"):
+        decide_mathieu(span(_fresh(m2), [[1, 0, 0, 0]]), Sidedness.TWO_SIDED)
 
 
 IDEMPOTENT_ALGEBRAS = ALGEBRAS[:4] + [
@@ -591,6 +628,34 @@ def test_every_charge_is_to_the_one_budget():
         ]
     assert charges >= 10
     assert defaults == [("errors.py", "MAX_SCAN_DEFAULT")]
+
+
+def test_every_batched_product_in_scan_is_checked():
+    # each function of _scan that multiplies with batch_mul recomputes its
+    # products with _check_products, and only the idempotent construction
+    # multiplies with matmul
+    tree = ast.parse((Path(SRC) / "mathieu_kit" / "_scan.py").read_text())
+    construction = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "construct_matrix_idempotents"
+    )
+    allowed = set(map(id, ast.walk(construction)))
+    callers = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            called = {
+                getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+            }
+            if "batch_mul" in called:
+                callers.append(node.name)
+                assert "_check_products" in called, node.name
+        matmul = (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in {"matmul", "dot"}
+        )
+        assert not matmul or id(node) in allowed, f"_scan.py:{node.lineno}"
+    assert sorted(callers) == ["build_power_chunk", "idempotent_coords"]
 
 
 def element_coords(alg, index):
